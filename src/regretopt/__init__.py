@@ -43,7 +43,6 @@ from .shortest_path import (
     IntervalDigraph,
     Path,
     PathConstraint,
-    bidirectional_dijkstra,
     constrained_sp,
     dijkstra,
     sp_oracle,
@@ -86,7 +85,6 @@ __all__ = [
     "Path",
     "PathConstraint",
     "dijkstra",
-    "bidirectional_dijkstra",
     "constrained_sp",
     "two_unit_min_flow",
     "sp_oracle",

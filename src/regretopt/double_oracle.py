@@ -12,7 +12,7 @@ so even truncated runs are useful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -260,9 +260,13 @@ class DoubleOracleConfig:
 class DoubleOracleResult:
     """Outcome of a generation run.
 
-    lower_bound is the best per-iteration bound seen (the running maximum
-    of trace); converged says whether neither player could improve, in
-    which case lower_bound is the exact game value up to tolerances.
+    trace holds one anytime bound per iteration.  When max_iterations ends
+    the run after the game grew, the grown game is solved once more, and
+    the bound of the best response to that final equilibrium also counts.
+    lower_bound is the best of these bounds; best_response is the solution
+    that answers the returned equilibrium's scenario mixture.  converged
+    says whether neither player could improve, in which case lower_bound
+    is the exact game value up to tolerances.
     """
 
     lower_bound: float
@@ -273,6 +277,13 @@ class DoubleOracleResult:
     iterations: int
     trace: tuple[float, ...]
     best_response: SolutionIndicator
+
+
+class _RowMixture(NamedTuple):
+    """The solution player's mixture in the shape br_c reads: probs over support."""
+
+    probs: np.ndarray
+    support: tuple[SolutionIndicator, ...]
 
 
 def _as_solutions(init_x) -> list[SolutionIndicator]:
@@ -370,8 +381,6 @@ def run_double_oracle(
     trace: list[float] = []
     best_lb = -np.inf
     converged = False
-    equilibrium = None
-    last_response = None
     iterations = 0
     while iterations < config.max_iterations:
         iterations += 1
@@ -385,7 +394,7 @@ def run_double_oracle(
         if config.stop_value is not None and best_lb >= config.stop_value:
             break
 
-        c_new = br_c(instance, oracle, _mixed_rows(game, equilibrium.row_probs))
+        c_new = br_c(instance, oracle, _RowMixture(equilibrium.row_probs, tuple(game.solutions)))
         x_present = game.has_solution(x_new)
         c_present = game.has_scenario(c_new)
         if x_present and c_present:
@@ -410,12 +419,14 @@ def run_double_oracle(
         if not grew:
             break
 
-    if equilibrium is None or equilibrium.row_probs.size != len(game.solutions) or equilibrium.col_probs.size != len(
-        game.scenario_ids
-    ):
+    if equilibrium.row_probs.size != len(game.solutions) or equilibrium.col_probs.size != len(game.scenario_ids):
+        # The budget ran out right after the game grew: the grown game's
+        # equilibrium certifies a bound of its own.
         equilibrium = solve_zero_sum(game.matrix)
+        last_response, _ = oracle.solve(game.mixture_costs(equilibrium.col_probs), restriction)
+        best_lb = max(best_lb, game.expected_regret(last_response, equilibrium.col_probs))
     return DoubleOracleResult(
-        lower_bound=float(max(trace)),
+        lower_bound=float(best_lb),
         equilibrium=equilibrium,
         solutions=tuple(game.solutions),
         scenarios=tuple(game.scenarios),
@@ -424,14 +435,6 @@ def run_double_oracle(
         trace=tuple(trace),
         best_response=last_response,
     )
-
-
-def _mixed_rows(game: RestrictedGame, row_probs):
-    class _View:
-        probs = row_probs
-        support = tuple(game.solutions)
-
-    return _View()
 
 
 def lb_star_n(

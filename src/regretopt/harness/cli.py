@@ -21,6 +21,7 @@ from ..shortest_path import sp_oracle
 from .brute_force import brute_force_lb_star, brute_force_opt
 from .experiments import (
     BOUND_NAMES,
+    INPUT_ERRORS,
     aggregate_bb,
     aggregate_lb,
     evaluate_bounds,
@@ -84,7 +85,7 @@ def _cmd_lb(args) -> int:
                 graph = read_native(path)
                 record = evaluate_bounds(graph, bounds, args.exact, args.max_support)
                 record["instance"] = path
-            except Exception as err:
+            except INPUT_ERRORS as err:
                 record = {"instance": path, "error": "%s" % (err,)}
             records.append(record)
         table = aggregate_lb(records, bounds)
@@ -120,7 +121,7 @@ def _bb_worker_file(path: str, strategies, config) -> dict:
                 "time_ms": stats.elapsed_ms,
                 "complete": stats.complete,
             }
-    except Exception as err:
+    except INPUT_ERRORS as err:
         return {"instance": path, "error": "%s" % (err,)}
     return record
 

@@ -22,6 +22,7 @@ from ..branch_bound import STRATEGIES, BBConfig, bb_solve
 from ..core import SolutionIndicator
 from ..double_oracle import (
     PENALIZING,
+    NoFeasibleSolution,
     DoubleOracleConfig,
     ScenarioDescriptor,
     max_regret,
@@ -120,12 +121,17 @@ def evaluate_bounds(
     return record
 
 
+# What a bad instance can raise: it becomes an "error" row.  Anything else
+# is a bug in the program and propagates.
+INPUT_ERRORS = (ValueError, OSError, NoFeasibleSolution)
+
+
 def _lb_worker(args) -> dict:
     spec, bounds, exact, max_support = args
     try:
         graph = gen_instance(spec)
         record = evaluate_bounds(graph, bounds, exact, max_support)
-    except Exception as err:
+    except INPUT_ERRORS as err:
         return {"instance": _instance_id(spec), "error": "%s" % (err,)}
     record["instance"] = _instance_id(spec)
     return record
@@ -189,7 +195,7 @@ def _bb_worker(args) -> dict:
                 "time_ms": stats.elapsed_ms,
                 "complete": stats.complete,
             }
-    except Exception as err:
+    except INPUT_ERRORS as err:
         return {"instance": _instance_id(spec), "error": "%s" % (err,)}
     return record
 

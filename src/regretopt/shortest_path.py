@@ -1,16 +1,21 @@
 """Directed graphs with interval arc costs and the searches the bounds need.
 
-Holds the graph container, plain and bidirectional Dijkstra, shortest path
-search under branch constraints (forced prefix, forbidden arcs), a two-unit
-minimum cost flow used by the pair-scenario bound, and the adapter that
-turns all of this into a standard-problem oracle.
+Holds the graph container, Dijkstra, shortest path search under branch
+constraints (forced prefix, forbidden arcs), a two-unit minimum cost flow
+used by the pair-scenario bound, and the adapter that turns all of this
+into a standard-problem oracle.
+
+The searches run on plain Python lists: costs are converted once per call
+and the graph keeps its adjacency as per-node tuples, because indexing
+numpy scalars one arc at a time costs more than the search itself.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -60,8 +65,9 @@ class IntervalDigraph:
     source: int
     target: int
     out_edges: tuple[tuple[int, ...], ...] = None
-    in_edges: tuple[tuple[int, ...], ...] = None
     instance: IntervalInstance = None
+    # The head of every arc in out_edges, position by position.
+    _out_heads: tuple[tuple[int, ...], ...] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.node_count)
@@ -82,11 +88,12 @@ class IntervalDigraph:
             raise ValueError("terminal out of range")
         if s == t:
             raise ValueError("source and target must differ")
+        ids = list(range(n))  # one int object per node, shared by all head tuples
         out_adj: list[list[int]] = [[] for _ in range(n)]
-        in_adj: list[list[int]] = [[] for _ in range(n)]
-        for e in range(tails.size):
-            out_adj[tails[e]].append(e)
-            in_adj[heads[e]].append(e)
+        out_heads: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
+            out_adj[u].append(e)
+            out_heads[u].append(ids[v])
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "tails", tails)
         object.__setattr__(self, "heads", heads)
@@ -95,8 +102,8 @@ class IntervalDigraph:
         object.__setattr__(self, "source", s)
         object.__setattr__(self, "target", t)
         object.__setattr__(self, "out_edges", tuple(tuple(a) for a in out_adj))
-        object.__setattr__(self, "in_edges", tuple(tuple(a) for a in in_adj))
         object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "_out_heads", tuple(tuple(a) for a in out_heads))
         if not self._reaches_target():
             raise ValueError("target is not reachable from the source")
 
@@ -122,8 +129,7 @@ class IntervalDigraph:
             u = stack.pop()
             if u == self.target:
                 return True
-            for e in self.out_edges[u]:
-                v = self.heads[e]
+            for v in self._out_heads[u]:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
@@ -132,11 +138,11 @@ class IntervalDigraph:
     def path_nodes(self, path: Path) -> tuple[int, ...]:
         if not path.edges:
             return ()
-        nodes = [int(self.tails[path.edges[0]])]
+        nodes = [self.tails.item(path.edges[0])]
         for e in path.edges:
-            if int(self.tails[e]) != nodes[-1]:
+            if self.tails.item(e) != nodes[-1]:
                 raise ValueError("edges do not chain into a path")
-            nodes.append(int(self.heads[e]))
+            nodes.append(self.heads.item(e))
         return tuple(nodes)
 
 
@@ -168,9 +174,9 @@ class PathConstraint:
         node = graph.source
         seen = {node}
         for e in self.in_chain:
-            if int(graph.tails[e]) != node:
+            if graph.tails.item(e) != node:
                 raise ValueError("forced prefix does not chain from the source")
-            node = int(graph.heads[e])
+            node = graph.heads.item(e)
             if node in seen:
                 raise ValueError("forced prefix revisits a node")
             seen.add(node)
@@ -178,42 +184,46 @@ class PathConstraint:
             raise ValueError("forced prefix passes through the target")
 
     def chain_end(self, graph: IntervalDigraph) -> int:
-        return int(graph.heads[self.in_chain[-1]]) if self.in_chain else graph.source
+        return graph.heads.item(self.in_chain[-1]) if self.in_chain else graph.source
 
     def chain_nodes(self, graph: IntervalDigraph) -> tuple[int, ...]:
-        nodes = [graph.source]
-        for e in self.in_chain:
-            nodes.append(int(graph.heads[e]))
-        return tuple(nodes)
+        return (graph.source,) + tuple(graph.heads.item(e) for e in self.in_chain)
 
 
 def _check_costs(graph: IntervalDigraph, costs) -> np.ndarray:
     c = np.asarray(costs, dtype=float)
     if c.shape != (graph.m,):
         raise ValueError("one cost per arc required")
-    if not np.isfinite(c).all() or (c < 0).any():
+    # NaN fails both comparisons, so one min and one max catch every bad value.
+    if not (c.min() >= 0.0 and c.max() < math.inf):
         raise ValueError("arc costs must be finite and nonnegative")
     return c
 
 
-def _settle_all(graph, costs, src, banned_edges, banned_nodes, target):
+def _settle_all(graph, costs: list[float], src, banned_nodes, target):
     """Dijkstra labels from src; equal-cost relaxations keep the smallest arc id.
 
-    Predecessors are only rewritten while the head is unsettled, so the
-    predecessor chain always walks strictly back in settle order and stays
-    acyclic even across zero-cost arcs.
+    Arcs priced at infinity are never relaxed, and banned nodes start out
+    settled, so neither is ever entered.  Predecessors are only rewritten
+    while the head is unsettled, so the predecessor chain always walks
+    strictly back in settle order and stays acyclic even across zero-cost
+    arcs.
     """
     n = graph.node_count
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    settled = np.zeros(n, dtype=bool)
-    if src in banned_nodes:
+    dist = [math.inf] * n
+    pred = [-1] * n
+    settled = [False] * n
+    for u in banned_nodes:
+        settled[u] = True
+    if settled[src]:
         return dist, pred
+    out_edges, out_heads = graph.out_edges, graph._out_heads
+    push, pop = heapq.heappush, heapq.heappop
     dist[src] = 0.0
     heap = [(0.0, src)]
-    limit = np.inf
+    limit = math.inf
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if settled[u]:
             continue
         if d > limit:
@@ -221,18 +231,16 @@ def _settle_all(graph, costs, src, banned_edges, banned_nodes, target):
         settled[u] = True
         if u == target:
             limit = d
-        for e in graph.out_edges[u]:
-            if e in banned_edges:
-                continue
-            v = int(graph.heads[e])
-            if v in banned_nodes or settled[v]:
+        for e, v in zip(out_edges[u], out_heads[u]):
+            if settled[v]:
                 continue
             nd = d + costs[e]
-            if nd < dist[v]:
+            dv = dist[v]
+            if nd < dv:
                 dist[v] = nd
                 pred[v] = e
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and (pred[v] < 0 or e < pred[v]):
+                push(heap, (nd, v))
+            elif nd == dv and e < pred[v]:
                 pred[v] = e
     return dist, pred
 
@@ -241,112 +249,24 @@ def _walk_back(graph, pred, src, dst) -> Path:
     edges = []
     node = dst
     while node != src:
-        e = int(pred[node])
+        e = pred[node]
         edges.append(e)
-        node = int(graph.tails[e])
+        node = graph.tails.item(e)
     edges.reverse()
     return Path(tuple(edges))
 
 
 def dijkstra(graph: IntervalDigraph, costs, source: int | None = None, target: int | None = None):
     """Shortest path under the given arc costs; None when target is unreachable."""
-    c = _check_costs(graph, costs)
+    c = _check_costs(graph, costs).tolist()
     src = graph.source if source is None else int(source)
     dst = graph.target if target is None else int(target)
     if src == dst:
         return Path(()), 0.0
-    dist, pred = _settle_all(graph, c, src, frozenset(), frozenset(), dst)
-    if not np.isfinite(dist[dst]):
+    dist, pred = _settle_all(graph, c, src, (), dst)
+    if dist[dst] == math.inf:
         return None
-    return _walk_back(graph, pred, src, dst), float(dist[dst])
-
-
-def _splice_cycles(graph: IntervalDigraph, edges: list[int]) -> tuple[int, ...]:
-    """Drop zero-cost loops a bidirectional meet can create, keeping a simple path."""
-    while True:
-        seen: dict[int, int] = {}
-        nodes = [int(graph.tails[edges[0]])] if edges else []
-        for e in edges:
-            nodes.append(int(graph.heads[e]))
-        for pos, node in enumerate(nodes):
-            if node in seen:
-                del edges[seen[node] : pos]
-                break
-            seen[node] = pos
-        else:
-            return tuple(edges)
-
-
-def bidirectional_dijkstra(graph: IntervalDigraph, costs, source: int | None = None, target: int | None = None):
-    """Meet-in-the-middle Dijkstra; stops once the frontier minima cross the best meet.
-
-    Returns the same value as dijkstra; under cost ties the reported path
-    may legitimately differ.
-    """
-    c = _check_costs(graph, costs)
-    src = graph.source if source is None else int(source)
-    dst = graph.target if target is None else int(target)
-    if src == dst:
-        return Path(()), 0.0
-    n = graph.node_count
-    dist = [np.full(n, np.inf), np.full(n, np.inf)]
-    link = [np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64)]
-    settled = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]
-    heaps = [[(0.0, src)], [(0.0, dst)]]
-    dist[0][src] = 0.0
-    dist[1][dst] = 0.0
-    best = np.inf
-    meet = -1
-
-    def top(side):
-        h = heaps[side]
-        while h and settled[side][h[0][1]]:
-            heapq.heappop(h)
-        return h[0][0] if h else np.inf
-
-    while True:
-        t0, t1 = top(0), top(1)
-        if t0 + t1 >= best or (not np.isfinite(t0) and not np.isfinite(t1)):
-            break
-        side = 0 if t0 <= t1 else 1
-        d, u = heapq.heappop(heaps[side])
-        if settled[side][u]:
-            continue
-        settled[side][u] = True
-        other = 1 - side
-        if np.isfinite(dist[other][u]) and d + dist[other][u] < best:
-            best = d + dist[other][u]
-            meet = u
-        arcs = graph.out_edges[u] if side == 0 else graph.in_edges[u]
-        for e in arcs:
-            v = int(graph.heads[e]) if side == 0 else int(graph.tails[e])
-            nd = d + c[e]
-            if not settled[side][v]:
-                if nd < dist[side][v]:
-                    dist[side][v] = nd
-                    link[side][v] = e
-                    heapq.heappush(heaps[side], (nd, v))
-                elif nd == dist[side][v] and (link[side][v] < 0 or e < link[side][v]):
-                    link[side][v] = e
-            if np.isfinite(dist[other][v]) and min(nd, dist[side][v]) + dist[other][v] < best:
-                best = min(nd, dist[side][v]) + dist[other][v]
-                meet = v
-
-    if meet < 0:
-        return None
-    edges = []
-    node = meet
-    while node != src:
-        e = int(link[0][node])
-        edges.append(e)
-        node = int(graph.tails[e])
-    edges.reverse()
-    node = meet
-    while node != dst:
-        e = int(link[1][node])
-        edges.append(e)
-        node = int(graph.heads[e])
-    return Path(_splice_cycles(graph, edges)), float(best)
+    return _walk_back(graph, pred, src, dst), dist[dst]
 
 
 def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
@@ -355,18 +275,19 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
     The completion search starts at the end of the prefix and may not
     revisit any earlier prefix node.  Returns None when no such path exists.
     """
-    c = _check_costs(graph, costs)
+    c = _check_costs(graph, costs).tolist()
     constraint.validate(graph)
     chain_value = float(sum(c[e] for e in constraint.in_chain))
-    start = constraint.chain_end(graph)
+    *banned_nodes, start = constraint.chain_nodes(graph)
     if start == graph.target:
         return Path(constraint.in_chain), chain_value
-    banned_nodes = frozenset(constraint.chain_nodes(graph)[:-1])
-    dist, pred = _settle_all(graph, c, start, constraint.out_set, banned_nodes, graph.target)
-    if not np.isfinite(dist[graph.target]):
+    for e in constraint.out_set:
+        c[e] = math.inf
+    dist, pred = _settle_all(graph, c, start, banned_nodes, graph.target)
+    if dist[graph.target] == math.inf:
         return None
     tail = _walk_back(graph, pred, start, graph.target)
-    return Path(constraint.in_chain + tail.edges), chain_value + float(dist[graph.target])
+    return Path(constraint.in_chain + tail.edges), chain_value + dist[graph.target]
 
 
 def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: PathConstraint | None = None):
@@ -379,61 +300,66 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
     or None when the target is unreachable.
     """
     lo = _check_costs(graph, lo_costs)
-    hi_arr = _check_costs(graph, hi_costs)
-    if (hi_arr < lo).any():
+    hi = _check_costs(graph, hi_costs)
+    if (hi < lo).any():
         raise ValueError("per-arc second-use cost below first-use cost")
     first = np.array(lo)
-    second = np.array(hi_arr)
+    second = np.array(hi)
     if constraint is not None:
         constraint.validate(graph)
-        for e in constraint.in_chain:
-            first[e] = hi_arr[e]
-        for e in constraint.out_set:
-            second[e] = lo[e]
+        chain, out = list(constraint.in_chain), list(constraint.out_set)
+        first[chain] = hi[chain]
+        second[out] = lo[out]
 
-    dist, pred = _settle_all(graph, first, graph.source, frozenset(), frozenset(), None)
-    if not np.isfinite(dist[graph.target]):
+    s, t = graph.source, graph.target
+    dist, pred = _settle_all(graph, first.tolist(), s, (), None)
+    if dist[t] == math.inf:
         return None
-    used = set(_walk_back(graph, pred, graph.source, graph.target).edges)
+    used = _walk_back(graph, pred, s, t).edges
 
-    # second augmentation on the residual graph, with potentials from pass one
-    n = graph.node_count
-    res: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for e in range(graph.m):
-        u, v = int(graph.tails[e]), int(graph.heads[e])
-        if not (np.isfinite(dist[u]) and np.isfinite(dist[v])):
-            continue
-        if e in used:
-            res[u].append((v, max(second[e] + dist[u] - dist[v], 0.0)))
-            res[v].append((u, 0.0))  # cancel the first unit; reduced cost is tight
-        else:
-            res[u].append((v, max(first[e] + dist[u] - dist[v], 0.0)))
-    rdist = np.full(n, np.inf)
-    rdist[graph.source] = 0.0
-    done = np.zeros(n, dtype=bool)
-    heap = [(0.0, graph.source)]
+    # Second augmentation on the residual graph, with potentials from pass
+    # one: a used arc carries its second-use cost forward and a free
+    # backward copy that cancels the first unit.  Arcs out of nodes pass
+    # one never reached get no finite cost, and are never scanned anyway.
+    potential = np.array(dist)
+    on_path = np.zeros(graph.m, dtype=bool)
+    on_path[list(used)] = True
+    with np.errstate(invalid="ignore"):
+        reduced = np.maximum(np.where(on_path, second, first) + potential[graph.tails] - potential[graph.heads], 0.0)
+    reduced = reduced.tolist()
+    cancel = {graph.heads.item(e): graph.tails.item(e) for e in used}
+    out_edges, out_heads = graph.out_edges, graph._out_heads
+    push, pop = heapq.heappush, heapq.heappop
+    rdist = [math.inf] * graph.node_count
+    done = [False] * graph.node_count
+    rdist[s] = 0.0
+    heap = [(0.0, s)]
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if done[u]:
             continue
         done[u] = True
-        if u == graph.target:
+        if u == t:
             break
-        for v, w in res[u]:
-            nd = d + w
+        for e, v in zip(out_edges[u], out_heads[u]):
+            nd = d + reduced[e]
             if not done[v] and nd < rdist[v]:
                 rdist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    if not np.isfinite(rdist[graph.target]):
+                push(heap, (nd, v))
+        v = cancel.get(u)
+        if v is not None and not done[v] and d < rdist[v]:
+            rdist[v] = d
+            push(heap, (d, v))
+    if rdist[t] == math.inf:
         return None
-    return float(2.0 * dist[graph.target] + rdist[graph.target])
+    return 2.0 * dist[t] + rdist[t]
 
 
 def order_path_edges(graph: IntervalDigraph, members: frozenset[int]) -> Path:
     """Rebuild traversal order from the arc set of a simple s-t path."""
     by_tail: dict[int, int] = {}
     for e in members:
-        u = int(graph.tails[e])
+        u = graph.tails.item(e)
         if u in by_tail:
             raise ValueError("arc set leaves a node twice; not a simple path")
         by_tail[u] = e
@@ -444,7 +370,7 @@ def order_path_edges(graph: IntervalDigraph, members: frozenset[int]) -> Path:
             raise ValueError("arc set does not connect source to target")
         e = by_tail.pop(node)
         edges.append(e)
-        node = int(graph.heads[e])
+        node = graph.heads.item(e)
     if by_tail:
         raise ValueError("arc set has leftovers beyond the s-t path")
     return Path(tuple(edges))

@@ -18,6 +18,7 @@ from regretopt import (
     SolutionIndicator,
     br_c,
     br_x,
+    dijkstra,
     favoring_scenario,
     lb_cg,
     lb_kz,
@@ -32,6 +33,8 @@ from regretopt import (
     val,
 )
 from regretopt.double_oracle import RestrictedGame
+from regretopt.harness import GeneratorSpec, gen_instance
+from regretopt.harness.brute_force import brute_force_lb_star
 
 from _fixtures import five_element_instance, six_node_graph, two_arc_graph
 
@@ -360,6 +363,33 @@ def test_iteration_budget_truncates():
     assert len(result.trace) == 1
 
 
+def test_truncated_runs_keep_the_bound_their_mixture_certifies():
+    checked = 0
+    for seed in range(60):
+        spec = GeneratorSpec(family="R", n=5 + seed % 3, r=50.0, d=1.0, delta=0.5 + 0.05 * (seed % 3), seed=seed)
+        graph = gen_instance(spec)
+        inst, oracle = graph.instance, sp_oracle(graph)
+        star, _, _ = brute_force_lb_star(graph)
+        for budget in (1, 2, 3):
+            config = DoubleOracleConfig(max_iterations=budget)
+            result = run_double_oracle(inst, oracle, *root_start(inst, oracle), config)
+            assert len(result.trace) == result.iterations
+            if result.converged:
+                continue
+            # SP(mean) - sum q * opt is a valid bound for any scenario mixture.
+            dense = [desc.expand(inst).costs for desc in result.scenarios]
+            q = result.equilibrium.col_probs
+            mean = sum(qj * c for qj, c in zip(q, dense))
+            sp_mean = dijkstra(graph, mean)[1]
+            certified = sp_mean - sum(qj * dijkstra(graph, c)[1] for qj, c in zip(q, dense))
+            assert result.lower_bound >= certified - 1e-9
+            assert result.lower_bound <= star + 1e-6
+            # best_response answers the returned mixture
+            assert sum(mean[e] for e in result.best_response.members) == pytest.approx(sp_mean, abs=1e-9)
+            checked += 1
+    assert checked >= 30
+
+
 def test_run_validates_inputs():
     inst, oracle = two_arc_setup()
     x_mid, pen_mid = root_start(inst, oracle)
@@ -372,10 +402,11 @@ def test_run_validates_inputs():
 def test_lb_star_n_is_the_best_bound_within_the_budget():
     inst, oracle = two_arc_setup()
     x_mid, pen_mid = root_start(inst, oracle)
-    # The first two iterations only grow the game; the bound surfaces on
-    # the third pass, once the 2x2 game with both scenarios is solved.
+    # The first two iterations only grow the game.  After the first the
+    # re-solved game still lacks a scenario; after the second the re-solved
+    # 2x2 game with both scenarios already certifies the game value.
     assert lb_star_n(inst, oracle, x_mid, pen_mid, 1) == 0.0
-    assert lb_star_n(inst, oracle, x_mid, pen_mid, 2) == 0.0
+    assert lb_star_n(inst, oracle, x_mid, pen_mid, 2) == pytest.approx(2.1, abs=1e-9)
     assert lb_star_n(inst, oracle, x_mid, pen_mid, 3) == pytest.approx(2.1, abs=1e-9)
     assert lb_star_n(inst, oracle, x_mid, pen_mid, 10) == pytest.approx(2.1, abs=1e-9)
 

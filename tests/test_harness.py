@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from regretopt import IntervalDigraph
+from regretopt import IntervalDigraph, NoFeasibleSolution
 from regretopt.branch_bound import BBConfig
 from regretopt.harness import (
     GeneratorSpec,
@@ -19,6 +19,7 @@ from regretopt.harness.brute_force import (
     brute_force_opt,
     enumerate_paths,
 )
+from regretopt.harness import cli, experiments
 from regretopt.harness.cli import main, verify_instance
 from regretopt.harness.experiments import (
     evaluate_bounds,
@@ -284,6 +285,48 @@ def test_failed_instances_become_error_rows():
     assert table["kz"]["gap_medsol_mean"] == 2.0  # error record excluded
     rows = experiment_rows(table, records)
     assert rows[-1] == ("error", "R-6-50-0.5-0.8#21", "no connected instance")
+
+
+SITES = ("lb_worker", "bb_worker", "bb_worker_file", "lb_files")
+
+
+def _catch_site(site, tmp_path):
+    """(module, solver name the site calls, run of one instance -> became an error row?)."""
+    spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20)
+    path = str(tmp_path / "one.ri")
+    write_native(gen_instance(spec), path)
+
+    def lb_files():
+        out = str(tmp_path / "lb.csv")
+        assert main(["lb", path, "--lb", "kz", "--out", out]) == 0
+        return "\nerror,%s," % path in open(out).read()
+
+    lb_args, bb_args = (spec, ("kz",), False, 50), (spec, ("mgd",), None)
+    return {
+        "lb_worker": (experiments, "evaluate_bounds", lambda: "error" in experiments._lb_worker(lb_args)),
+        "bb_worker": (experiments, "bb_solve", lambda: "error" in experiments._bb_worker(bb_args)),
+        "bb_worker_file": (cli, "bb_solve", lambda: "error" in cli._bb_worker_file(path, ("mgd",), None)),
+        "lb_files": (cli, "evaluate_bounds", lb_files),
+    }[site]
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_input_errors_become_rows_and_bugs_raise(tmp_path, monkeypatch, site):
+    module, name, becomes_error_row = _catch_site(site, tmp_path)
+
+    def failing(exc):
+        def solver(*args, **kwargs):
+            raise exc
+
+        return solver
+
+    assert not becomes_error_row()
+    for exc in (ValueError("bad input"), OSError("unreadable"), NoFeasibleSolution("no path")):
+        monkeypatch.setattr(module, name, failing(exc))
+        assert becomes_error_row()
+    monkeypatch.setattr(module, name, failing(KeyError("harness bug")))
+    with pytest.raises(KeyError, match="harness bug"):
+        becomes_error_row()
 
 
 def test_evaluate_bounds_rejects_unknown_names():

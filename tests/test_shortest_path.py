@@ -1,3 +1,6 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from regretopt import (
     NoFeasibleSolution,
     Path,
     PathConstraint,
-    bidirectional_dijkstra,
     constrained_sp,
     dijkstra,
     sp_oracle,
@@ -105,21 +107,6 @@ def test_zero_cost_cycle_does_not_trap_the_search():
     path, value = dijkstra(g, g.lo)
     assert value == 1.0
     assert g.path_nodes(path) == (0, 1, 3)
-    path, value = bidirectional_dijkstra(g, g.lo)
-    assert value == 1.0
-    assert g.path_nodes(path)[0] == 0 and g.path_nodes(path)[-1] == 3
-
-
-def test_bidirectional_agrees_with_plain_dijkstra():
-    for i in range(1000):
-        g = random_graph(i)
-        costs = (g.lo + g.hi) / 2.0
-        _, value = dijkstra(g, costs)
-        path, bi_value = bidirectional_dijkstra(g, costs)
-        assert bi_value == pytest.approx(value, abs=1e-9)
-        nodes = g.path_nodes(path)
-        assert nodes[0] == g.source and nodes[-1] == g.target
-        assert path.value(costs) == pytest.approx(bi_value, abs=1e-9)
 
 
 # -------------------------------------------------------------- constrained
@@ -227,3 +214,110 @@ def test_two_unit_flow_requires_two_units_smallest_graph():
     # One arc into the target forces both units across it.
     g = IntervalDigraph.from_edges(3, [(0, 1, 1.0, 2.0), (1, 2, 3.0, 5.0)], 0, 2)
     assert two_unit_min_flow(g, g.lo, g.hi) == pytest.approx((1.0 + 2.0) + (3.0 + 5.0))
+
+
+# ------------------------------------------------------- tie-break contract
+
+
+def reference_search(graph, costs, start, banned_nodes=(), banned_arcs=frozenset()):
+    """Textbook heap Dijkstra from start to the target, scanning every arc.
+
+    Relaxes on a smaller label and, on an equal label, keeps the smaller
+    arc id, but only while the head is unsettled.  Returns (arcs, value) or
+    None.
+    """
+    dist = {start: 0.0}
+    pred = {}
+    settled = set(banned_nodes)
+    heap = [(0.0, start)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        for e in range(graph.m):
+            v = int(graph.heads[e])
+            if int(graph.tails[e]) != u or e in banned_arcs or v in settled:
+                continue
+            nd = d + costs[e]
+            if nd < dist.get(v, math.inf):
+                dist[v], pred[v] = nd, e
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and e < pred[v]:
+                pred[v] = e
+    if graph.target not in dist:
+        return None
+    edges, node = [], graph.target
+    while node != start:
+        edges.append(pred[node])
+        node = int(graph.tails[pred[node]])
+    return tuple(reversed(edges)), dist[graph.target]
+
+
+def tie_heavy_graph(rng):
+    """Small multigraph with integer intervals, many zero-cost arcs and self-loops."""
+    while True:
+        n = int(rng.integers(3, 7))
+        m = int(rng.integers(n, 3 * n + 1))
+        tails = rng.integers(0, n, size=m)
+        heads = rng.integers(0, n, size=m)
+        lo = rng.integers(0, 3, size=m).astype(float)
+        hi = lo + rng.integers(0, 3, size=m)
+        try:
+            return IntervalDigraph(n, tails, heads, lo, hi, 0, n - 1)
+        except ValueError:
+            continue  # target unreachable; draw again
+
+
+def random_constraint(rng, graph):
+    """A random forced prefix out of the source plus random forbidden arcs."""
+    chain, node, seen = [], graph.source, {graph.source}
+    while node != graph.target and rng.random() < 0.6:
+        arcs = [e for e in graph.out_edges[node] if int(graph.heads[e]) not in seen]
+        if not arcs:
+            break
+        e = int(rng.choice(arcs))
+        chain.append(e)
+        node = int(graph.heads[e])
+        seen.add(node)
+    out = frozenset(e for e in range(graph.m) if e not in chain and rng.random() < 0.25)
+    return PathConstraint(in_chain=tuple(chain), out_set=out)
+
+
+def test_tie_break_contract_on_tie_heavy_graphs():
+    rng = np.random.default_rng(2016)
+    constrained = 0
+    for _ in range(400):
+        g = tie_heavy_graph(rng)
+        paths = enumerate_paths(g)
+        costs = rng.integers(0, 3, size=g.m).astype(float)
+
+        found = dijkstra(g, costs)
+        assert found is not None
+        path, value = found
+        assert (path.edges, value) == reference_search(g, costs, g.source)
+        assert value == min(p.value(costs) for p in paths)
+
+        constraint = random_constraint(rng, g)
+        chain, out = constraint.in_chain, constraint.out_set
+        *banned_nodes, start = constraint.chain_nodes(g)
+        found = constrained_sp(g, costs, constraint)
+        feasible = [
+            p for p in paths if p.edges[: len(chain)] == chain and not out & set(p.edges)
+        ]
+        if start == g.target:
+            expected = (chain, float(sum(costs[e] for e in chain)))
+        else:
+            completion = reference_search(g, costs, start, banned_nodes, out)
+            expected = None
+            if completion is not None:
+                expected = (chain + completion[0], sum(costs[e] for e in chain) + completion[1])
+        if expected is None:
+            assert found is None and not feasible
+        else:
+            assert (found[0].edges, found[1]) == expected
+            assert found[1] == min(p.value(costs) for p in feasible)
+            constrained += 1
+
+        assert two_unit_min_flow(g, g.lo, g.hi, constraint) == brute_pair_minimum(g, constraint)
+    assert constrained >= 200
