@@ -33,6 +33,7 @@ class IntervalInstance:
 
     lo: np.ndarray
     hi: np.ndarray
+    _width: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = _frozen_array(self.lo)
@@ -47,8 +48,11 @@ class IntervalInstance:
             raise ValueError("interval bounds must be nonnegative")
         if (lo > hi).any():
             raise ValueError("every interval needs lo <= hi")
+        width = hi - lo
+        width.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_width", width)
 
     @property
     def n(self) -> int:
@@ -56,7 +60,8 @@ class IntervalInstance:
 
     @property
     def width(self) -> np.ndarray:
-        return self.hi - self.lo
+        """hi - lo, computed once; read-only."""
+        return self._width
 
     def scenario(self, costs) -> "Scenario":
         """Validate costs against the intervals and wrap them."""
@@ -92,8 +97,8 @@ class SolutionIndicator:
     members: frozenset[int]
 
     def __post_init__(self):
-        members = frozenset(int(i) for i in self.members)
-        if any(i < 0 for i in members):
+        members = frozenset(map(int, self.members))
+        if members and min(members) < 0:
             raise ValueError("element indices must be nonnegative")
         object.__setattr__(self, "members", members)
 
@@ -165,7 +170,7 @@ def val(x: SolutionIndicator, c: Scenario) -> float:
     """Cost of solution x under scenario c."""
     if x.members and max(x.members) >= c.n:
         raise ValueError("solution uses an element the scenario does not price")
-    return float(sum(c.costs[i] for i in x.members))
+    return float(sum(map(c.costs.item, x.members)))
 
 
 def penalizing_scenario(instance: IntervalInstance, x: SolutionIndicator) -> Scenario:

@@ -153,6 +153,11 @@ class RestrictedGame:
         self._lo_sums: list[float] = []
         self._hi_sums: list[float] = []
         self._rows: list[list[float]] = []
+        # Entries sum a few interval values at a time, read with ndarray.item:
+        # Python floats add faster than numpy scalars, to the same sums.
+        self._lo = instance.lo.item
+        self._hi = instance.hi.item
+        self._width = instance.width.item
 
     @property
     def scenarios(self) -> list[ScenarioDescriptor]:
@@ -172,8 +177,7 @@ class RestrictedGame:
         desc = self.pool.descriptors[pool_idx]
         x = self.solutions[row]
         shared = x.members & desc.defining.members
-        width = self.instance.width
-        overlap = float(sum(width[i] for i in shared))
+        overlap = float(sum(map(self._width, shared)))
         if desc.kind == PENALIZING:
             value = self._lo_sums[row] + overlap
         else:
@@ -185,8 +189,8 @@ class RestrictedGame:
             raise ValueError("solution already in the game")
         self.solutions.append(x)
         self._solution_keys.add(x.members)
-        self._lo_sums.append(float(sum(self.instance.lo[i] for i in x.members)))
-        self._hi_sums.append(float(sum(self.instance.hi[i] for i in x.members)))
+        self._lo_sums.append(float(sum(map(self._lo, x.members))))
+        self._hi_sums.append(float(sum(map(self._hi, x.members))))
         row = len(self.solutions) - 1
         self._rows.append([self._entry(row, idx) for idx in self.scenario_ids])
 
@@ -216,7 +220,7 @@ class RestrictedGame:
             else:
                 for i in desc.defining.members:
                     factor[i] += q
-        factor = np.clip(factor, 0.0, 1.0)
+        factor = factor.clip(0.0, 1.0)
         return self.instance.lo + self.instance.width * factor
 
     def response_costs(self, row_probs) -> np.ndarray:
@@ -225,21 +229,20 @@ class RestrictedGame:
         for p, x in zip(row_probs, self.solutions):
             for i in x.members:
                 t[i] += p
-        t = np.clip(t, 0.0, 1.0)
+        t = t.clip(0.0, 1.0)
         return self.instance.lo + self.instance.width * t
 
     def expected_regret(self, x: SolutionIndicator, col_probs) -> float:
         """Expected regret of x against the column mixture."""
-        width = self.instance.width
-        lo_sum = float(sum(self.instance.lo[i] for i in x.members))
-        hi_sum = float(sum(self.instance.hi[i] for i in x.members))
+        lo_sum = float(sum(map(self._lo, x.members)))
+        hi_sum = float(sum(map(self._hi, x.members)))
         total = 0.0
         for q, pool_idx in zip(col_probs, self.scenario_ids):
             if q == 0.0:
                 continue
             desc = self.pool.descriptors[pool_idx]
             shared = x.members & desc.defining.members
-            overlap = float(sum(width[i] for i in shared))
+            overlap = float(sum(map(self._width, shared)))
             if desc.kind == PENALIZING:
                 value = lo_sum + overlap
             else:
@@ -326,13 +329,14 @@ def br_c(instance: IntervalInstance, oracle: StandardOracle, p) -> ScenarioDescr
     minimizes costs lo + width * marginals, where the marginal of element i
     is the probability that a drawn solution uses i.
     """
-    t = np.zeros(instance.n)
+    n = instance.n
+    t = np.zeros(n)
     for prob, x in zip(p.probs, p.support):
         for i in x.members:
-            if i >= instance.n:
+            if i >= n:
                 raise ValueError("support solution does not fit the instance")
             t[i] += prob
-    costs = instance.lo + instance.width * np.clip(t, 0.0, 1.0)
+    costs = instance.lo + instance.width * t.clip(0.0, 1.0)
     z, _ = oracle.solve(costs, None)
     return ScenarioDescriptor(z, FAVORING)
 
@@ -386,9 +390,10 @@ def run_double_oracle(
         iterations += 1
         equilibrium = solve_zero_sum(game.matrix)
 
-        x_new, _ = oracle.solve(game.mixture_costs(equilibrium.col_probs), restriction)
+        col_probs = equilibrium.col_probs.tolist()
+        x_new, _ = oracle.solve(game.mixture_costs(col_probs), restriction)
         last_response = x_new
-        anytime = game.expected_regret(x_new, equilibrium.col_probs)
+        anytime = game.expected_regret(x_new, col_probs)
         trace.append(anytime)
         best_lb = max(best_lb, anytime)
         if config.stop_value is not None and best_lb >= config.stop_value:

@@ -22,7 +22,8 @@ def enumerate_paths(graph: IntervalDigraph, path_limit: int = 1_000_000) -> list
     """
     paths: list[Path] = []
     stack: list[int] = []
-    on_path = np.zeros(graph.node_count, dtype=bool)
+    heads = graph.heads.tolist()
+    on_path = [False] * graph.node_count
     on_path[graph.source] = True
 
     def walk(node: int) -> None:
@@ -32,7 +33,7 @@ def enumerate_paths(graph: IntervalDigraph, path_limit: int = 1_000_000) -> list
             paths.append(Path(tuple(stack)))
             return
         for e in graph.out_edges[node]:
-            head = int(graph.heads[e])
+            head = heads[e]
             if on_path[head]:
                 continue
             on_path[head] = True

@@ -35,7 +35,7 @@ class Path:
     edges: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(int(e) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(map(int, self.edges)))
 
     def indicator(self) -> SolutionIndicator:
         return SolutionIndicator(frozenset(self.edges))
@@ -154,23 +154,23 @@ class PathConstraint:
     out_set: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        chain = tuple(int(e) for e in self.in_chain)
-        out = frozenset(int(e) for e in self.out_set)
-        if set(chain) & out:
+        chain = tuple(map(int, self.in_chain))
+        out = frozenset(map(int, self.out_set))
+        forced = set(chain)
+        if not out.isdisjoint(forced):
             raise ValueError("an arc cannot be both forced and forbidden")
-        if len(set(chain)) != len(chain):
+        if len(forced) != len(chain):
             raise ValueError("forced prefix repeats an arc")
         object.__setattr__(self, "in_chain", chain)
         object.__setattr__(self, "out_set", out)
 
     def validate(self, graph: IntervalDigraph) -> None:
         """Check the prefix really is a simple path leaving the source."""
-        for e in self.in_chain:
-            if not 0 <= e < graph.m:
-                raise ValueError("forced arc id out of range")
-        for e in self.out_set:
-            if not 0 <= e < graph.m:
-                raise ValueError("forbidden arc id out of range")
+        m = graph.m
+        if self.in_chain and not (min(self.in_chain) >= 0 and max(self.in_chain) < m):
+            raise ValueError("forced arc id out of range")
+        if self.out_set and not (min(self.out_set) >= 0 and max(self.out_set) < m):
+            raise ValueError("forbidden arc id out of range")
         node = graph.source
         seen = {node}
         for e in self.in_chain:
@@ -303,30 +303,27 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
     hi = _check_costs(graph, hi_costs)
     if (hi < lo).any():
         raise ValueError("per-arc second-use cost below first-use cost")
-    first = np.array(lo)
-    second = np.array(hi)
+    first = lo.tolist()
+    out = frozenset()
     if constraint is not None:
         constraint.validate(graph)
-        chain, out = list(constraint.in_chain), list(constraint.out_set)
-        first[chain] = hi[chain]
-        second[out] = lo[out]
+        for e in constraint.in_chain:
+            first[e] = hi.item(e)
+        out = constraint.out_set
 
     s, t = graph.source, graph.target
-    dist, pred = _settle_all(graph, first.tolist(), s, (), None)
+    dist, pred = _settle_all(graph, first, s, (), None)
     if dist[t] == math.inf:
         return None
     used = _walk_back(graph, pred, s, t).edges
 
-    # Second augmentation on the residual graph, with potentials from pass
-    # one: a used arc carries its second-use cost forward and a free
-    # backward copy that cancels the first unit.  Arcs out of nodes pass
-    # one never reached get no finite cost, and are never scanned anyway.
-    potential = np.array(dist)
-    on_path = np.zeros(graph.m, dtype=bool)
-    on_path[list(used)] = True
-    with np.errstate(invalid="ignore"):
-        reduced = np.maximum(np.where(on_path, second, first) + potential[graph.tails] - potential[graph.heads], 0.0)
-    reduced = reduced.tolist()
+    # Second augmentation on the residual graph, with the pass-one labels as
+    # potentials: a used arc carries its second-use cost forward and a free
+    # backward copy that cancels the first unit.  Pass two only reaches
+    # nodes pass one reached, so every potential it reads is finite.
+    residual = first[:]
+    for e in used:
+        residual[e] = (lo if e in out else hi).item(e)
     cancel = {graph.heads.item(e): graph.tails.item(e) for e in used}
     out_edges, out_heads = graph.out_edges, graph._out_heads
     push, pop = heapq.heappush, heapq.heappop
@@ -341,9 +338,13 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
         done[u] = True
         if u == t:
             break
+        base = dist[u]
         for e, v in zip(out_edges[u], out_heads[u]):
-            nd = d + reduced[e]
-            if not done[v] and nd < rdist[v]:
+            if done[v]:
+                continue
+            reduced = residual[e] + base - dist[v]
+            nd = d + reduced if reduced > 0.0 else d
+            if nd < rdist[v]:
                 rdist[v] = nd
                 push(heap, (nd, v))
         v = cancel.get(u)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from regretopt import best_pure_col, best_pure_row, solve_zero_sum
+from regretopt import best_pure_col, best_pure_row, game, solve_zero_sum
 
 from _oracles import enum_equilibrium
 
@@ -102,3 +102,22 @@ def test_shift_equivariance(a, alpha):
 def test_matches_support_enumeration(a):
     ref, _, _ = enum_equilibrium(a)
     assert solve_zero_sum(a).value == pytest.approx(ref, abs=1e-6)
+
+
+def test_list_and_array_tableaus_pivot_alike(monkeypatch):
+    """Small games pivot on lists, larger ones on numpy rows; both give the same bits."""
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        k, l = (int(v) for v in rng.integers(1, 10, size=2))
+        if trial % 3 == 0:
+            a = rng.integers(-5, 6, size=(k, l)).astype(float)
+        elif trial % 3 == 1:
+            a = rng.integers(0, 2, size=(k, l)) * 3.0  # degenerate ties
+        else:
+            a = rng.random((k, l)) * 100.0
+        found = []
+        for limit in (0, 10**9):
+            monkeypatch.setattr(game, "_LIST_PIVOT_MAX_STRATEGIES", limit)
+            eq = solve_zero_sum(a)
+            found.append((eq.value, eq.row_probs.tobytes(), eq.col_probs.tobytes()))
+        assert found[0] == found[1], a

@@ -95,6 +95,19 @@ def test_dijkstra_rejects_bad_costs():
         dijkstra(g, [-1.0, 2.0])
     with pytest.raises(ValueError):
         dijkstra(g, [np.inf, 2.0])
+    with pytest.raises(ValueError):
+        dijkstra(g, [2.0, np.nan])
+    with pytest.raises(ValueError):
+        dijkstra(g, [-np.inf, 2.0])
+    with pytest.raises(ValueError):
+        dijkstra(g, [2.0, -1e-300])
+
+
+def test_negative_zero_is_a_valid_cost():
+    g = two_arc_graph()
+    path, value = dijkstra(g, [3.0, -0.0])
+    assert path.edges == (1,) and value == 0.0
+    assert two_unit_min_flow(g, [-0.0, 0.0], [1.0, 2.0]) == 0.0
 
 
 def test_zero_cost_cycle_does_not_trap_the_search():
