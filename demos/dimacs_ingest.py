@@ -10,6 +10,7 @@ small result.  The same flow is available on the command line:
     regretopt verify grid.ri
 """
 
+import os
 import tempfile
 
 from regretopt.harness import parse_dimacs, perturb_intervals, read_native, write_native
@@ -44,7 +45,10 @@ def main() -> None:
     with tempfile.NamedTemporaryFile(suffix=".ri", mode="w", delete=False) as handle:
         write_native(graph, handle)
         path = handle.name
-    again = read_native(path)
+    try:
+        again = read_native(path)
+    finally:
+        os.unlink(path)
     print("wrote %s and read it back: %d arcs, terminals %d -> %d"
           % (path, again.m, again.source + 1, again.target + 1))
 

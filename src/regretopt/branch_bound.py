@@ -200,7 +200,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
             lb_strategy,
             oracle=oracle,
             pool=pool,
-            inherited=inherited if config.warm_start else (),
+            inherited=inherited,
             max_support_x=config.max_support_x,
             stop_value=incumbent.regret - tol,
         )
@@ -212,7 +212,8 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     counter = itertools.count()
     heap: list = []
     root_constraint = PathConstraint()
-    root = bound_node(root_constraint, ())
+    # The midpoint path seeds the root's game, solved once for the incumbent.
+    root = bound_node(root_constraint, (incumbent.solution,))
     heapq.heappush(
         heap,
         (root.value, 0, next(counter), BBNode(root_constraint, root.value, 0, root.solutions, root.branch_path)),
@@ -241,7 +242,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
             absorb(node.branch_path.indicator())
             continue
         take, skip = branch(graph, node.constraint, k)
-        take_inherit, skip_inherit = _split_inherited(node.inherited, k)
+        take_inherit, skip_inherit = _split_inherited(node.inherited if config.warm_start else (), k)
         for child_constraint, child_inherit in ((take, take_inherit), (skip, skip_inherit)):
             if child_constraint.chain_end(graph) == graph.target:
                 absorb(Path(child_constraint.in_chain).indicator())

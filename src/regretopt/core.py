@@ -106,14 +106,6 @@ class SolutionIndicator:
     def of(cls, indices: Iterable[int]) -> "SolutionIndicator":
         return cls(frozenset(indices))
 
-    def as_vector(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        idx = list(self.members)
-        if idx and max(idx) >= n:
-            raise ValueError("member index out of range")
-        out[idx] = 1.0
-        return out
-
     def __contains__(self, index: int) -> bool:
         return index in self.members
 

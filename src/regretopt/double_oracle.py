@@ -22,6 +22,7 @@ from .core import (
     Scenario,
     SolutionIndicator,
     favoring_scenario,
+    marginals,
     mean_scenario,
     penalizing_scenario,
     val,
@@ -138,9 +139,11 @@ class RestrictedGame:
     """The regret game restricted to finite strategy sets of both players.
 
     Rows are solutions, columns are scenario descriptors, entries are
-    regrets val(x, c) - opt(c).  Entries against compact descriptors are
-    computed from interval sums and one set intersection, never from dense
-    cost vectors.
+    regrets val(x, c) - opt(c), each priced once by _regret from the
+    solution's interval sums and one set intersection, never from dense
+    cost vectors.  add_scenario(desc, column) takes the column already
+    priced: the regrets of the current rows against desc, as
+    column_values returns them, or an empty list while there are no rows.
     """
 
     def __init__(self, instance: IntervalInstance, pool: ScenarioPool):
@@ -149,9 +152,8 @@ class RestrictedGame:
         self.solutions: list[SolutionIndicator] = []
         self.scenario_ids: list[int] = []
         self._solution_keys: set[frozenset] = set()
-        self._scenario_keys: set[ScenarioDescriptor] = set()
-        self._lo_sums: list[float] = []
-        self._hi_sums: list[float] = []
+        self._columns: dict[ScenarioDescriptor, int] = {}
+        self._sums: list[tuple[float, float]] = []
         self._rows: list[list[float]] = []
         # Entries sum a few interval values at a time, read with ndarray.item:
         # Python floats add faster than numpy scalars, to the same sums.
@@ -171,47 +173,62 @@ class RestrictedGame:
         return x.members in self._solution_keys
 
     def has_scenario(self, desc: ScenarioDescriptor) -> bool:
-        return desc in self._scenario_keys
+        return desc in self._columns
 
-    def _entry(self, row: int, pool_idx: int) -> float:
+    def _interval_sums(self, members: frozenset) -> tuple[float, float]:
+        """The solution's cost at all-lo and at all-hi."""
+        return float(sum(map(self._lo, members))), float(sum(map(self._hi, members)))
+
+    def _regret(self, members: frozenset, sums: tuple[float, float], pool_idx: int) -> float:
+        """Regret of the solution with these members and interval sums against a pooled descriptor."""
         desc = self.pool.descriptors[pool_idx]
-        x = self.solutions[row]
-        shared = x.members & desc.defining.members
-        overlap = float(sum(map(self._width, shared)))
+        overlap = float(sum(map(self._width, members & desc.defining.members)))
         if desc.kind == PENALIZING:
-            value = self._lo_sums[row] + overlap
+            value = sums[0] + overlap
         else:
-            value = self._hi_sums[row] - overlap
+            value = sums[1] - overlap
         return value - self.pool.opt_values[pool_idx]
+
+    def _drawn(self, col_probs) -> list[tuple[float, int]]:
+        """(weight, pool index) of every column the mixture draws with nonzero weight."""
+        return [(q, pool_idx) for q, pool_idx in zip(col_probs, self.scenario_ids) if q != 0.0]
 
     def add_solution(self, x: SolutionIndicator) -> None:
         if self.has_solution(x):
             raise ValueError("solution already in the game")
+        sums = self._interval_sums(x.members)
         self.solutions.append(x)
         self._solution_keys.add(x.members)
-        self._lo_sums.append(float(sum(map(self._lo, x.members))))
-        self._hi_sums.append(float(sum(map(self._hi, x.members))))
-        row = len(self.solutions) - 1
-        self._rows.append([self._entry(row, idx) for idx in self.scenario_ids])
+        self._sums.append(sums)
+        self._rows.append([self._regret(x.members, sums, idx) for idx in self.scenario_ids])
 
-    def add_scenario(self, desc: ScenarioDescriptor) -> None:
+    def add_scenario(self, desc: ScenarioDescriptor, column: list[float]) -> None:
         if self.has_scenario(desc):
             raise ValueError("scenario already in the game")
+        if len(column) != len(self._rows):
+            raise ValueError("one regret per solution required")
         pool_idx = self.pool.ensure(desc)
+        self._columns[desc] = len(self.scenario_ids)
         self.scenario_ids.append(pool_idx)
-        self._scenario_keys.add(desc)
-        for row in range(len(self.solutions)):
-            self._rows[row].append(self._entry(row, pool_idx))
+        for row, value in zip(self._rows, column):
+            row.append(value)
 
-    def column_values(self, desc: ScenarioDescriptor) -> np.ndarray:
-        """Regret of every current solution against one descriptor."""
+    def column_values(self, desc: ScenarioDescriptor) -> list[float]:
+        """Regret of every current solution against one descriptor.
+
+        A column already in the game is read from the stored rows; any
+        other descriptor is priced without being committed.
+        """
+        col = self._columns.get(desc)
+        if col is not None:
+            return [row[col] for row in self._rows]
         pool_idx = self.pool.ensure(desc)
-        return np.array([self._entry(row, pool_idx) for row in range(len(self.solutions))])
+        return [self._regret(x.members, sums, pool_idx) for x, sums in zip(self.solutions, self._sums)]
 
     def mixture_costs(self, col_probs) -> np.ndarray:
         """Dense costs of the scenario mixture given by col_probs."""
         factor = np.zeros(self.instance.n)
-        for q, pool_idx in zip(col_probs, self.scenario_ids):
+        for q, pool_idx in self._drawn(col_probs):
             desc = self.pool.descriptors[pool_idx]
             if desc.kind == FAVORING:
                 factor += q
@@ -223,31 +240,12 @@ class RestrictedGame:
         factor = factor.clip(0.0, 1.0)
         return self.instance.lo + self.instance.width * factor
 
-    def response_costs(self, row_probs) -> np.ndarray:
-        """Costs lo + width * marginals; minimizing them is the scenario player's cue."""
-        t = np.zeros(self.instance.n)
-        for p, x in zip(row_probs, self.solutions):
-            for i in x.members:
-                t[i] += p
-        t = t.clip(0.0, 1.0)
-        return self.instance.lo + self.instance.width * t
-
     def expected_regret(self, x: SolutionIndicator, col_probs) -> float:
         """Expected regret of x against the column mixture."""
-        lo_sum = float(sum(map(self._lo, x.members)))
-        hi_sum = float(sum(map(self._hi, x.members)))
+        sums = self._interval_sums(x.members)
         total = 0.0
-        for q, pool_idx in zip(col_probs, self.scenario_ids):
-            if q == 0.0:
-                continue
-            desc = self.pool.descriptors[pool_idx]
-            shared = x.members & desc.defining.members
-            overlap = float(sum(map(self._width, shared)))
-            if desc.kind == PENALIZING:
-                value = lo_sum + overlap
-            else:
-                value = hi_sum - overlap
-            total += q * (value - self.pool.opt_values[pool_idx])
+        for q, pool_idx in self._drawn(col_probs):
+            total += q * self._regret(x.members, sums, pool_idx)
         return total
 
 
@@ -329,14 +327,7 @@ def br_c(instance: IntervalInstance, oracle: StandardOracle, p) -> ScenarioDescr
     minimizes costs lo + width * marginals, where the marginal of element i
     is the probability that a drawn solution uses i.
     """
-    n = instance.n
-    t = np.zeros(n)
-    for prob, x in zip(p.probs, p.support):
-        for i in x.members:
-            if i >= n:
-                raise ValueError("support solution does not fit the instance")
-            t[i] += prob
-    costs = instance.lo + instance.width * t.clip(0.0, 1.0)
+    costs = instance.lo + instance.width * marginals(p, instance.n).clip(0.0, 1.0)
     z, _ = oracle.solve(costs, None)
     return ScenarioDescriptor(z, FAVORING)
 
@@ -371,16 +362,23 @@ def run_double_oracle(
         raise ValueError("at least one iteration required")
     pool = pool if pool is not None else ScenarioPool(instance, oracle)
     game = RestrictedGame(instance, pool)
+    # Columns go in first, so they enter with no rows to price.
     for desc in pool.descriptors:
-        game.add_scenario(desc)
+        game.add_scenario(desc, [])
     for desc in _as_descriptors(init_c):
         if not game.has_scenario(desc):
-            game.add_scenario(desc)
+            game.add_scenario(desc, [])
     for x in _as_solutions(init_x):
         if not game.has_solution(x):
             game.add_solution(x)
     if not game.solutions or not game.scenario_ids:
         raise ValueError("need at least one initial solution and scenario")
+
+    def best_response(equilibrium: Equilibrium) -> tuple[SolutionIndicator, float]:
+        """The solution player's answer to the column mixture, and the anytime bound it certifies."""
+        col_probs = equilibrium.col_probs.tolist()
+        x, _ = oracle.solve(game.mixture_costs(col_probs), restriction)
+        return x, game.expected_regret(x, col_probs)
 
     trace: list[float] = []
     best_lb = -np.inf
@@ -389,11 +387,7 @@ def run_double_oracle(
     while iterations < config.max_iterations:
         iterations += 1
         equilibrium = solve_zero_sum(game.matrix)
-
-        col_probs = equilibrium.col_probs.tolist()
-        x_new, _ = oracle.solve(game.mixture_costs(col_probs), restriction)
-        last_response = x_new
-        anytime = game.expected_regret(x_new, col_probs)
+        x_new, anytime = best_response(equilibrium)
         trace.append(anytime)
         best_lb = max(best_lb, anytime)
         if config.stop_value is not None and best_lb >= config.stop_value:
@@ -405,21 +399,18 @@ def run_double_oracle(
         if x_present and c_present:
             converged = True
             break
-        if not c_present:
-            column = game.column_values(c_new)
-            c_value = float(np.dot(equilibrium.row_probs, column))
-        else:
-            idx = game.scenario_ids.index(pool.ensure(c_new))
-            c_value = float(np.dot(equilibrium.row_probs, game.matrix[:, idx]))
+        column = game.column_values(c_new)
+        c_value = float(np.dot(equilibrium.row_probs, column))
         if anytime >= equilibrium.value - config.tolerance and c_value <= equilibrium.value + config.tolerance:
             converged = True
             break
         grew = False
+        # The new column first: add_solution then prices the (x_new, c_new) entry.
+        if not c_present:
+            game.add_scenario(c_new, column)
+            grew = True
         if not x_present and len(game.solutions) < config.max_support_x:
             game.add_solution(x_new)
-            grew = True
-        if not c_present:
-            game.add_scenario(c_new)
             grew = True
         if not grew:
             break
@@ -428,8 +419,8 @@ def run_double_oracle(
         # The budget ran out right after the game grew: the grown game's
         # equilibrium certifies a bound of its own.
         equilibrium = solve_zero_sum(game.matrix)
-        last_response, _ = oracle.solve(game.mixture_costs(equilibrium.col_probs), restriction)
-        best_lb = max(best_lb, game.expected_regret(last_response, equilibrium.col_probs))
+        x_new, anytime = best_response(equilibrium)
+        best_lb = max(best_lb, anytime)
     return DoubleOracleResult(
         lower_bound=float(best_lb),
         equilibrium=equilibrium,
@@ -438,7 +429,7 @@ def run_double_oracle(
         converged=converged,
         iterations=iterations,
         trace=tuple(trace),
-        best_response=last_response,
+        best_response=x_new,
     )
 
 

@@ -21,15 +21,15 @@ from ..shortest_path import sp_oracle
 from .brute_force import brute_force_lb_star, brute_force_opt
 from .experiments import (
     BOUND_NAMES,
-    INPUT_ERRORS,
     aggregate_bb,
     aggregate_lb,
-    evaluate_bounds,
     experiment_rows,
     run_bb_experiment,
     run_lb_experiment,
     write_csv,
+    _bb_worker,
     _instance_specs,
+    _lb_worker,
 )
 from .generators import GeneratorSpec, gen_instance
 from .io import parse_dimacs, perturb_intervals, read_native, write_native
@@ -79,15 +79,7 @@ def _bound_roster(choice: str) -> tuple[str, ...]:
 def _cmd_lb(args) -> int:
     bounds = _bound_roster(args.lb)
     if args.files:
-        records = []
-        for path in args.files:
-            try:
-                graph = read_native(path)
-                record = evaluate_bounds(graph, bounds, args.exact, args.max_support)
-                record["instance"] = path
-            except INPUT_ERRORS as err:
-                record = {"instance": path, "error": "%s" % (err,)}
-            records.append(record)
+        records = [_lb_worker((path, bounds, args.exact, args.max_support)) for path in args.files]
         table = aggregate_lb(records, bounds)
     else:
         spec = _generator_spec(args)
@@ -100,30 +92,13 @@ def _cmd_bb(args) -> int:
     strategies = STRATEGIES if args.bb == "all" else (args.bb,)
     config = BBConfig(max_support_x=args.max_support, node_limit=args.node_limit, time_limit_ms=args.time_limit_ms)
     if args.files:
-        records = [_bb_worker_file(path, strategies, config) for path in args.files]
+        records = [_bb_worker((path, strategies, config)) for path in args.files]
         table = aggregate_bb(records, strategies)
     else:
         spec = _generator_spec(args)
         records, table = run_bb_experiment(spec, args.count, strategies, config, args.jobs)
     _write_rows(experiment_rows(table, records), args.out)
     return 0
-
-
-def _bb_worker_file(path: str, strategies, config) -> dict:
-    record: dict = {"instance": path, "strategies": {}}
-    try:
-        graph = read_native(path)
-        for strategy in strategies:
-            stats = bb_solve(graph, strategy, config)
-            record["strategies"][strategy] = {
-                "opt": stats.opt,
-                "nodes": stats.nodes_expanded,
-                "time_ms": stats.elapsed_ms,
-                "complete": stats.complete,
-            }
-    except INPUT_ERRORS as err:
-        return {"instance": path, "error": "%s" % (err,)}
-    return record
 
 
 def _cmd_dimacs(args) -> int:

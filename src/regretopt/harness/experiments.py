@@ -30,6 +30,7 @@ from ..double_oracle import (
 )
 from ..shortest_path import IntervalDigraph, sp_oracle
 from .generators import GeneratorSpec, gen_instance
+from .io import read_native
 
 BOUND_NAMES = ("kz", "cg", "mgd", "do5", "do10", "do15", "do20", "do")
 # The standard comparison roster; mgd is 0 on an unconstrained graph so it
@@ -43,8 +44,17 @@ def _instance_specs(spec: GeneratorSpec, count: int) -> list[GeneratorSpec]:
     return [replace(spec, seed=spec.seed + i) for i in range(count)]
 
 
-def _instance_id(spec: GeneratorSpec) -> str:
-    return "%s#%d" % (spec.name, spec.seed)
+def _instance_id(source: GeneratorSpec | str) -> str:
+    if isinstance(source, GeneratorSpec):
+        return "%s#%d" % (source.name, source.seed)
+    return source
+
+
+def _load(source: GeneratorSpec | str) -> IntervalDigraph:
+    """The instance a worker solves: generated from a spec, or read from a .ri path."""
+    if isinstance(source, GeneratorSpec):
+        return gen_instance(source)
+    return read_native(source)
 
 
 def evaluate_bounds(
@@ -127,13 +137,12 @@ INPUT_ERRORS = (ValueError, OSError, NoFeasibleSolution)
 
 
 def _lb_worker(args) -> dict:
-    spec, bounds, exact, max_support = args
+    source, bounds, exact, max_support = args
     try:
-        graph = gen_instance(spec)
-        record = evaluate_bounds(graph, bounds, exact, max_support)
+        record = evaluate_bounds(_load(source), bounds, exact, max_support)
     except INPUT_ERRORS as err:
-        return {"instance": _instance_id(spec), "error": "%s" % (err,)}
-    record["instance"] = _instance_id(spec)
+        return {"instance": _instance_id(source), "error": "%s" % (err,)}
+    record["instance"] = _instance_id(source)
     return record
 
 
@@ -183,10 +192,10 @@ def aggregate_lb(records: list[dict], bounds: Sequence[str]) -> dict[str, dict[s
 
 
 def _bb_worker(args) -> dict:
-    spec, strategies, bb_config = args
-    record: dict = {"instance": _instance_id(spec), "strategies": {}}
+    source, strategies, bb_config = args
+    record: dict = {"instance": _instance_id(source), "strategies": {}}
     try:
-        graph = gen_instance(spec)
+        graph = _load(source)
         for strategy in strategies:
             stats = bb_solve(graph, strategy, bb_config)
             record["strategies"][strategy] = {
@@ -196,7 +205,7 @@ def _bb_worker(args) -> dict:
                 "complete": stats.complete,
             }
     except INPUT_ERRORS as err:
-        return {"instance": _instance_id(spec), "error": "%s" % (err,)}
+        return {"instance": _instance_id(source), "error": "%s" % (err,)}
     return record
 
 

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from regretopt import NoFeasibleSolution, PathConstraint
+from regretopt import NoFeasibleSolution, PathConstraint, midpoint_scenario, shortest_path
 from regretopt.branch_bound import BBConfig, bb_solve, branch, node_lower_bound, select_branch_edge
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt
@@ -116,6 +117,24 @@ def test_cold_start_matches_warm_start():
     assert warm.opt == cold.opt
     assert warm.complete and cold.complete
     assert warm.nodes_expanded == cold.nodes_expanded
+
+
+@pytest.mark.parametrize("warm_start", (True, False))
+def test_game_search_solves_the_midpoint_scenario_once(monkeypatch, warm_start):
+    """The root's game starts from the incumbent's midpoint path instead of solving for it again."""
+    graph = six_node_graph()
+    midpoint = midpoint_scenario(graph.instance).costs
+    searched = []
+    plain = shortest_path.dijkstra
+
+    def counting(g, costs, *args, **kwargs):
+        searched.append(np.array(costs, dtype=float))
+        return plain(g, costs, *args, **kwargs)
+
+    monkeypatch.setattr(shortest_path, "dijkstra", counting)
+    stats = bb_solve(graph, "do", BBConfig(warm_start=warm_start))
+    assert stats.complete and stats.opt == 4.0
+    assert sum(np.array_equal(costs, midpoint) for costs in searched) == 1
 
 
 def test_bb_solve_rejects_unknown_strategy():

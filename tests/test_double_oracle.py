@@ -149,7 +149,7 @@ def test_restricted_game_matches_dense_recomputation():
     for x in xs:
         game.add_solution(x)
     for desc in descs:
-        game.add_scenario(desc)
+        game.add_scenario(desc, game.column_values(desc))
     dense = np.empty((3, 3))
     for j, desc in enumerate(descs):
         c = desc.expand(inst)
@@ -167,16 +167,20 @@ def test_restricted_game_matches_dense_recomputation():
     )
     assert not game.has_scenario(probe)
 
-    # mixture_costs and expected_regret agree with the dense mixture
-    q = np.array([0.5, 0.25, 0.25])
-    mixed = sum(p * descs[j].expand(inst).costs for j, p in enumerate(q))
-    np.testing.assert_allclose(game.mixture_costs(q), mixed, atol=1e-12)
+    # a stored column reads back as priced
+    assert game.column_values(descs[1]) == game.matrix[:, 1].tolist()
+
+    # mixture_costs and expected_regret agree with the dense mixture,
+    # also when a column carries zero weight
     x = sol(0, 3, 6)
-    direct = sum(
-        p * (val(x, descs[j].expand(inst)) - oracle.solve(descs[j].expand(inst).costs)[1])
-        for j, p in enumerate(q)
-    )
-    assert game.expected_regret(x, q) == pytest.approx(direct, abs=1e-9)
+    for q in (np.array([0.5, 0.25, 0.25]), np.array([0.5, 0.0, 0.5])):
+        mixed = sum(p * descs[j].expand(inst).costs for j, p in enumerate(q))
+        np.testing.assert_allclose(game.mixture_costs(q), mixed, atol=1e-12)
+        direct = sum(
+            p * (val(x, descs[j].expand(inst)) - oracle.solve(descs[j].expand(inst).costs)[1])
+            for j, p in enumerate(q)
+        )
+        assert game.expected_regret(x, q) == pytest.approx(direct, abs=1e-9)
 
 
 def test_restricted_game_rejects_duplicates():
@@ -186,9 +190,40 @@ def test_restricted_game_rejects_duplicates():
     with pytest.raises(ValueError):
         game.add_solution(sol(0))
     desc = ScenarioDescriptor(sol(0), "penalizing")
-    game.add_scenario(desc)
+    game.add_scenario(desc, game.column_values(desc))
     with pytest.raises(ValueError):
-        game.add_scenario(desc)
+        game.add_scenario(desc, game.column_values(desc))
+    other = ScenarioDescriptor(sol(1), "penalizing")
+    with pytest.raises(ValueError):
+        game.add_scenario(other, [])
+    assert not game.has_scenario(other)
+
+
+def test_run_prices_each_game_entry_once(monkeypatch):
+    """Every entry of the final game is priced once; expected regrets are not entries."""
+    priced = []
+    in_expected_regret = []
+    regret, expected_regret = RestrictedGame._regret, RestrictedGame.expected_regret
+
+    def counting(self, members, sums, pool_idx):
+        if not in_expected_regret:
+            priced.append((members, pool_idx))
+        return regret(self, members, sums, pool_idx)
+
+    def flagged(self, x, col_probs):
+        in_expected_regret.append(True)
+        try:
+            return expected_regret(self, x, col_probs)
+        finally:
+            in_expected_regret.pop()
+
+    monkeypatch.setattr(RestrictedGame, "_regret", counting)
+    monkeypatch.setattr(RestrictedGame, "expected_regret", flagged)
+    inst, oracle = two_arc_setup()
+    result = run_double_oracle(inst, oracle, *root_start(inst, oracle))
+    assert (len(result.solutions), len(result.scenarios)) == (2, 3)
+    assert len(priced) == 6
+    assert len(set(priced)) == 6
 
 
 # ------------------------------------------------------------ best responses

@@ -19,7 +19,7 @@ from regretopt.harness.brute_force import (
     brute_force_opt,
     enumerate_paths,
 )
-from regretopt.harness import cli, experiments
+from regretopt.harness import experiments
 from regretopt.harness.cli import main, verify_instance
 from regretopt.harness.experiments import (
     evaluate_bounds,
@@ -287,11 +287,13 @@ def test_failed_instances_become_error_rows():
     assert rows[-1] == ("error", "R-6-50-0.5-0.8#21", "no connected instance")
 
 
+# Each catch site, with a generated and with a file input; the lb file
+# case runs through the command line.
 SITES = ("lb_worker", "bb_worker", "bb_worker_file", "lb_files")
 
 
 def _catch_site(site, tmp_path):
-    """(module, solver name the site calls, run of one instance -> became an error row?)."""
+    """(solver name the site calls, run of one instance -> became an error row?)."""
     spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20)
     path = str(tmp_path / "one.ri")
     write_native(gen_instance(spec), path)
@@ -301,18 +303,17 @@ def _catch_site(site, tmp_path):
         assert main(["lb", path, "--lb", "kz", "--out", out]) == 0
         return "\nerror,%s," % path in open(out).read()
 
-    lb_args, bb_args = (spec, ("kz",), False, 50), (spec, ("mgd",), None)
     return {
-        "lb_worker": (experiments, "evaluate_bounds", lambda: "error" in experiments._lb_worker(lb_args)),
-        "bb_worker": (experiments, "bb_solve", lambda: "error" in experiments._bb_worker(bb_args)),
-        "bb_worker_file": (cli, "bb_solve", lambda: "error" in cli._bb_worker_file(path, ("mgd",), None)),
-        "lb_files": (cli, "evaluate_bounds", lb_files),
+        "lb_worker": ("evaluate_bounds", lambda: "error" in experiments._lb_worker((spec, ("kz",), False, 50))),
+        "bb_worker": ("bb_solve", lambda: "error" in experiments._bb_worker((spec, ("mgd",), None))),
+        "bb_worker_file": ("bb_solve", lambda: "error" in experiments._bb_worker((path, ("mgd",), None))),
+        "lb_files": ("evaluate_bounds", lb_files),
     }[site]
 
 
 @pytest.mark.parametrize("site", SITES)
 def test_input_errors_become_rows_and_bugs_raise(tmp_path, monkeypatch, site):
-    module, name, becomes_error_row = _catch_site(site, tmp_path)
+    name, becomes_error_row = _catch_site(site, tmp_path)
 
     def failing(exc):
         def solver(*args, **kwargs):
@@ -322,9 +323,9 @@ def test_input_errors_become_rows_and_bugs_raise(tmp_path, monkeypatch, site):
 
     assert not becomes_error_row()
     for exc in (ValueError("bad input"), OSError("unreadable"), NoFeasibleSolution("no path")):
-        monkeypatch.setattr(module, name, failing(exc))
+        monkeypatch.setattr(experiments, name, failing(exc))
         assert becomes_error_row()
-    monkeypatch.setattr(module, name, failing(KeyError("harness bug")))
+    monkeypatch.setattr(experiments, name, failing(KeyError("harness bug")))
     with pytest.raises(KeyError, match="harness bug"):
         becomes_error_row()
 
