@@ -20,13 +20,10 @@ from regretopt import (
     IntervalDigraph,
     ScenarioDescriptor,
     br_c,
-    br_x,
     lb_kz,
-    lb_star_n,
     run_double_oracle,
     sp_oracle,
 )
-from regretopt.core import MixedScenario, MixedSolution
 from regretopt.double_oracle import PENALIZING
 
 
@@ -40,7 +37,9 @@ def main() -> None:
 
     print("anytime staircase (bound after n generation rounds):")
     for n in (1, 2, 3, 4):
-        print("  n=%d  bound %g" % (n, lb_star_n(graph.instance, oracle, [x_mid], [start_c], n)))
+        budget = DoubleOracleConfig(max_iterations=n)
+        bound = run_double_oracle(graph.instance, oracle, [x_mid], [start_c], budget).lower_bound
+        print("  n=%d  bound %g" % (n, bound))
 
     result = run_double_oracle(
         graph.instance, oracle, [x_mid], [start_c], DoubleOracleConfig()
@@ -57,13 +56,14 @@ def main() -> None:
     print("\nequilibrium mixes arcs with probabilities %s" % np.round(eq.row_probs, 6))
 
     # Certify: neither oracle can improve on the restricted equilibrium.
-    scenario_mix = MixedScenario(
-        support=tuple(d.expand(graph.instance) for d in result.scenarios),
-        probs=eq.col_probs,
-    )
-    solution_mix = MixedSolution(support=tuple(result.solutions), probs=eq.row_probs)
-    _, best_regret = br_x(graph.instance, oracle, scenario_mix)
-    challenger = br_c(graph.instance, oracle, solution_mix)
+    # Regret is linear in the scenario, so the best solution against the
+    # scenario mix is the shortest path under the mix's mean costs.
+    dense = np.array([d.expand(graph.instance).costs for d in result.scenarios])
+    opts = np.array([oracle.solve(c)[1] for c in dense])
+    best, _ = oracle.solve(eq.col_probs @ dense)
+    on_best = np.isin(np.arange(graph.instance.n), list(best.members))
+    best_regret = eq.col_probs @ (dense @ on_best - opts)
+    challenger = br_c(graph.instance, oracle, eq.row_probs, result.solutions)
     print("best solution against the scenario mix gets regret %g (no better than %g)"
           % (best_regret, result.lower_bound))
     print("best scenario against the solution mix is %s of %s (already generated: %s)"

@@ -12,33 +12,24 @@ from .bounds import BoundReport, GapMetrics, gap_metrics, lb_cg, lb_kz, lb_mgd
 from .branch_bound import STRATEGIES, BBConfig, BBStats, bb_solve
 from .core import (
     IntervalInstance,
-    MixedScenario,
-    MixedSolution,
     Scenario,
     SolutionIndicator,
     favoring_scenario,
-    mean_scenario,
     midpoint_scenario,
-    opposite,
     penalizing_scenario,
-    regret_against,
     val,
 )
 from .double_oracle import (
     DoubleOracleConfig,
     DoubleOracleResult,
-    EnumeratedOracle,
     NoFeasibleSolution,
     ScenarioDescriptor,
     ScenarioPool,
     br_c,
-    br_x,
-    lb_star_n,
     max_regret,
-    min_sol,
     run_double_oracle,
 )
-from .game import Equilibrium, SolverFailure, best_pure_col, best_pure_row, solve_zero_sum
+from .game import Equilibrium, SolverFailure, solve_zero_sum
 from .shortest_path import (
     IntervalDigraph,
     Path,
@@ -55,31 +46,20 @@ __all__ = [
     "IntervalInstance",
     "Scenario",
     "SolutionIndicator",
-    "MixedSolution",
-    "MixedScenario",
     "val",
-    "regret_against",
     "penalizing_scenario",
     "favoring_scenario",
-    "opposite",
     "midpoint_scenario",
-    "mean_scenario",
     "Equilibrium",
     "SolverFailure",
     "solve_zero_sum",
-    "best_pure_row",
-    "best_pure_col",
-    "EnumeratedOracle",
     "NoFeasibleSolution",
     "ScenarioDescriptor",
     "ScenarioPool",
     "DoubleOracleConfig",
     "DoubleOracleResult",
     "run_double_oracle",
-    "lb_star_n",
-    "min_sol",
     "max_regret",
-    "br_x",
     "br_c",
     "IntervalDigraph",
     "Path",

@@ -13,10 +13,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import lb_cg, lb_mgd
-from .core import IntervalInstance, SolutionIndicator, midpoint_scenario, penalizing_scenario
+from .core import SolutionIndicator, midpoint_scenario
 from .double_oracle import (
     DoubleOracleConfig,
     NoFeasibleSolution,

@@ -10,15 +10,9 @@ branch and bound) is built from the handful of operations defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-# Absolute slack when deciding whether a cost sits on an interval endpoint.
-EXTREME_TOL = 1e-12
-
-# Mixed strategy weights must sum to one within this slack.
-PROB_TOL = 1e-9
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -63,15 +57,6 @@ class IntervalInstance:
         """hi - lo, computed once; read-only."""
         return self._width
 
-    def scenario(self, costs) -> "Scenario":
-        """Validate costs against the intervals and wrap them."""
-        c = np.asarray(costs, dtype=float)
-        if c.shape != self.lo.shape:
-            raise ValueError("scenario has wrong dimension")
-        if (c < self.lo - EXTREME_TOL).any() or (c > self.hi + EXTREME_TOL).any():
-            raise ValueError("scenario leaves the cost intervals")
-        return Scenario(c)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -113,51 +98,6 @@ class SolutionIndicator:
         return len(self.members)
 
 
-def _check_support_probs(support_len: int, probs: np.ndarray) -> np.ndarray:
-    if probs.ndim != 1 or probs.size != support_len:
-        raise ValueError("one probability per support entry required")
-    if support_len == 0:
-        raise ValueError("mixed strategy needs a nonempty support")
-    if (probs < -EXTREME_TOL).any():
-        raise ValueError("probabilities must be nonnegative")
-    if abs(float(probs.sum()) - 1.0) > PROB_TOL:
-        raise ValueError("probabilities must sum to one")
-    return np.clip(probs, 0.0, None)
-
-
-@dataclass(frozen=True)
-class MixedSolution:
-    """Probability distribution over finitely many solutions."""
-
-    support: tuple[SolutionIndicator, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        support = tuple(self.support)
-        probs = _frozen_array(_check_support_probs(len(support), np.asarray(self.probs, dtype=float)))
-        if len({x.members for x in support}) != len(support):
-            raise ValueError("support solutions must be distinct")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
-class MixedScenario:
-    """Probability distribution over finitely many scenarios."""
-
-    support: tuple[Scenario, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        support = tuple(self.support)
-        probs = _frozen_array(_check_support_probs(len(support), np.asarray(self.probs, dtype=float)))
-        n = support[0].n
-        if any(c.n != n for c in support):
-            raise ValueError("all support scenarios must share one dimension")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-
-
 def val(x: SolutionIndicator, c: Scenario) -> float:
     """Cost of solution x under scenario c."""
     if x.members and max(x.members) >= c.n:
@@ -188,43 +128,20 @@ def favoring_scenario(instance: IntervalInstance, y: SolutionIndicator) -> Scena
     return Scenario(costs)
 
 
-def opposite(instance: IntervalInstance, c: Scenario) -> Scenario:
-    """Flip an extreme scenario endpoint-wise; zero-width entries stay put."""
-    costs = np.asarray(c.costs)
-    if costs.shape != instance.lo.shape:
-        raise ValueError("scenario has wrong dimension")
-    at_lo = np.abs(costs - instance.lo) <= EXTREME_TOL
-    at_hi = np.abs(costs - instance.hi) <= EXTREME_TOL
-    if not (at_lo | at_hi).all():
-        raise ValueError("opposite is only defined for extreme scenarios")
-    flipped = np.where(at_lo, instance.hi, instance.lo)
-    return Scenario(flipped)
-
-
 def midpoint_scenario(instance: IntervalInstance) -> Scenario:
     """Interval midpoints (lo + hi) / 2."""
     return Scenario((instance.lo + instance.hi) / 2.0)
 
 
-def mean_scenario(p: MixedScenario) -> Scenario:
-    """Probability-weighted average of the support scenarios."""
-    acc = np.zeros(p.support[0].n)
-    for prob, c in zip(p.probs, p.support):
-        acc += prob * c.costs
-    return Scenario(acc)
+def marginals(row_probs, solutions, n: int) -> np.ndarray:
+    """Per-element probability that a solution drawn from the mixture uses the element.
 
-
-def marginals(p: MixedSolution, n: int) -> np.ndarray:
-    """Per-element probability that a solution drawn from p uses the element."""
+    row_probs[k] is the probability of solutions[k]; lengths must match.
+    """
     t = np.zeros(n)
-    for prob, x in zip(p.probs, p.support):
+    for prob, x in zip(row_probs, solutions, strict=True):
         for i in x.members:
             if i >= n:
                 raise ValueError("support solution does not fit the dimension")
             t[i] += prob
     return t
-
-
-def regret_against(x: SolutionIndicator, y: SolutionIndicator, c: Scenario) -> float:
-    """val(x, c) - val(y, c): how much x loses to y under scenario c."""
-    return val(x, c) - val(y, c)

@@ -11,19 +11,17 @@ so even truncated runs are useful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .core import (
     IntervalInstance,
-    MixedScenario,
     Scenario,
     SolutionIndicator,
     favoring_scenario,
     marginals,
-    mean_scenario,
     penalizing_scenario,
     val,
 )
@@ -49,37 +47,6 @@ class StandardOracle(Protocol):
     n: int
 
     def solve(self, costs, restriction=None) -> tuple[SolutionIndicator, float]: ...
-
-
-class EnumeratedOracle:
-    """Oracle over an explicitly listed feasible set; ties keep the first listing."""
-
-    def __init__(self, n: int, solutions: Iterable):
-        self.n = int(n)
-        normalized = []
-        for x in solutions:
-            if not isinstance(x, SolutionIndicator):
-                x = SolutionIndicator.of(x)
-            normalized.append(x)
-        if not normalized:
-            raise ValueError("oracle needs at least one feasible solution")
-        self.solutions = tuple(normalized)
-
-    def solve(self, costs, restriction=None) -> tuple[SolutionIndicator, float]:
-        c = np.asarray(costs, dtype=float)
-        if c.shape != (self.n,):
-            raise ValueError("one cost per element required")
-        best = None
-        best_value = np.inf
-        for x in self.solutions:
-            if restriction is not None and not restriction(x):
-                continue
-            value = float(sum(c[i] for i in x.members))
-            if value < best_value:
-                best, best_value = x, value
-        if best is None:
-            raise NoFeasibleSolution("restriction rejects every listed solution")
-        return best, best_value
 
 
 @dataclass(frozen=True)
@@ -141,18 +108,21 @@ class RestrictedGame:
     Rows are solutions, columns are scenario descriptors, entries are
     regrets val(x, c) - opt(c), each priced once by _regret from the
     solution's interval sums and one set intersection, never from dense
-    cost vectors.  add_scenario(desc, column) takes the column already
-    priced: the regrets of the current rows against desc, as
-    column_values returns them, or an empty list while there are no rows.
+    cost vectors.  A new game has no rows and one column per scenario the
+    pool already holds, in pool order.  add_scenario(desc, column) takes
+    the column already priced: the regrets of the current rows against
+    desc, as column_values returns them, or an empty list while there are
+    no rows.
     """
 
     def __init__(self, instance: IntervalInstance, pool: ScenarioPool):
         self.instance = instance
         self.pool = pool
         self.solutions: list[SolutionIndicator] = []
-        self.scenario_ids: list[int] = []
+        # A pooled descriptor's pool index is its position in pool.descriptors.
+        self.scenario_ids: list[int] = list(range(len(pool)))
         self._solution_keys: set[frozenset] = set()
-        self._columns: dict[ScenarioDescriptor, int] = {}
+        self._columns: dict[ScenarioDescriptor, int] = {desc: j for j, desc in enumerate(pool.descriptors)}
         self._sums: list[tuple[float, float]] = []
         self._rows: list[list[float]] = []
         # Entries sum a few interval values at a time, read with ndarray.item:
@@ -280,13 +250,6 @@ class DoubleOracleResult:
     best_response: SolutionIndicator
 
 
-class _RowMixture(NamedTuple):
-    """The solution player's mixture in the shape br_c reads: probs over support."""
-
-    probs: np.ndarray
-    support: tuple[SolutionIndicator, ...]
-
-
 def _as_solutions(init_x) -> list[SolutionIndicator]:
     if isinstance(init_x, SolutionIndicator):
         return [init_x]
@@ -299,35 +262,15 @@ def _as_descriptors(init_c) -> list[ScenarioDescriptor]:
     return list(init_c) if init_c is not None else []
 
 
-def br_x(
-    instance: IntervalInstance,
-    oracle: StandardOracle,
-    p: MixedScenario,
-    restriction=None,
-    opt_values: Sequence[float] | None = None,
-) -> tuple[SolutionIndicator, float]:
-    """Best solution against a scenario mixture and its expected regret.
-
-    Expected regret is linear in the scenario, so the best response is the
-    oracle's optimum under the mixture's mean costs.
-    """
-    x, _ = oracle.solve(mean_scenario(p).costs, restriction)
-    if opt_values is None:
-        opt_values = [oracle.solve(c.costs, None)[1] for c in p.support]
-    regret = 0.0
-    for prob, c, opt_value in zip(p.probs, p.support, opt_values):
-        regret += prob * (val(x, c) - opt_value)
-    return x, float(regret)
-
-
-def br_c(instance: IntervalInstance, oracle: StandardOracle, p) -> ScenarioDescriptor:
+def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solutions) -> ScenarioDescriptor:
     """Best scenario against a solution mixture, as a favoring descriptor.
 
-    The worst mixture-regret scenario is the one favoring the solution that
-    minimizes costs lo + width * marginals, where the marginal of element i
-    is the probability that a drawn solution uses i.
+    The mixture draws solutions[k] with probability row_probs[k].  The worst
+    mixture-regret scenario is the one favoring the solution that minimizes
+    costs lo + width * marginals, where the marginal of element i is the
+    probability that a drawn solution uses i.
     """
-    costs = instance.lo + instance.width * marginals(p, instance.n).clip(0.0, 1.0)
+    costs = instance.lo + instance.width * marginals(row_probs, solutions, instance.n).clip(0.0, 1.0)
     z, _ = oracle.solve(costs, None)
     return ScenarioDescriptor(z, FAVORING)
 
@@ -363,8 +306,6 @@ def run_double_oracle(
     pool = pool if pool is not None else ScenarioPool(instance, oracle)
     game = RestrictedGame(instance, pool)
     # Columns go in first, so they enter with no rows to price.
-    for desc in pool.descriptors:
-        game.add_scenario(desc, [])
     for desc in _as_descriptors(init_c):
         if not game.has_scenario(desc):
             game.add_scenario(desc, [])
@@ -393,7 +334,7 @@ def run_double_oracle(
         if config.stop_value is not None and best_lb >= config.stop_value:
             break
 
-        c_new = br_c(instance, oracle, _RowMixture(equilibrium.row_probs, tuple(game.solutions)))
+        c_new = br_c(instance, oracle, equilibrium.row_probs, game.solutions)
         x_present = game.has_solution(x_new)
         c_present = game.has_scenario(c_new)
         if x_present and c_present:
@@ -431,39 +372,3 @@ def run_double_oracle(
         trace=tuple(trace),
         best_response=x_new,
     )
-
-
-def lb_star_n(
-    instance: IntervalInstance,
-    oracle: StandardOracle,
-    init_x,
-    init_c,
-    n: int,
-    restriction=None,
-    pool: ScenarioPool | None = None,
-    max_support_x: int = 50,
-) -> float:
-    """Best anytime lower bound over the first n generation iterations."""
-    config = DoubleOracleConfig(max_iterations=n, max_support_x=max_support_x)
-    result = run_double_oracle(instance, oracle, init_x, init_c, config, restriction, pool)
-    return result.lower_bound
-
-
-def min_sol(
-    instance: IntervalInstance,
-    oracle: StandardOracle,
-    solutions: Iterable[SolutionIndicator],
-    x_mid: SolutionIndicator,
-) -> tuple[SolutionIndicator, float]:
-    """Smallest max-regret solution among the generated ones and the midpoint one."""
-    best = x_mid
-    best_regret = max_regret(instance, oracle, x_mid)
-    seen = {x_mid.members}
-    for x in solutions:
-        if x.members in seen:
-            continue
-        seen.add(x.members)
-        regret = max_regret(instance, oracle, x)
-        if regret < best_regret:
-            best, best_regret = x, regret
-    return best, best_regret

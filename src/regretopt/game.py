@@ -51,24 +51,6 @@ def _as_matrix(matrix) -> tuple[np.ndarray, float]:
     return a, low
 
 
-def best_pure_row(matrix, col_probs) -> tuple[int, float]:
-    """Row minimizing expected payoff against col_probs; ties pick the lowest index."""
-    a, _ = _as_matrix(matrix)
-    q = np.asarray(col_probs, dtype=float)
-    payoffs = a @ q
-    i = int(np.argmin(payoffs))
-    return i, float(payoffs[i])
-
-
-def best_pure_col(matrix, row_probs) -> tuple[int, float]:
-    """Column maximizing expected payoff against row_probs; ties pick the lowest index."""
-    a, _ = _as_matrix(matrix)
-    p = np.asarray(row_probs, dtype=float)
-    payoffs = p @ a
-    j = int(np.argmax(payoffs))
-    return j, float(payoffs[j])
-
-
 # Games with at most this many strategies (rows plus columns) pivot on
 # Python lists, larger ones on numpy rows.  Timed on random games of every
 # shape, lists win below 24 strategies (by 30% on the smallest games), the

@@ -10,7 +10,6 @@ repr so a write/read cycle reproduces the exact same instance.
 
 from __future__ import annotations
 
-import io
 from typing import Iterable, TextIO
 
 import numpy as np

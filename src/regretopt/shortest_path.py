@@ -135,16 +135,6 @@ class IntervalDigraph:
                     stack.append(v)
         return False
 
-    def path_nodes(self, path: Path) -> tuple[int, ...]:
-        if not path.edges:
-            return ()
-        nodes = [self.tails.item(path.edges[0])]
-        for e in path.edges:
-            if self.tails.item(e) != nodes[-1]:
-                raise ValueError("edges do not chain into a path")
-            nodes.append(self.heads.item(e))
-        return tuple(nodes)
-
 
 @dataclass(frozen=True)
 class PathConstraint:

@@ -1,19 +1,56 @@
-"""Independent reference solvers used only by the tests.
+"""Independent reference solvers and test oracles used only by the tests.
 
 The zero-sum reference here finds an equilibrium by square-support
 enumeration: for every equally sized row/column support it solves the
 indifference equations directly and keeps the first candidate whose
 strategies are nonnegative and whose best-response certificates hold.
 Nothing is shared with the production solver beyond numpy.
+
+EnumeratedOracle is a standard-problem oracle over an explicit list of
+feasible sets, the fake for a problem that is not a shortest path.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
+from regretopt import NoFeasibleSolution, SolutionIndicator
+
 _EPS = 1e-8
+
+
+class EnumeratedOracle:
+    """Oracle over an explicitly listed feasible set; ties keep the first listing."""
+
+    def __init__(self, n: int, solutions: Iterable):
+        self.n = int(n)
+        normalized = []
+        for x in solutions:
+            if not isinstance(x, SolutionIndicator):
+                x = SolutionIndicator.of(x)
+            normalized.append(x)
+        if not normalized:
+            raise ValueError("oracle needs at least one feasible solution")
+        self.solutions = tuple(normalized)
+
+    def solve(self, costs, restriction=None) -> tuple[SolutionIndicator, float]:
+        c = np.asarray(costs, dtype=float)
+        if c.shape != (self.n,):
+            raise ValueError("one cost per element required")
+        best = None
+        best_value = np.inf
+        for x in self.solutions:
+            if restriction is not None and not restriction(x):
+                continue
+            value = float(sum(c[i] for i in x.members))
+            if value < best_value:
+                best, best_value = x, value
+        if best is None:
+            raise NoFeasibleSolution("restriction rejects every listed solution")
+        return best, best_value
 
 
 def enum_equilibrium(matrix) -> tuple[float, np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ from regretopt import (
     lb_cg,
     lb_kz,
     lb_mgd,
-    lb_star_n,
     run_double_oracle,
     solve_zero_sum,
     sp_oracle,
@@ -150,7 +149,9 @@ def equivalence_sweep():
         })
         if i % 97 == 0:
             staircases.append([
-                lb_star_n(graph.instance, oracle, [x_mid], [start], n)
+                run_double_oracle(
+                    graph.instance, oracle, [x_mid], [start], DoubleOracleConfig(max_iterations=n),
+                ).lower_bound
                 for n in (1, 2, 3, 4, 5)
             ])
     return records, staircases, time.perf_counter() - begin

@@ -5,19 +5,18 @@ from hypothesis import strategies as st
 
 from regretopt import (
     IntervalInstance,
-    MixedScenario,
-    MixedSolution,
     Scenario,
+    ScenarioDescriptor,
+    ScenarioPool,
     SolutionIndicator,
     favoring_scenario,
-    mean_scenario,
     midpoint_scenario,
-    opposite,
     penalizing_scenario,
-    regret_against,
+    sp_oracle,
     val,
 )
 from regretopt.core import marginals
+from regretopt.double_oracle import RestrictedGame
 
 from _fixtures import five_element_instance, six_node_graph, two_arc_graph
 
@@ -41,28 +40,6 @@ def test_instance_rejects_negative_and_nonfinite():
         IntervalInstance(lo=np.array([0.0]), hi=np.array([np.inf]))
     with pytest.raises(ValueError):
         IntervalInstance(lo=np.array([]), hi=np.array([]))
-
-
-def test_instance_scenario_checks_bounds():
-    inst = five_element_instance()
-    inst.scenario([3.5, 1.0, 2.0, 3.0, 6.0])
-    with pytest.raises(ValueError):
-        inst.scenario([2.0, 1.0, 2.0, 3.0, 6.0])
-    with pytest.raises(ValueError):
-        inst.scenario([3.5, 1.0])
-
-
-def test_mixed_strategy_validation():
-    a, b = sol(0), sol(1)
-    MixedSolution(support=(a, b), probs=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        MixedSolution(support=(a, b), probs=np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        MixedSolution(support=(a, a), probs=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        MixedSolution(support=(a, b), probs=np.array([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        MixedScenario(support=(), probs=np.array([]))
 
 
 # ----------------------------------------------------------------------- val
@@ -128,26 +105,6 @@ def test_favoring_route_in_graph():
     np.testing.assert_array_equal(got.costs, expected)
 
 
-def test_opposite_flips_and_keeps_zero_width():
-    inst = five_element_instance()
-    all_low = Scenario(np.array(inst.lo))
-    np.testing.assert_array_equal(opposite(inst, all_low).costs, inst.hi)
-    # element 3 has a zero-width interval, it must map to itself
-    assert opposite(inst, all_low).costs[3] == 3.0
-
-
-def test_opposite_two_arc_pair():
-    inst = two_arc_graph().instance
-    got = opposite(inst, Scenario(np.array([5.0, 12.0])))
-    np.testing.assert_array_equal(got.costs, [10.0, 7.0])
-
-
-def test_opposite_rejects_interior_point():
-    inst = two_arc_graph().instance
-    with pytest.raises(ValueError):
-        opposite(inst, Scenario(np.array([6.0, 12.0])))
-
-
 def test_midpoints():
     inst = two_arc_graph().instance
     np.testing.assert_array_equal(midpoint_scenario(inst).costs, [7.5, 9.5])
@@ -160,29 +117,23 @@ def test_midpoints():
 
 
 def test_mean_scenario_single_and_weighted():
-    c1 = Scenario(np.array([5.0, 12.0]))
-    c2 = Scenario(np.array([10.0, 7.0]))
-    single = MixedScenario(support=(c1,), probs=np.array([1.0]))
-    np.testing.assert_array_equal(mean_scenario(single).costs, c1.costs)
-    pair = MixedScenario(support=(c1, c2), probs=np.array([0.3, 0.7]))
-    np.testing.assert_allclose(mean_scenario(pair).costs, [8.5, 8.5])
+    """The mean scenario of a mixture, as the restricted game builds it for the solution player."""
+    graph = two_arc_graph()
+    game = RestrictedGame(graph.instance, ScenarioPool(graph.instance, sp_oracle(graph)))
+    for defining in (sol(0), sol(1)):  # (5, 12) and (10, 7)
+        game.add_scenario(ScenarioDescriptor(defining, "favoring"), [])
+    np.testing.assert_array_equal(game.mixture_costs([1.0, 0.0]), [5.0, 12.0])
+    np.testing.assert_allclose(game.mixture_costs([0.3, 0.7]), [8.5, 8.5])
 
 
 def test_marginals():
-    np.testing.assert_array_equal(
-        marginals(MixedSolution(support=(sol(0, 2),), probs=np.array([1.0])), 3), [1.0, 0.0, 1.0]
-    )
-    half = MixedSolution(support=(sol(0), sol(1)), probs=np.array([0.5, 0.5]))
-    np.testing.assert_array_equal(marginals(half, 2), [0.5, 0.5])
-    eq = MixedSolution(support=(sol(0), sol(1)), probs=np.array([0.7, 0.3]))
-    np.testing.assert_allclose(marginals(eq, 2), [0.7, 0.3])
-
-
-def test_regret_against_examples():
-    x, y = sol(1), sol(0)
-    assert regret_against(x, x, Scenario(np.array([5.0, 12.0]))) == 0.0
-    assert regret_against(x, y, Scenario(np.array([5.0, 12.0]))) == 7.0
-    assert regret_against(y, x, Scenario(np.array([10.0, 7.0]))) == 3.0
+    np.testing.assert_array_equal(marginals(np.array([1.0]), [sol(0, 2)], 3), [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(marginals(np.array([0.5, 0.5]), [sol(0), sol(1)], 2), [0.5, 0.5])
+    np.testing.assert_allclose(marginals(np.array([0.7, 0.3]), [sol(0), sol(1)], 2), [0.7, 0.3])
+    with pytest.raises(ValueError):
+        marginals(np.array([1.0]), [sol(3)], 3)
+    with pytest.raises(ValueError):
+        marginals(np.array([0.5, 0.5]), [sol(0)], 2)
 
 
 # ------------------------------------------------------------- property side
@@ -207,12 +158,13 @@ def subsets(n):
 @given(interval_instances, st.data())
 def test_penalizing_and_favoring_are_opposite_extremes(inst, data):
     x = data.draw(subsets(inst.n))
-    pen = penalizing_scenario(inst, x)
-    fav = favoring_scenario(inst, x)
-    assert ((pen.costs == inst.lo) | (pen.costs == inst.hi)).all()
-    np.testing.assert_array_equal(opposite(inst, pen).costs, fav.costs)
-    np.testing.assert_array_equal(opposite(inst, fav).costs, pen.costs)
-    np.testing.assert_array_equal(opposite(inst, opposite(inst, pen)).costs, pen.costs)
+    pen = penalizing_scenario(inst, x).costs
+    fav = favoring_scenario(inst, x).costs
+    member = np.isin(np.arange(inst.n), list(x.members))
+    np.testing.assert_array_equal(pen, np.where(member, inst.hi, inst.lo))
+    np.testing.assert_array_equal(fav, np.where(member, inst.lo, inst.hi))
+    # Each flips the other endpoint-wise; the integer data keep this exact.
+    np.testing.assert_array_equal(pen + fav, inst.lo + inst.hi)
 
 
 @settings(max_examples=60)
@@ -222,12 +174,15 @@ def test_pairwise_regret_peaks_at_both_defining_extremes(inst, data):
     # x's penalizing scenario and at the scenario favoring y.
     x = data.draw(subsets(inst.n))
     y = data.draw(subsets(inst.n))
+    def regret(c):
+        return val(x, c) - val(y, c)
+
     best = -np.inf
     for mask in range(2 ** inst.n):
         costs = np.where([(mask >> i) & 1 for i in range(inst.n)], inst.hi, inst.lo)
-        best = max(best, regret_against(x, y, Scenario(costs)))
-    at_pen = regret_against(x, y, penalizing_scenario(inst, x))
-    at_fav = regret_against(x, y, favoring_scenario(inst, y))
+        best = max(best, regret(Scenario(costs)))
+    at_pen = regret(penalizing_scenario(inst, x))
+    at_fav = regret(favoring_scenario(inst, y))
     assert at_pen == pytest.approx(best, abs=1e-9)
     assert at_fav == pytest.approx(best, abs=1e-9)
 
@@ -235,9 +190,8 @@ def test_pairwise_regret_peaks_at_both_defining_extremes(inst, data):
 @given(interval_instances, st.data())
 def test_centered_pair_averages_to_midpoint(inst, data):
     x = data.draw(subsets(inst.n))
-    pen = penalizing_scenario(inst, x)
-    pair = MixedScenario(support=(pen, opposite(inst, pen)), probs=np.array([0.5, 0.5]))
-    np.testing.assert_allclose(mean_scenario(pair).costs, midpoint_scenario(inst).costs)
+    mean = 0.5 * penalizing_scenario(inst, x).costs + 0.5 * favoring_scenario(inst, x).costs
+    np.testing.assert_allclose(mean, midpoint_scenario(inst).costs)
 
 
 @given(interval_instances, st.data())
@@ -249,7 +203,7 @@ def test_val_is_linear_in_the_scenario_mixture(inst, data):
         for _ in range(k)
     )
     raw = np.array(data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)), dtype=float)
-    p = MixedScenario(support=support, probs=raw / raw.sum())
-    mixed = val(x, mean_scenario(p))
-    direct = sum(prob * val(x, c) for prob, c in zip(p.probs, p.support))
+    probs = raw / raw.sum()
+    mixed = val(x, Scenario(probs @ np.array([c.costs for c in support])))
+    direct = sum(prob * val(x, c) for prob, c in zip(probs, support))
     assert mixed == pytest.approx(direct, rel=1e-9, abs=1e-9)

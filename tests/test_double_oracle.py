@@ -7,25 +7,19 @@ from hypothesis import strategies as st
 
 from regretopt import (
     DoubleOracleConfig,
-    EnumeratedOracle,
     IntervalInstance,
-    MixedScenario,
-    MixedSolution,
     NoFeasibleSolution,
     Scenario,
     ScenarioDescriptor,
     ScenarioPool,
     SolutionIndicator,
     br_c,
-    br_x,
     dijkstra,
     favoring_scenario,
     lb_cg,
     lb_kz,
-    lb_star_n,
     max_regret,
     midpoint_scenario,
-    min_sol,
     penalizing_scenario,
     run_double_oracle,
     solve_zero_sum,
@@ -37,14 +31,11 @@ from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_lb_star
 
 from _fixtures import five_element_instance, six_node_graph, two_arc_graph
+from _oracles import EnumeratedOracle
 
 
 def sol(*indices):
     return SolutionIndicator.of(indices)
-
-
-def scen(*costs):
-    return Scenario(np.array(costs, dtype=float))
 
 
 def pair_oracle(n):
@@ -229,42 +220,47 @@ def test_run_prices_each_game_entry_once(monkeypatch):
 # ------------------------------------------------------------ best responses
 
 
-def test_br_x_against_pure_scenario_has_zero_regret():
+def two_arc_game(*descs):
+    """The two-arc game with the given columns and no rows yet."""
     inst, oracle = two_arc_setup()
-    p = MixedScenario(support=(scen(6.0, 8.0),), probs=np.array([1.0]))
-    x, regret = br_x(inst, oracle, p)
-    assert x.members == frozenset({0})
+    game = RestrictedGame(inst, ScenarioPool(inst, oracle))
+    for desc in descs:
+        game.add_scenario(desc, [])
+    return game, oracle
+
+
+def solution_response(game, oracle, col_probs):
+    """The solution player's best response to a column mixture, as run_double_oracle computes it."""
+    x, _ = oracle.solve(game.mixture_costs(col_probs))
+    return x, game.expected_regret(x, col_probs)
+
+
+def test_br_x_against_pure_scenario_has_zero_regret():
+    game, oracle = two_arc_game(ScenarioDescriptor(sol(0), "penalizing"))
+    x, regret = solution_response(game, oracle, [1.0])
+    # Under (10, 7) arc 1 is the optimum, so its regret is zero.
+    assert x.members == frozenset({1})
     assert regret == 0.0
 
 
 def test_br_x_two_arc_mixture():
-    inst, oracle = two_arc_setup()
-    p = MixedScenario(support=(scen(5.0, 12.0), scen(10.0, 7.0)), probs=np.array([0.3, 0.7]))
-    x, regret = br_x(inst, oracle, p)
+    # (5, 12) favors arc 0 and (10, 7) penalizes it.
+    game, oracle = two_arc_game(ScenarioDescriptor(sol(0), "favoring"), ScenarioDescriptor(sol(0), "penalizing"))
+    x, regret = solution_response(game, oracle, [0.3, 0.7])
     # Mean costs tie at (8.5, 8.5); the search keeps the lower arc id.
     # Both arcs give expected regret 0.3 * 0 + 0.7 * 3 = 2.1 here.
     assert x.members == frozenset({0})
     assert regret == pytest.approx(2.1, abs=1e-9)
 
-    half = MixedScenario(support=(scen(5.0, 12.0), scen(10.0, 7.0)), probs=np.array([0.5, 0.5]))
-    x, regret = br_x(inst, oracle, half)
+    x, regret = solution_response(game, oracle, [0.5, 0.5])
     assert x.members == frozenset({0})
     assert regret == pytest.approx(1.5, abs=1e-12)
-
-
-def test_br_x_accepts_cached_optima():
-    inst, oracle = two_arc_setup()
-    p = MixedScenario(support=(scen(5.0, 12.0), scen(10.0, 7.0)), probs=np.array([0.3, 0.7]))
-    x, regret = br_x(inst, oracle, p, opt_values=[5.0, 7.0])
-    assert x.members == frozenset({0})
-    assert regret == pytest.approx(2.1, abs=1e-9)
 
 
 def test_br_c_on_pure_solution_returns_favoring_descriptor():
     inst = five_element_instance()
     oracle = pair_oracle(5)
-    p = MixedSolution(support=(sol(1, 2),), probs=np.array([1.0]))
-    desc = br_c(inst, oracle, p)
+    desc = br_c(inst, oracle, np.array([1.0]), [sol(1, 2)])
     assert desc.kind == "favoring"
     assert desc.defining.members == frozenset({2, 4})
     np.testing.assert_array_equal(desc.expand(inst).costs, [4.0, 5.0, 1.0, 3.0, 0.0])
@@ -272,8 +268,7 @@ def test_br_c_on_pure_solution_returns_favoring_descriptor():
 
 def test_br_c_two_arc_mixture():
     inst, oracle = two_arc_setup()
-    p = MixedSolution(support=(sol(0), sol(1)), probs=np.array([0.7, 0.3]))
-    desc = br_c(inst, oracle, p)
+    desc = br_c(inst, oracle, np.array([0.7, 0.3]), [sol(0), sol(1)])
     # Marginal costs (8.5, 8.5) tie; arc 0 wins, giving scenario (5, 12).
     assert desc.defining.members == frozenset({0})
     np.testing.assert_array_equal(desc.expand(inst).costs, [5.0, 12.0])
@@ -281,9 +276,10 @@ def test_br_c_two_arc_mixture():
 
 def test_br_c_rejects_oversized_support():
     inst, oracle = two_arc_setup()
-    p = MixedSolution(support=(sol(5),), probs=np.array([1.0]))
     with pytest.raises(ValueError):
-        br_c(inst, oracle, p)
+        br_c(inst, oracle, np.array([1.0]), [sol(5)])
+    with pytest.raises(ValueError):  # one probability per solution
+        br_c(inst, oracle, np.array([0.5, 0.5]), [sol(0)])
 
 
 def test_max_regret_examples():
@@ -328,7 +324,7 @@ def test_six_node_run_meets_the_baseline_bounds():
     assert result.lower_bound >= lb_kz(graph).value - 1e-9
     assert result.lower_bound >= lb_cg(graph).value - 1e-9
     # And it never exceeds the best max regret among generated solutions.
-    _, best = min_sol(inst, oracle, result.solutions, result.solutions[0])
+    best = min(max_regret(inst, oracle, x) for x in result.solutions)
     assert result.lower_bound <= best + 1e-9
 
 
@@ -368,6 +364,29 @@ def test_shared_pool_carries_scenarios_between_runs():
     assert second.converged
     assert second.iterations < first.iterations
     assert second.lower_bound == pytest.approx(2.5, abs=1e-9)
+
+
+def test_pooled_scenarios_seed_a_game_without_pool_lookups(monkeypatch):
+    graph, inst, oracle = six_node_setup()
+    pool = ScenarioPool(inst, oracle)
+    run_double_oracle(inst, oracle, *root_start(inst, oracle), pool=pool)
+    pooled = list(pool.descriptors)
+    assert len(pooled) == 3
+    asked = []
+    ensure = ScenarioPool.ensure
+
+    def recording(self, desc):
+        asked.append(desc)
+        return ensure(self, desc)
+
+    monkeypatch.setattr(ScenarioPool, "ensure", recording)
+    game = RestrictedGame(inst, pool)
+    assert game.scenarios == pooled
+    assert game.scenario_ids == [0, 1, 2]
+    # A run from another start reads the pooled columns by position too.
+    second = run_double_oracle(inst, oracle, [sol(1, 4, 6)], ScenarioDescriptor(sol(1, 4, 6), "favoring"), pool=pool)
+    assert list(second.scenarios[:3]) == pooled
+    assert not set(asked) & set(pooled)
 
 
 def test_stop_value_short_circuits():
@@ -435,32 +454,20 @@ def test_run_validates_inputs():
 
 
 def test_lb_star_n_is_the_best_bound_within_the_budget():
+    """LB*_n, the best anytime bound of the first n iterations, is the lower_bound of an n-iteration run."""
     inst, oracle = two_arc_setup()
     x_mid, pen_mid = root_start(inst, oracle)
+
+    def lb_star(n):
+        return run_double_oracle(inst, oracle, x_mid, pen_mid, DoubleOracleConfig(max_iterations=n)).lower_bound
+
     # The first two iterations only grow the game.  After the first the
     # re-solved game still lacks a scenario; after the second the re-solved
     # 2x2 game with both scenarios already certifies the game value.
-    assert lb_star_n(inst, oracle, x_mid, pen_mid, 1) == 0.0
-    assert lb_star_n(inst, oracle, x_mid, pen_mid, 2) == pytest.approx(2.1, abs=1e-9)
-    assert lb_star_n(inst, oracle, x_mid, pen_mid, 3) == pytest.approx(2.1, abs=1e-9)
-    assert lb_star_n(inst, oracle, x_mid, pen_mid, 10) == pytest.approx(2.1, abs=1e-9)
-
-
-def test_min_sol_scans_generated_solutions_and_midpoint():
-    graph, inst, oracle = six_node_setup()
-    paths = [sol(0, 2, 4, 6), sol(0, 2, 5, 7), sol(0, 3, 6), sol(1, 4, 6), sol(1, 5, 7)]
-    best, regret = min_sol(inst, oracle, paths, sol(0, 3, 6))
-    assert best.members == frozenset({0, 2, 5, 7})
-    assert regret == 4.0
-
-    best, regret = min_sol(inst, oracle, [], sol(0, 3, 6))
-    assert best.members == frozenset({0, 3, 6})
-    assert regret == 5.0
-
-    inst2, oracle2 = two_arc_setup()
-    best, regret = min_sol(inst2, oracle2, [sol(1), sol(0)], sol(0))
-    assert best.members == frozenset({0})
-    assert regret == 3.0
+    assert lb_star(1) == 0.0
+    assert lb_star(2) == pytest.approx(2.1, abs=1e-9)
+    assert lb_star(3) == pytest.approx(2.1, abs=1e-9)
+    assert lb_star(10) == pytest.approx(2.1, abs=1e-9)
 
 
 # ------------------------------------------------------------- property side
@@ -515,15 +522,16 @@ def test_neither_player_improves_on_a_converged_equilibrium(inst):
     assert result.converged
     value = result.equilibrium.value
 
-    mix_c = MixedScenario(
-        support=tuple(d.expand(inst) for d in result.scenarios),
-        probs=result.equilibrium.col_probs,
-    )
-    _, best_row = br_x(inst, oracle, mix_c)
+    # Dense reference: the best solution against the scenario mixture
+    # answers its mean costs, and no solution beats the game value there.
+    dense = np.array([d.expand(inst).costs for d in result.scenarios])
+    q = result.equilibrium.col_probs
+    opts = [oracle.solve(c)[1] for c in dense]
+    x, _ = oracle.solve(q @ dense)
+    best_row = sum(qj * (val(x, Scenario(c)) - opt) for qj, c, opt in zip(q, dense, opts))
     assert best_row >= value - 1e-7
 
-    mix_x = MixedSolution(support=result.solutions, probs=result.equilibrium.row_probs)
-    challenger = br_c(inst, oracle, mix_x).expand(inst)
+    challenger = br_c(inst, oracle, result.equilibrium.row_probs, result.solutions).expand(inst)
     opt = oracle.solve(challenger.costs)[1]
     best_col = sum(
         p * (val(x, challenger) - opt)

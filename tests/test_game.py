@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from regretopt import best_pure_col, best_pure_row, game, solve_zero_sum
+from regretopt import game, solve_zero_sum
 
 from _oracles import enum_equilibrium
 
@@ -60,25 +60,15 @@ def test_rejects_bad_input():
         solve_zero_sum([1.0, 2.0])
 
 
-def test_best_pure_responses():
-    a = [[0.0, 3.0], [7.0, 0.0]]
-    assert best_pure_row(a, [0.3, 0.7]) == (0, pytest.approx(2.1))
-    assert best_pure_col(a, [0.7, 0.3]) == (0, pytest.approx(2.1))
-    assert best_pure_row([[5.0]], [1.0]) == (0, 5.0)
-    assert best_pure_col([[5.0]], [1.0]) == (0, 5.0)
-    b = [[1.0, 2.0], [3.0, 4.0]]
-    assert best_pure_row(b, [0.0, 1.0]) == (0, 2.0)
-    assert best_pure_col(b, [1.0, 0.0]) == (1, 2.0)
-
-
 @settings(max_examples=150, deadline=None)
 @given(matrices)
 def test_value_sandwich_and_certificates(a):
     eq = solve_zero_sum(a)
     assert a.min(axis=0).max() <= eq.value + 1e-7
     assert a.max(axis=1).min() >= eq.value - 1e-7
-    assert best_pure_col(a, eq.row_probs)[1] <= eq.value + 1e-7
-    assert best_pure_row(a, eq.col_probs)[1] >= eq.value - 1e-7
+    # Neither player has a pure response that beats the value.
+    assert (eq.row_probs @ a).max() <= eq.value + 1e-7
+    assert (a @ eq.col_probs).min() >= eq.value - 1e-7
     assert eq.row_probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert eq.col_probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert eq.row_probs.min() >= 0.0

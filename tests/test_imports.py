@@ -1,0 +1,77 @@
+"""Every name a package module imports is used by that module.
+
+A static scan: each module under src/regretopt is parsed, and every name
+bound by an import statement must appear as a name somewhere else in the
+module, in code or in a quoted annotation.  Package __init__ modules are
+exempt because their imports are the re-exported API, and so are
+``from __future__`` imports, which change how the module compiles.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "regretopt"
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import statement, with the statement's line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name loaded in the module, including inside quoted annotations."""
+    found = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                found |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return found
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _referenced_names(tree)
+    return sorted((name, line) for name, line in _imported_names(tree).items() if name not in used)
+
+
+def test_the_scan_sees_unused_and_used_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import io\n"
+        "import os.path\n"
+        "from typing import Iterable, Sequence\n"
+        "from dataclasses import field as fld\n"
+        "def f(x: 'Iterable[int]') -> None:\n"
+        "    return os.path.join(x, 'Sequence')\n"
+    )
+    assert unused_imports(source) == [("Sequence", 4), ("fld", 5), ("io", 2)]
+
+
+def test_package_modules_import_only_what_they_use():
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {
+        str(p.relative_to(PACKAGE)): found
+        for p in modules
+        if (found := unused_imports(p.read_text()))
+    }
+    assert unused == {}

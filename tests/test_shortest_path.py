@@ -53,9 +53,6 @@ def test_path_helpers():
     assert len(p) == 3
     assert p.value(g.lo) == 5.0
     assert p.indicator().members == {0, 3, 6}
-    assert g.path_nodes(p) == (0, 1, 3, 5)
-    with pytest.raises(ValueError):
-        g.path_nodes(Path((0, 6)))
 
 
 def test_constraint_validation():
@@ -119,7 +116,7 @@ def test_zero_cost_cycle_does_not_trap_the_search():
     )
     path, value = dijkstra(g, g.lo)
     assert value == 1.0
-    assert g.path_nodes(path) == (0, 1, 3)
+    assert path.edges == (0, 3)
 
 
 # -------------------------------------------------------------- constrained
