@@ -39,8 +39,8 @@ class Equilibrium:
     value: float
 
 
-def _as_matrix(matrix) -> tuple[np.ndarray, float]:
-    """The matrix as a float array, and its smallest entry."""
+def _as_matrix(matrix) -> tuple[np.ndarray, float, float]:
+    """The matrix as a float array, and its smallest and largest entries."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("game matrix must be 2-d and nonempty")
@@ -48,7 +48,7 @@ def _as_matrix(matrix) -> tuple[np.ndarray, float]:
     low, high = float(a.min()), float(a.max())
     if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("game matrix entries must be finite")
-    return a, low
+    return a, low, high
 
 
 # Games with at most this many strategies (rows plus columns) pivot on
@@ -110,18 +110,15 @@ def _simplex(tableau: list, basis: list[int], num_cols: int) -> None:
     raise SolverFailure("simplex iteration budget exhausted")
 
 
-def solve_zero_sum(matrix) -> Equilibrium:
-    """Solve the matrix game exactly and certify the result.
+def _solve_shifted(a: np.ndarray, shift: float, divisor: float) -> Equilibrium:
+    """Run the simplex on (a - shift) / divisor and map the optimum back to a.
 
-    Raises SolverFailure rather than returning strategies that fail the
-    equilibrium certificates.
+    The entries of a - shift are at least 1, so the game value is
+    positive.  Dividing by a power of two is exact, so divisor changes only
+    what the simplex's absolute tolerances see.
     """
-    a, low = _as_matrix(matrix)
+    # max 1'u  s.t.  positive' u <= 1, u >= 0, where positive = (a - shift) / divisor
     k, l = a.shape
-    shift = low - 1.0
-
-    # max 1'u  s.t.  positive' u <= 1, u >= 0, where positive = a - shift
-    # has every entry >= 1, so the game value is positive
     num_cols = k + l
     basis = list(range(k, num_cols))
     if num_cols <= _LIST_PIVOT_MAX_STRATEGIES:
@@ -129,11 +126,12 @@ def solve_zero_sum(matrix) -> Equilibrium:
         for j, column in enumerate(a.T.tolist()):
             slack = [0.0] * (l + 1)
             slack[j] = slack[l] = 1.0
-            rows.append([v - shift for v in column] + slack)
+            rows.append([(v - shift) / divisor for v in column] + slack)
         rows.append([-1.0] * k + [0.0] * (l + 1))
     else:
         tableau = np.zeros((l + 1, num_cols + 1))
         np.subtract(a.T, shift, out=tableau[:l, :k])
+        tableau[:l, :k] /= divisor
         tableau[:l, k:num_cols] = np.eye(l)
         tableau[:l, -1] = 1.0
         tableau[l, :k] = -1.0
@@ -154,13 +152,37 @@ def solve_zero_sum(matrix) -> Equilibrium:
     col_probs = np.array([max(v / scale, 0.0) for v in duals])
     row_probs = row_probs / np.add.reduce(row_probs)
     col_probs = col_probs / np.add.reduce(col_probs)
-    value = 1.0 / scale + shift
+    return Equilibrium(row_probs=row_probs, col_probs=col_probs, value=divisor / scale + shift)
 
-    col_response = max((row_probs @ a).tolist())
-    row_response = min((a @ col_probs).tolist())
-    if col_response > value + CERT_TOL or row_response < value - CERT_TOL:
-        raise SolverFailure(
+
+def _certificate_error(a: np.ndarray, eq: Equilibrium) -> str | None:
+    """Why eq is not an equilibrium of a within CERT_TOL, or None when it is."""
+    col_response = max((eq.row_probs @ a).tolist())
+    row_response = min((a @ eq.col_probs).tolist())
+    if col_response > eq.value + CERT_TOL or row_response < eq.value - CERT_TOL:
+        return (
             "equilibrium certificates violated: value %.12g, best column response %.12g, "
-            "best row response %.12g" % (value, col_response, row_response)
+            "best row response %.12g" % (eq.value, col_response, row_response)
         )
-    return Equilibrium(row_probs=row_probs, col_probs=col_probs, value=value)
+    return None
+
+
+def solve_zero_sum(matrix) -> Equilibrium:
+    """Solve the matrix game exactly and certify the result.
+
+    The simplex stops on absolute tolerances in the shifted reciprocal LP,
+    which wide payoff ranges can defeat; a result that fails its
+    certificate is solved once more with the payoffs divided by the power
+    of two at or above their span.  Raises SolverFailure rather than
+    returning strategies that fail the equilibrium certificates.
+    """
+    a, low, high = _as_matrix(matrix)
+    shift = low - 1.0
+    eq = _solve_shifted(a, shift, 1.0)
+    error = _certificate_error(a, eq)
+    if error is not None:
+        eq = _solve_shifted(a, shift, math.ldexp(1.0, math.frexp(high - low)[1]))
+        error = _certificate_error(a, eq)
+        if error is not None:
+            raise SolverFailure(error)
+    return eq

@@ -8,12 +8,19 @@ into a standard-problem oracle.
 The searches run on plain Python lists: costs are converted once per call
 and the graph keeps its adjacency as per-node tuples, because indexing
 numpy scalars one arc at a time costs more than the search itself.
+
+Searches toward the target are goal-directed (A*).  Every cost vector the
+solvers build lies in [lo, hi], so each node's lo-cost distance to the
+target, shrunk by a hair, is a consistent potential for all of them; the
+graph computes it once, on first use.  Costs below lo anywhere fall back
+to a zero potential, which is plain Dijkstra.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -68,6 +75,8 @@ class IntervalDigraph:
     instance: IntervalInstance = None
     # The head of every arc in out_edges, position by position.
     _out_heads: tuple[tuple[int, ...], ...] = field(default=None, init=False, repr=False, compare=False)
+    # Filled on first use of goal_potential.
+    _goal_potential: array = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.node_count)
@@ -120,6 +129,39 @@ class IntervalDigraph:
     @property
     def m(self) -> int:
         return self.tails.size
+
+    @property
+    def goal_potential(self) -> array:
+        """Each node's lo-cost distance to the target times 1 - 2**-20; inf if it cannot get there.
+
+        This is the A* potential of every search toward the target whose
+        costs are at least lo.  Shrinking the distances leaves every arc of
+        positive cost a margin that the rounding of the heap keys cannot
+        close: when such an arc ties its head's label, its tail is settled
+        before its head, as in plain Dijkstra, so the tie resolves the same
+        way.  Computed on first use by one Dijkstra over the reversed arcs,
+        then kept.
+        """
+        if self._goal_potential is None:
+            into: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
+            for u, v, w in zip(self.tails.tolist(), self.heads.tolist(), self.lo.tolist()):
+                into[v].append((u, w))
+            h = [math.inf] * self.node_count
+            h[self.target] = 0.0
+            heap = [(0.0, self.target)]
+            while heap:
+                d, v = heapq.heappop(heap)
+                if d > h[v]:
+                    continue
+                for u, w in into[v]:
+                    nd = d + w
+                    if nd < h[u]:
+                        h[u] = nd
+                        heapq.heappush(heap, (nd, u))
+            shrink = 1.0 - 2.0**-20
+            # Every graph keeps this, so it is stored as doubles: 8 bytes a node.
+            object.__setattr__(self, "_goal_potential", array("d", [x * shrink for x in h]))
+        return self._goal_potential
 
     def _reaches_target(self) -> bool:
         seen = [False] * self.node_count
@@ -180,24 +222,38 @@ class PathConstraint:
         return (graph.source,) + tuple(graph.heads.item(e) for e in self.in_chain)
 
 
-def _check_costs(graph: IntervalDigraph, costs) -> np.ndarray:
+def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, bool]:
+    """The costs as a float array, and whether none lies below its arc's lo.
+
+    Costs at or above lo are nonnegative already, so they need only the
+    finiteness check.
+    """
     c = np.asarray(costs, dtype=float)
     if c.shape != (graph.m,):
         raise ValueError("one cost per arc required")
-    # NaN fails both comparisons, so one min and one max catch every bad value.
-    if not (c.min() >= 0.0 and c.max() < math.inf):
-        raise ValueError("arc costs must be finite and nonnegative")
-    return c
+    # NaN fails every comparison, so these catch every bad value.
+    above_lo = bool((c >= graph.lo).all())
+    if (above_lo or c.min() >= 0.0) and c.max() < math.inf:
+        return c, above_lo
+    raise ValueError("arc costs must be finite and nonnegative")
 
 
-def _settle_all(graph, costs: list[float], src, banned_nodes, target):
-    """Dijkstra labels from src; equal-cost relaxations keep the smallest arc id.
+def _potential(graph: IntervalDigraph, above_lo: bool):
+    """The graph's goal potential when no cost lies below lo, else the zero potential."""
+    return graph.goal_potential if above_lo else [0.0] * graph.node_count
 
-    Arcs priced at infinity are never relaxed, and banned nodes start out
-    settled, so neither is ever entered.  Predecessors are only rewritten
-    while the head is unsettled, so the predecessor chain always walks
-    strictly back in settle order and stays acyclic even across zero-cost
-    arcs.
+
+def _settle_all(graph, costs: list[float], src, banned_nodes, target, h):
+    """A* labels from src toward target under the consistent potential h.
+
+    The heap orders nodes by (label + h, label, node), so a zero potential
+    is plain Dijkstra; the search stops once target is settled, and with
+    target None settles everything src reaches.  Equal-cost relaxations
+    keep the smallest arc id.  Arcs priced at infinity are never relaxed,
+    nodes with an infinite potential never enter the heap, and banned
+    nodes start out settled.  Predecessors are only rewritten while the
+    head is unsettled, so the predecessor chain always walks strictly back
+    in settle order and stays acyclic even across zero-cost arcs.
     """
     n = graph.node_count
     dist = [math.inf] * n
@@ -210,17 +266,14 @@ def _settle_all(graph, costs: list[float], src, banned_nodes, target):
     out_edges, out_heads = graph.out_edges, graph._out_heads
     push, pop = heapq.heappush, heapq.heappop
     dist[src] = 0.0
-    heap = [(0.0, src)]
-    limit = math.inf
+    heap = [(h[src], 0.0, src)]
     while heap:
-        d, u = pop(heap)
+        _, d, u = pop(heap)
         if settled[u]:
             continue
-        if d > limit:
-            break
         settled[u] = True
         if u == target:
-            limit = d
+            break
         for e, v in zip(out_edges[u], out_heads[u]):
             if settled[v]:
                 continue
@@ -229,7 +282,9 @@ def _settle_all(graph, costs: list[float], src, banned_nodes, target):
             if nd < dv:
                 dist[v] = nd
                 pred[v] = e
-                push(heap, (nd, v))
+                hv = h[v]
+                if hv < math.inf:
+                    push(heap, (nd + hv, nd, v))
             elif nd == dv and e < pred[v]:
                 pred[v] = e
     return dist, pred
@@ -246,17 +301,12 @@ def _walk_back(graph, pred, src, dst) -> Path:
     return Path(tuple(edges))
 
 
-def dijkstra(graph: IntervalDigraph, costs, source: int | None = None, target: int | None = None):
-    """Shortest path under the given arc costs; None when target is unreachable."""
-    c = _check_costs(graph, costs).tolist()
-    src = graph.source if source is None else int(source)
-    dst = graph.target if target is None else int(target)
-    if src == dst:
-        return Path(()), 0.0
-    dist, pred = _settle_all(graph, c, src, (), dst)
-    if dist[dst] == math.inf:
-        return None
-    return _walk_back(graph, pred, src, dst), dist[dst]
+def dijkstra(graph: IntervalDigraph, costs):
+    """Shortest source-target path under the given arc costs, as (path, value)."""
+    c, above_lo = _check_costs(graph, costs)
+    s, t = graph.source, graph.target
+    dist, pred = _settle_all(graph, c.tolist(), s, (), t, _potential(graph, above_lo))
+    return _walk_back(graph, pred, s, t), dist[t]
 
 
 def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
@@ -265,7 +315,8 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
     The completion search starts at the end of the prefix and may not
     revisit any earlier prefix node.  Returns None when no such path exists.
     """
-    c = _check_costs(graph, costs).tolist()
+    c, above_lo = _check_costs(graph, costs)
+    c = c.tolist()
     constraint.validate(graph)
     chain_value = float(sum(c[e] for e in constraint.in_chain))
     *banned_nodes, start = constraint.chain_nodes(graph)
@@ -273,7 +324,7 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
         return Path(constraint.in_chain), chain_value
     for e in constraint.out_set:
         c[e] = math.inf
-    dist, pred = _settle_all(graph, c, start, banned_nodes, graph.target)
+    dist, pred = _settle_all(graph, c, start, banned_nodes, graph.target, _potential(graph, above_lo))
     if dist[graph.target] == math.inf:
         return None
     tail = _walk_back(graph, pred, start, graph.target)
@@ -289,8 +340,8 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
     costs, so the second pass may cancel the first.  Returns the total cost,
     or None when the target is unreachable.
     """
-    lo = _check_costs(graph, lo_costs)
-    hi = _check_costs(graph, hi_costs)
+    lo, _ = _check_costs(graph, lo_costs)
+    hi, _ = _check_costs(graph, hi_costs)
     if (hi < lo).any():
         raise ValueError("per-arc second-use cost below first-use cost")
     first = lo.tolist()
@@ -302,7 +353,7 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
         out = constraint.out_set
 
     s, t = graph.source, graph.target
-    dist, pred = _settle_all(graph, first, s, (), None)
+    dist, pred = _settle_all(graph, first, s, (), None, [0.0] * graph.node_count)
     if dist[t] == math.inf:
         return None
     used = _walk_back(graph, pred, s, t).edges

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from regretopt import (
     DoubleOracleConfig,
+    IntervalDigraph,
     IntervalInstance,
     NoFeasibleSolution,
     Scenario,
@@ -26,7 +27,7 @@ from regretopt import (
     sp_oracle,
     val,
 )
-from regretopt.double_oracle import RestrictedGame
+from regretopt.double_oracle import PENALIZING, RestrictedGame
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_lb_star
 
@@ -442,6 +443,36 @@ def test_truncated_runs_keep_the_bound_their_mixture_certifies():
             assert sum(mean[e] for e in result.best_response.members) == pytest.approx(sp_mean, abs=1e-9)
             checked += 1
     assert checked >= 30
+
+
+def relabel(graph, rng):
+    """The same graph with permuted node ids and arc order."""
+    node_perm = rng.permutation(graph.node_count)
+    arc_order = rng.permutation(graph.m)
+    return IntervalDigraph(
+        graph.node_count,
+        node_perm[np.asarray(graph.tails)[arc_order]],
+        node_perm[np.asarray(graph.heads)[arc_order]],
+        np.asarray(graph.lo)[arc_order],
+        np.asarray(graph.hi)[arc_order],
+        int(node_perm[graph.source]),
+        int(node_perm[graph.target]),
+    )
+
+
+def test_wide_payoff_root_game_converges():
+    # Two of this root game's restricted games have payoffs spanning about
+    # 5300: the simplex stops on its absolute tolerances short of the
+    # optimum, the certificate fails, and the game is solved again on
+    # payoffs divided by 8192.
+    spec = GeneratorSpec("K", 82, 1000.0, 1.0, w=4, seed=25)
+    g = relabel(gen_instance(spec), np.random.default_rng([3, 25]))
+    oracle = sp_oracle(g)
+    path, _ = oracle.solve_path(midpoint_scenario(g.instance).costs)
+    x = path.indicator()
+    result = run_double_oracle(g.instance, oracle, [x], [ScenarioDescriptor(x, PENALIZING)])
+    assert result.converged
+    assert lb_cg(g).value <= result.lower_bound <= max_regret(g.instance, oracle, x)
 
 
 def test_run_validates_inputs():

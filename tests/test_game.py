@@ -51,6 +51,19 @@ def test_negative_entries_are_fine():
     assert eq.value == pytest.approx(ref, abs=1e-9)
 
 
+def test_failed_certificate_retries_once_on_rescaled_payoffs(monkeypatch):
+    calls = []
+
+    def wrong(a, shift, divisor):
+        calls.append(divisor)
+        return game.Equilibrium(row_probs=np.array([1.0, 0.0]), col_probs=np.array([1.0, 0.0]), value=0.0)
+
+    monkeypatch.setattr(game, "_solve_shifted", wrong)
+    with pytest.raises(game.SolverFailure):
+        solve_zero_sum([[0.0, 3.0], [5.0, 0.0]])
+    assert calls == [1.0, 8.0]  # the payoffs span 5
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         solve_zero_sum(np.zeros((0, 2)))

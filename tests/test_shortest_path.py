@@ -14,6 +14,7 @@ from regretopt import (
     sp_oracle,
     two_unit_min_flow,
 )
+from regretopt import shortest_path
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import enumerate_paths
 from regretopt.shortest_path import order_path_edges
@@ -294,6 +295,19 @@ def random_constraint(rng, graph):
     return PathConstraint(in_chain=tuple(chain), out_set=out)
 
 
+def reference_constrained(graph, costs, constraint):
+    """The forced prefix plus reference_search's completion from its end, or None."""
+    chain, out = constraint.in_chain, constraint.out_set
+    *banned_nodes, start = constraint.chain_nodes(graph)
+    chain_value = float(sum(costs[e] for e in chain))
+    if start == graph.target:
+        return chain, chain_value
+    completion = reference_search(graph, costs, start, banned_nodes, out)
+    if completion is None:
+        return None
+    return chain + completion[0], chain_value + completion[1]
+
+
 def test_tie_break_contract_on_tie_heavy_graphs():
     rng = np.random.default_rng(2016)
     constrained = 0
@@ -310,18 +324,11 @@ def test_tie_break_contract_on_tie_heavy_graphs():
 
         constraint = random_constraint(rng, g)
         chain, out = constraint.in_chain, constraint.out_set
-        *banned_nodes, start = constraint.chain_nodes(g)
         found = constrained_sp(g, costs, constraint)
         feasible = [
             p for p in paths if p.edges[: len(chain)] == chain and not out & set(p.edges)
         ]
-        if start == g.target:
-            expected = (chain, float(sum(costs[e] for e in chain)))
-        else:
-            completion = reference_search(g, costs, start, banned_nodes, out)
-            expected = None
-            if completion is not None:
-                expected = (chain + completion[0], sum(costs[e] for e in chain) + completion[1])
+        expected = reference_constrained(g, costs, constraint)
         if expected is None:
             assert found is None and not feasible
         else:
@@ -331,3 +338,87 @@ def test_tie_break_contract_on_tie_heavy_graphs():
 
         assert two_unit_min_flow(g, g.lo, g.hi, constraint) == brute_pair_minimum(g, constraint)
     assert constrained >= 200
+
+
+# ------------------------------------------------------ goal-directed search
+
+
+def test_tie_break_contract_under_the_potential():
+    # Costs at or above lo let the search use the lo-cost distance to the
+    # target as its potential; paths, values and ties must not change.
+    rng = np.random.default_rng(1968)
+    for _ in range(400):
+        g = tie_heavy_graph(rng)
+        costs = g.lo + rng.integers(0, 3, size=g.m)
+        path, value = dijkstra(g, costs)
+        assert (path.edges, value) == reference_search(g, costs, g.source)
+
+        constraint = random_constraint(rng, g)
+        found = constrained_sp(g, costs, constraint)
+        expected = reference_constrained(g, costs, constraint)
+        assert (found if found is None else (found[0].edges, found[1])) == expected
+
+
+def test_potential_search_matches_reference_on_real_costs():
+    rng = np.random.default_rng(77)
+    for i in range(60):
+        g = random_graph(i)
+        costs = g.lo + rng.random(g.m) * (g.hi - g.lo)
+        path, value = dijkstra(g, costs)
+        assert (path.edges, value) == reference_search(g, costs, g.source)
+        constraint = random_constraint(rng, g)
+        found = constrained_sp(g, costs, constraint)
+        expected = reference_constrained(g, costs, constraint)
+        assert (found if found is None else (found[0].edges, found[1])) == expected
+
+
+def test_one_cost_below_lo_drops_the_potential():
+    # Priced below its lo, arc 3 makes 0-2-3 shorter than the lo route
+    # 0-1-3; under the lo-cost potential the search would settle the target
+    # at 2.0 before it looked at node 2.
+    g = IntervalDigraph.from_edges(
+        4, [(0, 1, 1.0, 5.0), (1, 3, 1.0, 5.0), (0, 2, 1.0, 5.0), (2, 3, 4.0, 5.0)], 0, 3
+    )
+    assert g.goal_potential.tolist() == [x * (1.0 - 2.0**-20) for x in (2.0, 1.0, 4.0, 0.0)]
+    costs = [1.0, 1.0, 1.0, 0.5]
+    path, value = dijkstra(g, costs)
+    assert (path.edges, value) == ((2, 3), 1.5) == reference_search(g, costs, g.source)
+    path, value = constrained_sp(g, costs, PathConstraint())
+    assert (path.edges, value) == ((2, 3), 1.5)
+
+
+def test_potential_prunes_the_midpoint_search(monkeypatch):
+    # On the large sparse R family the potential confines the midpoint
+    # search to a narrow band around the route: count the nodes it labels.
+    g = gen_instance(GeneratorSpec(family="R", n=1000, r=1000.0, d=1.0, delta=0.006, seed=0))
+    mid = (g.lo + g.hi) / 2.0
+    settle = shortest_path._settle_all
+    labelled = []
+
+    def counting(*args):
+        dist, pred = settle(*args)
+        labelled.append(sum(d < math.inf for d in dist))
+        return dist, pred
+
+    monkeypatch.setattr(shortest_path, "_settle_all", counting)
+    _, value = dijkstra(g, mid)
+    plain, _ = counting(g, mid.tolist(), g.source, (), g.target, [0.0] * g.node_count)
+    assert value == plain[g.target]
+    assert labelled[0] * 4 <= labelled[1]
+
+
+def test_key_rounding_cannot_reorder_an_equal_label_tie():
+    # Both routes into node 3 reach it at exactly 527.8836957123276.  Under
+    # the unshrunk lo distances the key of node 1, the tail of the smaller
+    # arc id, rounds one ulp above node 3's key, so node 3 would be settled
+    # first and arc 3 kept; plain Dijkstra keeps arc 2.
+    c = [458.0232730832542, 418.03666491881984, 69.86042262907347, 109.84703079350774, 9.65922565689301]
+    g = IntervalDigraph.from_edges(
+        5,
+        [(0, 1, c[0], c[0]), (0, 2, c[1], c[1]), (1, 3, c[2], c[2]), (2, 3, c[3], c[3]), (3, 4, c[4], c[4]),
+         (2, 4, 29.981321577137937, 2000.0)],
+        0,
+        4,
+    )
+    path, value = dijkstra(g, g.hi)
+    assert (path.edges, value) == ((0, 2, 4), 537.5429213692206) == reference_search(g, g.hi, g.source)
