@@ -12,6 +12,7 @@ from .bounds import BoundReport, GapMetrics, gap_metrics, lb_cg, lb_kz, lb_mgd
 from .branch_bound import STRATEGIES, BBConfig, BBStats, bb_solve
 from .core import (
     IntervalInstance,
+    NoFeasibleSolution,
     Scenario,
     SolutionIndicator,
     favoring_scenario,
@@ -22,7 +23,6 @@ from .core import (
 from .double_oracle import (
     DoubleOracleConfig,
     DoubleOracleResult,
-    NoFeasibleSolution,
     ScenarioDescriptor,
     ScenarioPool,
     br_c,

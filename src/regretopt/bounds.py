@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import midpoint_scenario
-from .double_oracle import NoFeasibleSolution, max_regret
+from .core import NoFeasibleSolution, midpoint_scenario
+from .double_oracle import max_regret
 from .shortest_path import IntervalDigraph, PathConstraint, constrained_sp, dijkstra, sp_oracle, two_unit_min_flow
 
 

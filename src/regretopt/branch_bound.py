@@ -1,11 +1,13 @@
 """Exact minmax regret paths by best-first branch and bound.
 
 A node fixes a path prefix out of the source and a set of forbidden arcs.
-Branching picks the arc with which the node's current best response would
-extend the prefix, and splits on using it or banning it.  Nodes are bounded
-by one of the fast bounds or by the game bound; with the game bound, the
-scenarios generated anywhere in the tree are shared globally and each
-child inherits the parent's solutions that remain feasible for it.
+Branching picks the arc with which the node's current best response leaves
+the prefix's end node, and splits on using it or banning it.  Nodes are
+bounded by one of the fast bounds or by the game bound; with the game
+bound, the scenarios generated anywhere in the tree are shared globally and
+each child inherits the parent's solutions that remain feasible for it.
+Nodes and the incumbent carry solutions as member sets only; the optimal
+path is put in traversal order once, when the search ends.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import time
 from dataclasses import dataclass
 
 from .bounds import lb_cg, lb_mgd
-from .core import SolutionIndicator, midpoint_scenario
+from .core import NoFeasibleSolution, SolutionIndicator, midpoint_scenario
 from .double_oracle import (
     DoubleOracleConfig,
-    NoFeasibleSolution,
     PENALIZING,
     ScenarioDescriptor,
     ScenarioPool,
@@ -30,6 +31,9 @@ from .shortest_path import IntervalDigraph, Path, PathConstraint, order_path_edg
 
 STRATEGIES = ("mgd", "cg", "do")
 
+# A node is pruned once its bound comes this close to the incumbent's regret.
+_PRUNE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BBConfig:
@@ -37,14 +41,6 @@ class BBConfig:
     node_limit: int | None = None
     time_limit_ms: float | None = None
     warm_start: bool = True
-    tolerance: float = 1e-9
-
-
-@dataclass(frozen=True)
-class Incumbent:
-    solution: SolutionIndicator
-    path: Path
-    regret: float
 
 
 @dataclass(frozen=True)
@@ -60,19 +56,17 @@ class BBStats:
 
 
 @dataclass(frozen=True)
-class BBNode:
-    constraint: PathConstraint
-    lb: float
-    depth: int
-    inherited: tuple[SolutionIndicator, ...] = ()
-    branch_path: Path | None = None
-
-
-@dataclass(frozen=True)
 class NodeBound:
+    """A node's bound and the response to branch along.
+
+    With the game bound, generated holds the solutions the node's game
+    added to those it started from, and solutions holds all of the game's
+    solutions, for the children to inherit.
+    """
+
     value: float
-    branch_path: Path
-    generated: tuple[SolutionIndicator, ...]
+    response: SolutionIndicator
+    generated: tuple[SolutionIndicator, ...] = ()
     solutions: tuple[SolutionIndicator, ...] = ()
 
 
@@ -94,14 +88,18 @@ def branch(graph: IntervalDigraph, constraint: PathConstraint, k: int) -> tuple[
     return take, skip
 
 
-def select_branch_edge(graph: IntervalDigraph, constraint: PathConstraint, response: Path) -> int | None:
-    """First arc with which the response leaves the forced prefix; None at a leaf."""
-    chain = constraint.in_chain
-    if response.edges[: len(chain)] != chain:
-        raise ValueError("response does not start with the forced prefix")
-    if len(response.edges) == len(chain):
-        return None
-    return int(response.edges[len(chain)])
+def select_branch_edge(graph: IntervalDigraph, constraint: PathConstraint, response: SolutionIndicator) -> int | None:
+    """The response's arc out of the forced prefix's end node; None at a leaf.
+
+    The response is a simple path, so it leaves that node at most once.
+    """
+    if not response.members.issuperset(constraint.in_chain):
+        raise ValueError("response does not contain the forced prefix")
+    end = constraint.chain_end(graph)
+    for e in response.members:
+        if graph.tails.item(e) == end:
+            return e
+    return None
 
 
 def _split_inherited(solutions, k: int) -> tuple[tuple[SolutionIndicator, ...], tuple[SolutionIndicator, ...]]:
@@ -120,7 +118,7 @@ def node_lower_bound(
     max_support_x: int = 50,
     stop_value: float | None = None,
 ) -> NodeBound:
-    """Bound one node and report the response path to branch along.
+    """Bound one node and report the response to branch along.
 
     Raises NoFeasibleSolution when the constraint admits no path.  With the
     game bound, inherited solutions warm-start the node's game, the pool
@@ -129,14 +127,9 @@ def node_lower_bound(
     """
     if lb_strategy not in STRATEGIES:
         raise ValueError("unknown bounding strategy %r" % (lb_strategy,))
-    if lb_strategy == "mgd":
-        report = lb_mgd(graph, constraint)
-        path = report.artifacts["path"]
-        return NodeBound(report.value, path, (path.indicator(),))
-    if lb_strategy == "cg":
-        report = lb_cg(graph, constraint)
-        path = report.artifacts["path"]
-        return NodeBound(report.value, path, (path.indicator(),))
+    if lb_strategy != "do":
+        report = lb_mgd(graph, constraint) if lb_strategy == "mgd" else lb_cg(graph, constraint)
+        return NodeBound(report.value, report.artifacts["path"].indicator())
 
     oracle = oracle or sp_oracle(graph)
     instance = graph.instance
@@ -152,8 +145,7 @@ def node_lower_bound(
     config = DoubleOracleConfig(max_support_x=max_support_x, stop_value=stop_value)
     result = run_double_oracle(instance, oracle, init_x, init_c, config, restriction, pool)
     generated = tuple(x for x in result.solutions if x.members not in known)
-    branch_path = order_path_edges(graph, result.best_response.members)
-    return NodeBound(result.lower_bound, branch_path, generated, result.solutions)
+    return NodeBound(result.lower_bound, result.best_response, generated, result.solutions)
 
 
 def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig | None = None) -> BBStats:
@@ -170,7 +162,6 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     start = time.perf_counter()
     oracle = sp_oracle(graph)
     instance = graph.instance
-    tol = config.tolerance
 
     regret_cache: dict[frozenset, float] = {}
 
@@ -182,13 +173,14 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         return cached
 
     mid_path, _ = oracle.solve_path(midpoint_scenario(instance).costs)
-    incumbent = Incumbent(mid_path.indicator(), mid_path, regret_of(mid_path.indicator()))
+    best = mid_path.indicator()
+    best_regret = regret_of(best)
 
     def absorb(x: SolutionIndicator) -> None:
-        nonlocal incumbent
+        nonlocal best, best_regret
         regret = regret_of(x)
-        if regret < incumbent.regret:
-            incumbent = Incumbent(x, order_path_edges(graph, x.members), regret)
+        if regret < best_regret:
+            best, best_regret = x, regret
 
     shared_pool = ScenarioPool(instance, oracle) if config.warm_start else None
 
@@ -202,22 +194,18 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
             pool=pool,
             inherited=inherited,
             max_support_x=config.max_support_x,
-            stop_value=incumbent.regret - tol,
+            stop_value=best_regret - _PRUNE_TOL,
         )
         for x in found.generated:
             absorb(x)
-        absorb(found.branch_path.indicator())
+        absorb(found.response)
         return found
 
     counter = itertools.count()
-    heap: list = []
     root_constraint = PathConstraint()
     # The midpoint path seeds the root's game, solved once for the incumbent.
-    root = bound_node(root_constraint, (incumbent.solution,))
-    heapq.heappush(
-        heap,
-        (root.value, 0, next(counter), BBNode(root_constraint, root.value, 0, root.solutions, root.branch_path)),
-    )
+    root = bound_node(root_constraint, (best,))
+    heap: list = [(root.value, 0, next(counter), root_constraint, root)]
 
     expanded = 0
     complete = True
@@ -233,16 +221,16 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         if out_of_budget():
             complete = False
             break
-        lb, neg_depth, _, node = heapq.heappop(heap)
+        lb, neg_depth, _, constraint, node = heapq.heappop(heap)
         expanded += 1
-        if lb >= incumbent.regret - tol:
+        if lb >= best_regret - _PRUNE_TOL:
             break  # best-first: every remaining node is bounded at least as high
-        k = select_branch_edge(graph, node.constraint, node.branch_path)
+        k = select_branch_edge(graph, constraint, node.response)
         if k is None:
-            absorb(node.branch_path.indicator())
+            absorb(node.response)
             continue
-        take, skip = branch(graph, node.constraint, k)
-        take_inherit, skip_inherit = _split_inherited(node.inherited if config.warm_start else (), k)
+        take, skip = branch(graph, constraint, k)
+        take_inherit, skip_inherit = _split_inherited(node.solutions if config.warm_start else (), k)
         for child_constraint, child_inherit in ((take, take_inherit), (skip, skip_inherit)):
             if child_constraint.chain_end(graph) == graph.target:
                 absorb(Path(child_constraint.in_chain).indicator())
@@ -251,22 +239,15 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
                 child = bound_node(child_constraint, child_inherit)
             except NoFeasibleSolution:
                 continue
-            if child.value >= incumbent.regret - tol:
+            if child.value >= best_regret - _PRUNE_TOL:
                 continue
-            heapq.heappush(
-                heap,
-                (
-                    child.value,
-                    -(node.depth + 1),
-                    next(counter),
-                    BBNode(child_constraint, child.value, node.depth + 1, child.solutions, child.branch_path),
-                ),
-            )
+            heapq.heappush(heap, (child.value, neg_depth - 1, next(counter), child_constraint, child))
 
+    optimal_path = order_path_edges(graph, best.members)
     elapsed = (time.perf_counter() - start) * 1000.0
     return BBStats(
-        opt=incumbent.regret,
-        optimal_path=incumbent.path,
+        opt=best_regret,
+        optimal_path=optimal_path,
         nodes_expanded=expanded,
         elapsed_ms=elapsed,
         complete=complete,

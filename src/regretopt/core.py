@@ -75,6 +75,10 @@ class Scenario:
         return self.costs.size
 
 
+class NoFeasibleSolution(Exception):
+    """The oracle's feasible set is empty under the given restriction."""
+
+
 @dataclass(frozen=True)
 class SolutionIndicator:
     """A feasible solution, stored as the set of element indices it uses."""

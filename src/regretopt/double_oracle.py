@@ -30,9 +30,8 @@ from .game import Equilibrium, solve_zero_sum
 PENALIZING = "penalizing"
 FAVORING = "favoring"
 
-
-class NoFeasibleSolution(Exception):
-    """The oracle's feasible set is empty under the given restriction."""
+# The loop stops once both best responses are within this of the game value.
+_CONVERGENCE_TOL = 1e-9
 
 
 @runtime_checkable
@@ -223,7 +222,6 @@ class RestrictedGame:
 class DoubleOracleConfig:
     max_iterations: int = 10_000
     max_support_x: int = 50
-    tolerance: float = 1e-9
     stop_value: float | None = None
 
 
@@ -342,7 +340,7 @@ def run_double_oracle(
             break
         column = game.column_values(c_new)
         c_value = float(np.dot(equilibrium.row_probs, column))
-        if anytime >= equilibrium.value - config.tolerance and c_value <= equilibrium.value + config.tolerance:
+        if anytime >= equilibrium.value - _CONVERGENCE_TOL and c_value <= equilibrium.value + _CONVERGENCE_TOL:
             converged = True
             break
         grew = False

@@ -19,10 +19,9 @@ import numpy as np
 
 from ..bounds import gap_metrics, lb_cg, lb_kz, lb_mgd
 from ..branch_bound import STRATEGIES, BBConfig, bb_solve
-from ..core import SolutionIndicator
+from ..core import NoFeasibleSolution, SolutionIndicator
 from ..double_oracle import (
     PENALIZING,
-    NoFeasibleSolution,
     DoubleOracleConfig,
     ScenarioDescriptor,
     max_regret,
@@ -37,7 +36,6 @@ BOUND_NAMES = ("kz", "cg", "mgd", "do5", "do10", "do15", "do20", "do")
 # only enters when asked for explicitly.
 STANDARD_BOUNDS = ("kz", "cg", "do5", "do10", "do15", "do20", "do")
 _DO_ITERS = {"do5": 5, "do10": 10, "do15": 15, "do20": 20, "do": 10_000}
-_STATS = ("mean", "std", "min", "max")
 
 
 def _instance_specs(spec: GeneratorSpec, count: int) -> list[GeneratorSpec]:

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import IntervalInstance, SolutionIndicator
+from .core import IntervalInstance, NoFeasibleSolution, SolutionIndicator
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -436,8 +436,6 @@ class ShortestPathOracle:
         else:
             found = constrained_sp(self.graph, costs, restriction)
         if found is None:
-            from .double_oracle import NoFeasibleSolution
-
             raise NoFeasibleSolution("no path satisfies the restriction")
         return found
 

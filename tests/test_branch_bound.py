@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regretopt import NoFeasibleSolution, PathConstraint, midpoint_scenario, shortest_path
+from regretopt import NoFeasibleSolution, PathConstraint, branch_bound, midpoint_scenario, shortest_path
 from regretopt.branch_bound import BBConfig, bb_solve, branch, node_lower_bound, select_branch_edge
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt
@@ -40,8 +40,8 @@ def test_branch_rejects_bad_arcs():
 
 def test_select_branch_edge_walks_the_response():
     graph = six_node_graph()
-    response = node_lower_bound(graph, PathConstraint(), "cg").branch_path
-    assert response.edges == (0, 3, 6)
+    response = node_lower_bound(graph, PathConstraint(), "cg").response
+    assert response.members == {0, 3, 6}
     assert select_branch_edge(graph, PathConstraint(), response) == 0
     assert select_branch_edge(graph, PathConstraint(in_chain=(0,)), response) == 3
     assert select_branch_edge(graph, PathConstraint(in_chain=(0, 3, 6)), response) is None
@@ -83,6 +83,57 @@ def test_every_strategy_solves_the_fixtures():
         assert stats.opt == 3.0
         assert stats.optimal_path.edges == (0,)
         assert stats.nodes_expanded == 1
+
+
+# (family, generator seed) -> (opt.hex(), optimal path, nodes expanded by
+# mgd, cg, warm do and cold do), all with r=1000 and d=1.  These pin the
+# search's exact answers and its node order, not a theorem: a change meant
+# to keep the search's answers must keep every bit and count here.
+GOLDEN_SEARCHES = {
+    ("R", 0): ("0x1.267013d861601p+8", (2, 91, 215, 232), (30, 10, 2, 2)),
+    ("R", 1): ("0x1.2e4fb7628250dp+7", (0, 15, 66), (10, 5, 1, 1)),
+    ("R", 2): ("0x1.72d92d889d1dap+9", (4, 154, 84, 109), (72, 17, 10, 7)),
+    ("R", 3): ("0x1.d1dead4d15729p+8", (4, 220, 36, 120, 79, 49, 94, 210, 61), (84, 23, 8, 8)),
+    ("R", 4): ("0x1.cb6ccfadf9028p+8", (2, 136, 149, 262, 38, 218), (26, 12, 4, 4)),
+    ("R", 5): ("0x1.72606f090c1a4p+7", (4, 196), (7, 5, 2, 2)),
+    ("R", 6): ("0x1.b562d0f971a48p+6", (0, 71, 104, 243), (4, 4, 1, 1)),
+    ("R", 7): ("0x1.23227214e1a98p+8", (2, 199), (5, 5, 2, 2)),
+    ("K", 0): ("0x1.945834c657a84p+9", (3, 16, 20, 36, 53, 69), (67, 22, 6, 7)),
+    ("K", 1): ("0x1.6ca24b84de21cp+9", (2, 14, 28, 36, 54, 70), (39, 13, 5, 6)),
+    ("K", 2): ("0x1.32f4c65d8cebdp+10", (3, 17, 26, 47, 64, 68), (179, 52, 17, 18)),
+    ("K", 3): ("0x1.2d07fc273dec4p+8", (0, 4, 20, 39, 67, 71), (16, 8, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("family, seed", sorted(GOLDEN_SEARCHES))
+def test_golden_search_outcomes(family, seed):
+    if family == "R":
+        spec = GeneratorSpec(family="R", n=40, r=1000.0, d=1.0, delta=0.2, seed=seed)
+    else:
+        spec = GeneratorSpec(family="K", n=22, r=1000.0, d=1.0, w=4, seed=seed)
+    graph = gen_instance(spec)
+    opt_hex, path, nodes = GOLDEN_SEARCHES[family, seed]
+    runs = (("mgd", True), ("cg", True), ("do", True), ("do", False))
+    for (strategy, warm_start), expected_nodes in zip(runs, nodes, strict=True):
+        stats = bb_solve(graph, strategy, BBConfig(warm_start=warm_start))
+        assert stats.complete
+        assert (stats.opt.hex(), stats.optimal_path.edges, stats.nodes_expanded) == (opt_hex, path, expected_nodes)
+
+
+@pytest.mark.parametrize("strategy, warm_start", (("mgd", True), ("cg", True), ("do", True), ("do", False)))
+def test_bb_solve_orders_one_path_per_solve(monkeypatch, strategy, warm_start):
+    """Nodes and the incumbent carry member sets; only the reported path is put in order."""
+    ordered = []
+    plain = branch_bound.order_path_edges
+
+    def counting(graph, members):
+        ordered.append(members)
+        return plain(graph, members)
+
+    monkeypatch.setattr(branch_bound, "order_path_edges", counting)
+    stats = bb_solve(six_node_graph(), strategy, BBConfig(warm_start=warm_start))
+    assert stats.optimal_path.edges == (0, 2, 5, 7)
+    assert len(ordered) == 1
 
 
 def test_zero_width_instances_close_at_the_root():

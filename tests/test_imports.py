@@ -1,10 +1,12 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package module imports or keeps private is used by that module.
 
 A static scan: each module under src/regretopt is parsed, and every name
-bound by an import statement must appear as a name somewhere else in the
-module, in code or in a quoted annotation.  Package __init__ modules are
-exempt because their imports are the re-exported API, and so are
-``from __future__`` imports, which change how the module compiles.
+bound by an import statement must be read somewhere in the module, in code
+or in a quoted annotation.  Package __init__ modules are exempt because
+their imports are the re-exported API, and so are ``from __future__``
+imports, which change how the module compiles.  Likewise every private
+module-level name (a leading underscore, not a dunder) must be read in its
+own module, since no other module is meant to use it.
 """
 
 import ast
@@ -37,8 +39,8 @@ def _annotations(tree: ast.Module):
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
-    """Every name loaded in the module, including inside quoted annotations."""
-    found = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Every name read in the module, including inside quoted annotations."""
+    found = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -51,6 +53,29 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     tree = ast.parse(source)
     used = _referenced_names(tree)
     return sorted((name, line) for name, line in _imported_names(tree).items() if name not in used)
+
+
+def _private_names(tree: ast.Module) -> dict[str, int]:
+    """Private name bound by each top-level definition or assignment, with its line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                bound[name] = node.lineno
+    return bound
+
+
+def unreferenced_private_names(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _referenced_names(tree)
+    return sorted((name, line) for name, line in _private_names(tree).items() if name not in used)
 
 
 def test_the_scan_sees_unused_and_used_imports():
@@ -73,5 +98,34 @@ def test_package_modules_import_only_what_they_use():
         str(p.relative_to(PACKAGE)): found
         for p in modules
         if (found := unused_imports(p.read_text()))
+    }
+    assert unused == {}
+
+
+def test_the_scan_sees_unreferenced_private_names():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "__version__ = '1'\n"
+        "_A, _B = 3, 4\n"
+        "def _helper(x: '_Hinted') -> int:\n"
+        "    return _USED + x + _A\n"
+        "class _Hinted:\n"
+        "    _inner = 5\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper(0)\n"
+    )
+    assert unreferenced_private_names(source) == [("_B", 4), ("_UNUSED", 2), ("_orphan", 9)]
+
+
+def test_package_private_names_are_used_in_their_module():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    unused = {
+        str(p.relative_to(PACKAGE)): found
+        for p in modules
+        if (found := unreferenced_private_names(p.read_text()))
     }
     assert unused == {}
