@@ -27,6 +27,7 @@ from .double_oracle import (
     max_regret,
     run_double_oracle,
 )
+from .game import SolverFailure
 from .shortest_path import IntervalDigraph, Path, PathConstraint, order_path_edges, sp_oracle
 
 STRATEGIES = ("mgd", "cg", "do")
@@ -153,7 +154,8 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
 
     Best-first on the node bounds, ties preferring deeper nodes and then
     insertion order.  The incumbent starts at the midpoint-optimal path and
-    absorbs every solution any bound computation generates.  Node or time
+    absorbs every solution any bound computation generates.  A node whose
+    game LP fails is bounded by the pair bound instead.  Node or time
     limits leave complete=False and the incumbent as the best known value.
     """
     if lb_strategy not in STRATEGIES:
@@ -186,16 +188,21 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
 
     def bound_node(constraint: PathConstraint, inherited) -> NodeBound:
         pool = shared_pool if config.warm_start else ScenarioPool(instance, oracle)
-        found = node_lower_bound(
-            graph,
-            constraint,
-            lb_strategy,
-            oracle=oracle,
-            pool=pool,
-            inherited=inherited,
-            max_support_x=config.max_support_x,
-            stop_value=best_regret - _PRUNE_TOL,
-        )
+        try:
+            found = node_lower_bound(
+                graph,
+                constraint,
+                lb_strategy,
+                oracle=oracle,
+                pool=pool,
+                inherited=inherited,
+                max_support_x=config.max_support_x,
+                stop_value=best_regret - _PRUNE_TOL,
+            )
+        except SolverFailure:
+            # The node's game LP failed: bound it with the pair bound instead,
+            # and leave its children no solutions to inherit.
+            found = node_lower_bound(graph, constraint, "cg")
         for x in found.generated:
             absorb(x)
         absorb(found.response)

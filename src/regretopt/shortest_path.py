@@ -5,15 +5,17 @@ constraints (forced prefix, forbidden arcs), a two-unit minimum cost flow
 used by the pair-scenario bound, and the adapter that turns all of this
 into a standard-problem oracle.
 
-The searches run on plain Python lists: costs are converted once per call
-and the graph keeps its adjacency as per-node tuples, because indexing
+The searches run on plain Python sequences: costs are converted once per
+call and the graph keeps its adjacency as per-node tuples, because indexing
 numpy scalars one arc at a time costs more than the search itself.
 
 Searches toward the target are goal-directed (A*).  Every cost vector the
 solvers build lies in [lo, hi], so each node's lo-cost distance to the
 target, shrunk by a hair, is a consistent potential for all of them; the
 graph computes it once, on first use.  Costs below lo anywhere fall back
-to a zero potential, which is plain Dijkstra.
+to a zero potential, which is plain Dijkstra.  The two-unit flow stops its
+first pass at the target and prices its second with the first pass's
+labels, capped at the target's label less the potential.
 """
 
 from __future__ import annotations
@@ -336,35 +338,40 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
 
     A free arc costs lo on first use and hi on the second; arcs forced by
     the constraint cost hi on both uses, forbidden arcs lo on both.  Solved
-    as two successive shortest path augmentations with Dijkstra on reduced
-    costs, so the second pass may cancel the first.  Returns the total cost,
+    as two successive shortest path augmentations, so the second pass may
+    cancel the first.  The first is A* stopped at the target; the second is
+    Dijkstra on costs reduced by min(label, target label - potential), which
+    is A* wherever the first pass did not settle.  Returns the total cost,
     or None when the target is unreachable.
     """
-    lo, _ = _check_costs(graph, lo_costs)
+    lo, above_lo = _check_costs(graph, lo_costs)
     hi, _ = _check_costs(graph, hi_costs)
     if (hi < lo).any():
         raise ValueError("per-arc second-use cost below first-use cost")
-    first = lo.tolist()
+    costs = array("d", lo.tobytes())
     out = frozenset()
     if constraint is not None:
         constraint.validate(graph)
         for e in constraint.in_chain:
-            first[e] = hi.item(e)
+            costs[e] = hi.item(e)
         out = constraint.out_set
 
     s, t = graph.source, graph.target
-    dist, pred = _settle_all(graph, first, s, (), None, [0.0] * graph.node_count)
-    if dist[t] == math.inf:
+    h = _potential(graph, above_lo)
+    dist, pred = _settle_all(graph, costs, s, (), t, h)
+    dt = dist[t]
+    if dt == math.inf:
         return None
     used = _walk_back(graph, pred, s, t).edges
 
-    # Second augmentation on the residual graph, with the pass-one labels as
-    # potentials: a used arc carries its second-use cost forward and a free
-    # backward copy that cancels the first unit.  Pass two only reaches
-    # nodes pass one reached, so every potential it reads is finite.
-    residual = first[:]
+    # Second augmentation on the residual graph: a used arc carries its
+    # second-use cost forward and a free backward copy that cancels the
+    # first unit.  No forward cost is below its first-use cost, so costs
+    # reduced by the truncated potential are nonnegative but for rounding,
+    # which the clamp absorbs; the cancel arcs, on settled nodes, reduce to 0.
+    # Nodes that cannot reach the target price at -inf and are never pushed.
     for e in used:
-        residual[e] = (lo if e in out else hi).item(e)
+        costs[e] = (lo if e in out else hi).item(e)
     cancel = {graph.heads.item(e): graph.tails.item(e) for e in used}
     out_edges, out_heads = graph.out_edges, graph._out_heads
     push, pop = heapq.heappush, heapq.heappop
@@ -379,11 +386,14 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
         done[u] = True
         if u == t:
             break
-        base = dist[u]
+        base = min(dist[u], dt - h[u])
         for e, v in zip(out_edges[u], out_heads[u]):
             if done[v]:
                 continue
-            reduced = residual[e] + base - dist[v]
+            pv = dt - h[v]
+            if dist[v] < pv:
+                pv = dist[v]
+            reduced = costs[e] + base - pv
             nd = d + reduced if reduced > 0.0 else d
             if nd < rdist[v]:
                 rdist[v] = nd
@@ -394,7 +404,7 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
             push(heap, (d, v))
     if rdist[t] == math.inf:
         return None
-    return 2.0 * dist[t] + rdist[t]
+    return 2.0 * dt + rdist[t]
 
 
 def order_path_edges(graph: IntervalDigraph, members: frozenset[int]) -> Path:

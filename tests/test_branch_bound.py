@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regretopt import NoFeasibleSolution, PathConstraint, branch_bound, midpoint_scenario, shortest_path
+from regretopt import NoFeasibleSolution, PathConstraint, SolverFailure, branch_bound, double_oracle, midpoint_scenario, shortest_path
 from regretopt.branch_bound import BBConfig, bb_solve, branch, node_lower_bound, select_branch_edge
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt
@@ -168,6 +168,23 @@ def test_cold_start_matches_warm_start():
     assert warm.opt == cold.opt
     assert warm.complete and cold.complete
     assert warm.nodes_expanded == cold.nodes_expanded
+
+
+@pytest.mark.parametrize("warm_start", (True, False))
+def test_lp_failure_degrades_the_node_to_the_pair_bound(monkeypatch, warm_start):
+    """A node whose game LP fails is bounded with lb_cg; the solve still completes."""
+    failures = []
+
+    def failing(matrix):
+        failures.append(matrix)
+        raise SolverFailure("numerically singular pivot")
+
+    monkeypatch.setattr(double_oracle, "solve_zero_sum", failing)
+    graph = six_node_graph()
+    stats = bb_solve(graph, "do", BBConfig(warm_start=warm_start))
+    assert failures
+    assert stats.complete
+    assert stats.opt == bb_solve(graph, "cg").opt == 4.0
 
 
 @pytest.mark.parametrize("warm_start", (True, False))

@@ -1,5 +1,6 @@
 import heapq
 import math
+import types
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_order_path_edges():
 # ------------------------------------------------------------ two-unit flow
 
 
-def pair_cost(graph, edges_a, edges_b, constraint):
+def pair_cost(edges_a, edges_b, constraint, lo, hi):
     in_set = set(constraint.in_chain)
     use = {}
     for e in list(edges_a) + list(edges_b):
@@ -179,19 +180,21 @@ def pair_cost(graph, edges_a, edges_b, constraint):
     total = 0.0
     for e, count in use.items():
         if e in in_set:
-            first, second = graph.hi[e], graph.hi[e]
+            first, second = hi[e], hi[e]
         elif e in constraint.out_set:
-            first, second = graph.lo[e], graph.lo[e]
+            first, second = lo[e], lo[e]
         else:
-            first, second = graph.lo[e], graph.hi[e]
+            first, second = lo[e], hi[e]
         total += first if count == 1 else first + second
     return total
 
 
-def brute_pair_minimum(graph, constraint):
+def brute_pair_minimum(graph, constraint, lo=None, hi=None):
     # The constraint only reprices arcs; both units may route anywhere.
+    lo = graph.lo if lo is None else lo
+    hi = graph.hi if hi is None else hi
     paths = enumerate_paths(graph)
-    return min(pair_cost(graph, a.edges, b.edges, constraint) for a in paths for b in paths)
+    return min(pair_cost(a.edges, b.edges, constraint, lo, hi) for a in paths for b in paths)
 
 
 def test_two_unit_flow_on_fixtures():
@@ -225,6 +228,125 @@ def test_two_unit_flow_requires_two_units_smallest_graph():
     # One arc into the target forces both units across it.
     g = IntervalDigraph.from_edges(3, [(0, 1, 1.0, 2.0), (1, 2, 3.0, 5.0)], 0, 2)
     assert two_unit_min_flow(g, g.lo, g.hi) == pytest.approx((1.0 + 2.0) + (3.0 + 5.0))
+
+
+def with_dead_ends(graph, rng):
+    """The graph plus a few nodes that cheap arcs enter but that cannot reach the target."""
+    n, extra = graph.node_count, int(rng.integers(1, 4))
+    rows = list(zip(graph.tails.tolist(), graph.heads.tolist(), graph.lo.tolist(), graph.hi.tolist()))
+    for j in range(extra):
+        for u in rng.integers(0, n + j, size=2).tolist():
+            lo = float(rng.uniform(0.0, 2.0))
+            rows.append((u, n + j, lo, lo + float(rng.uniform(0.0, 2.0))))
+    return IntervalDigraph.from_edges(n + extra, rows, graph.source, graph.target)
+
+
+def full_settle_pair_flow(graph, lo, hi, constraint):
+    """Two successive shortest paths, written out plainly.
+
+    The first pass runs Dijkstra over every node the source reaches; the
+    second runs Dijkstra on the residual graph with those labels as
+    potentials, reduced costs clamped at zero.
+    """
+    tails, heads = graph.tails.tolist(), graph.heads.tolist()
+    first = [float(x) for x in lo]
+    for e in constraint.in_chain:
+        first[e] = float(hi[e])
+
+    def search(adj):
+        dist = [math.inf] * graph.node_count
+        pred = [None] * graph.node_count
+        dist[graph.source] = 0.0
+        heap = [(0.0, graph.source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, w, e in adj[u]:
+                if d + w < dist[v]:
+                    dist[v], pred[v] = d + w, e
+                    heapq.heappush(heap, (d + w, v))
+        return dist, pred
+
+    adj = [[] for _ in range(graph.node_count)]
+    for e in range(graph.m):
+        adj[tails[e]].append((heads[e], first[e], e))
+    label, pred = search(adj)
+    used, node = set(), graph.target
+    while node != graph.source:
+        used.add(pred[node])
+        node = tails[pred[node]]
+
+    def reduced(u, v, w):
+        return max(w + label[u] - label[v], 0.0)
+
+    residual = [[] for _ in range(graph.node_count)]
+    for e in range(graph.m):
+        u, v = tails[e], heads[e]
+        if label[u] == math.inf or label[v] == math.inf:
+            continue
+        if e in used:
+            second = float(lo[e] if e in constraint.out_set else hi[e])
+            residual[u].append((v, reduced(u, v, second), e))
+            residual[v].append((u, reduced(v, u, -first[e]), e))
+        else:
+            residual[u].append((v, reduced(u, v, first[e]), e))
+    rdist, _ = search(residual)
+    return 2.0 * label[graph.target] + rdist[graph.target]
+
+
+def test_two_unit_flow_potentials_match_pair_enumeration():
+    # The second pass prices nodes with the truncated potential: forced and
+    # forbidden arcs, the zero potential of costs below lo, and nodes the
+    # goal potential marks as unable to reach the target.
+    rng = np.random.default_rng(2005)
+    checked = 0
+    for i in range(120):
+        g = random_graph(i)
+        if g.node_count > 7:
+            continue
+        constraint = random_constraint(rng, g)
+        ref = brute_pair_minimum(g, constraint)
+        assert two_unit_min_flow(g, g.lo, g.hi, constraint) == pytest.approx(ref, rel=1e-12)
+
+        below = g.lo * rng.random(g.m)
+        ref = brute_pair_minimum(g, constraint, below, g.hi)
+        assert two_unit_min_flow(g, below, g.hi, constraint) == pytest.approx(ref, rel=1e-12)
+
+        dead = with_dead_ends(g, rng)
+        assert all(math.isinf(h) for h in dead.goal_potential[g.node_count:])
+        constraint = random_constraint(rng, dead)
+        ref = brute_pair_minimum(dead, constraint)
+        assert two_unit_min_flow(dead, dead.lo, dead.hi, constraint) == pytest.approx(ref, rel=1e-12)
+        checked += 1
+    assert checked >= 50
+
+
+def test_two_unit_flow_matches_a_full_settle_reference():
+    rng = np.random.default_rng(1993)
+    for seed in range(4):
+        g = gen_instance(GeneratorSpec(family="R", n=200, r=1000.0, d=1.0, delta=0.03, seed=seed))
+        for costs in (g.lo, g.lo * rng.random(g.m)):
+            for constraint in (PathConstraint(), random_constraint(rng, g), random_constraint(rng, g)):
+                ref = full_settle_pair_flow(g, costs, g.hi, constraint)
+                assert two_unit_min_flow(g, costs, g.hi, constraint) == pytest.approx(ref, rel=1e-12)
+
+
+def test_two_unit_flow_settles_a_narrow_band(monkeypatch):
+    # Both passes are goal-directed, so the root call on a 200-node R graph
+    # pops the heap far fewer times than there are nodes.
+    g = gen_instance(GeneratorSpec(family="R", n=200, r=1000.0, d=1.0, delta=0.03, seed=0))
+    g.goal_potential  # computed once per graph by a search of its own
+    pops = []
+
+    def counting_pop(heap):
+        pops.append(None)
+        return heapq.heappop(heap)
+
+    shim = types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
+    monkeypatch.setattr(shortest_path, "heapq", shim)
+    assert two_unit_min_flow(g, g.lo, g.hi) is not None
+    assert len(pops) <= g.node_count // 4
 
 
 # ------------------------------------------------------- tie-break contract
