@@ -90,12 +90,11 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
     """
     start = time.perf_counter()
     constraint = constraint or PathConstraint()
-    high = np.array(graph.hi)
-    found = constrained_sp(graph, high, constraint)
+    found = constrained_sp(graph, graph.hi, constraint)
     if found is None:
         raise NoFeasibleSolution("constraint admits no path")
     path, constrained_value = found
-    relaxed = np.array(high)
+    relaxed = np.array(graph.hi)
     for e in constraint.out_set:
         relaxed[e] = graph.lo[e]
     unrestricted = dijkstra(graph, relaxed)

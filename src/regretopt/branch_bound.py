@@ -8,6 +8,11 @@ bound, the scenarios generated anywhere in the tree are shared globally and
 each child inherits the parent's solutions that remain feasible for it.
 Nodes and the incumbent carry solutions as member sets only; the optimal
 path is put in traversal order once, when the search ends.
+
+No node work is repeated that cannot change the answer: with the mgd bound
+the child that takes the branch arc inherits its parent's bound and
+response, and the solutions of a node bounded at or above the incumbent's
+regret are never priced.
 """
 
 from __future__ import annotations
@@ -154,7 +159,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
 
     Best-first on the node bounds, ties preferring deeper nodes and then
     insertion order.  The incumbent starts at the midpoint-optimal path and
-    absorbs every solution any bound computation generates.  A node whose
+    absorbs every solution generated by a node bounded below it.  A node whose
     game LP fails is bounded by the pair bound instead.  Node or time
     limits leave complete=False and the incumbent as the best known value.
     """
@@ -203,6 +208,10 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
             # The node's game LP failed: bound it with the pair bound instead,
             # and leave its children no solutions to inherit.
             found = node_lower_bound(graph, constraint, "cg")
+        # Every solution a node returns lies in its subtree, so its regret is
+        # at least the node's bound: a bound at the incumbent prices nothing.
+        if found.value >= best_regret:
+            return found
         for x in found.generated:
             absorb(x)
         absorb(found.response)
@@ -242,10 +251,16 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
             if child_constraint.chain_end(graph) == graph.target:
                 absorb(Path(child_constraint.in_chain).indicator())
                 continue
-            try:
-                child = bound_node(child_constraint, child_inherit)
-            except NoFeasibleSolution:
-                continue
+            if lb_strategy == "mgd" and child_constraint is take:
+                # k is the response's own next arc, so the response stays the
+                # take child's constrained hi-cost path and the relaxed search
+                # sees the same forbidden arcs: the bound carries over.
+                child = node
+            else:
+                try:
+                    child = bound_node(child_constraint, child_inherit)
+                except NoFeasibleSolution:
+                    continue
             if child.value >= best_regret - _PRUNE_TOL:
                 continue
             heapq.heappush(heap, (child.value, neg_depth - 1, next(counter), child_constraint, child))

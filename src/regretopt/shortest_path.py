@@ -5,9 +5,10 @@ constraints (forced prefix, forbidden arcs), a two-unit minimum cost flow
 used by the pair-scenario bound, and the adapter that turns all of this
 into a standard-problem oracle.
 
-The searches run on plain Python sequences: costs are converted once per
-call and the graph keeps its adjacency as per-node tuples, because indexing
-numpy scalars one arc at a time costs more than the search itself.
+The searches index plain Python sequences: each call copies its costs into
+a flat array of doubles, and the graph keeps its adjacency as per-node
+tuples, because indexing numpy scalars one arc at a time costs more than
+the search itself.
 
 Searches toward the target are goal-directed (A*).  Every cost vector the
 solvers build lies in [lo, hi], so each node's lo-cost distance to the
@@ -245,7 +246,7 @@ def _potential(graph: IntervalDigraph, above_lo: bool):
     return graph.goal_potential if above_lo else [0.0] * graph.node_count
 
 
-def _settle_all(graph, costs: list[float], src, banned_nodes, target, h):
+def _settle_all(graph, costs: array, src, banned_nodes, target, h):
     """A* labels from src toward target under the consistent potential h.
 
     The heap orders nodes by (label + h, label, node), so a zero potential
@@ -307,7 +308,7 @@ def dijkstra(graph: IntervalDigraph, costs):
     """Shortest source-target path under the given arc costs, as (path, value)."""
     c, above_lo = _check_costs(graph, costs)
     s, t = graph.source, graph.target
-    dist, pred = _settle_all(graph, c.tolist(), s, (), t, _potential(graph, above_lo))
+    dist, pred = _settle_all(graph, array("d", c.tobytes()), s, (), t, _potential(graph, above_lo))
     return _walk_back(graph, pred, s, t), dist[t]
 
 
@@ -318,7 +319,7 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
     revisit any earlier prefix node.  Returns None when no such path exists.
     """
     c, above_lo = _check_costs(graph, costs)
-    c = c.tolist()
+    c = array("d", c.tobytes())
     constraint.validate(graph)
     chain_value = float(sum(c[e] for e in constraint.in_chain))
     *banned_nodes, start = constraint.chain_nodes(graph)

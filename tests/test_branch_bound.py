@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
-from regretopt import NoFeasibleSolution, PathConstraint, SolverFailure, branch_bound, double_oracle, midpoint_scenario, shortest_path
-from regretopt.branch_bound import BBConfig, bb_solve, branch, node_lower_bound, select_branch_edge
+from regretopt import IntervalDigraph, NoFeasibleSolution, PathConstraint, SolverFailure, branch_bound, double_oracle, lb_mgd, midpoint_scenario, shortest_path
+from regretopt.branch_bound import BBConfig, NodeBound, bb_solve, branch, node_lower_bound, select_branch_edge
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt
 from regretopt.shortest_path import order_path_edges
@@ -118,6 +120,109 @@ def test_golden_search_outcomes(family, seed):
         stats = bb_solve(graph, strategy, BBConfig(warm_start=warm_start))
         assert stats.complete
         assert (stats.opt.hex(), stats.optimal_path.edges, stats.nodes_expanded) == (opt_hex, path, expected_nodes)
+
+
+def _golden_graph(family, seed):
+    if family == "R":
+        return gen_instance(GeneratorSpec(family="R", n=40, r=1000.0, d=1.0, delta=0.2, seed=seed))
+    return gen_instance(GeneratorSpec(family="K", n=22, r=1000.0, d=1.0, w=4, seed=seed))
+
+
+@pytest.mark.parametrize("family, seed", (("R", 0), ("R", 3), ("K", 0), ("K", 2)))
+def test_mgd_take_child_keeps_its_parents_bound(family, seed):
+    """Forcing the response's next arc changes neither the mgd bound nor the response."""
+    graph = _golden_graph(family, seed)
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(6):
+        constraint = PathConstraint()
+        node = node_lower_bound(graph, constraint, "mgd")
+        while True:
+            k = select_branch_edge(graph, constraint, node.response)
+            if k is None:
+                break
+            take, skip = branch(graph, constraint, k)
+            assert node.response.members.issuperset(take.in_chain)
+            assert node.response.members.isdisjoint(take.out_set)
+            assert lb_mgd(graph, take).value == pytest.approx(node.value, rel=1e-12)
+            checked += 1
+            if rng.random() < 0.5:
+                try:
+                    constraint, node = skip, node_lower_bound(graph, skip, "mgd")
+                    continue
+                except NoFeasibleSolution:
+                    pass
+            constraint = take
+    assert checked >= 20
+
+
+def test_mgd_search_bounds_no_take_child(monkeypatch):
+    """A take child reuses its parent's mgd bound; only roots and skip children are bounded."""
+    takes, bounded = [], []
+    plain_branch, plain_lb_mgd = branch_bound.branch, branch_bound.lb_mgd
+
+    def recording_branch(graph, constraint, k):
+        take, skip = plain_branch(graph, constraint, k)
+        takes.append(take)
+        return take, skip
+
+    def recording_lb_mgd(graph, constraint=None):
+        bounded.append(constraint)
+        return plain_lb_mgd(graph, constraint)
+
+    monkeypatch.setattr(branch_bound, "branch", recording_branch)
+    monkeypatch.setattr(branch_bound, "lb_mgd", recording_lb_mgd)
+    stats = bb_solve(_golden_graph("R", 2), "mgd")
+    assert stats.nodes_expanded == GOLDEN_SEARCHES["R", 2][2][0]
+    assert takes and len(bounded) > 1
+    assert not set(takes) & set(bounded)
+
+
+@pytest.mark.parametrize("family, seed", sorted(GOLDEN_SEARCHES))
+def test_solutions_are_priced_only_below_the_incumbent(monkeypatch, family, seed):
+    """A node bounded at or above the incumbent holds nothing better, so nothing of it is priced.
+
+    The incumbent is the least regret priced so far; each pricing after the
+    first must follow a node bound that was below the incumbent of its time.
+    """
+    state = {}
+    plain_regret, plain_bound = branch_bound.max_regret, branch_bound.node_lower_bound
+
+    def pricing(instance, oracle, x):
+        assert state["open"], "priced a solution of a node bounded at the incumbent"
+        regret = plain_regret(instance, oracle, x)
+        state["incumbent"] = min(state["incumbent"], regret)
+        return regret
+
+    def bounding(*args, **kwargs):
+        found = plain_bound(*args, **kwargs)
+        state["open"] = found.value < state["incumbent"]
+        return found
+
+    monkeypatch.setattr(branch_bound, "max_regret", pricing)
+    monkeypatch.setattr(branch_bound, "node_lower_bound", bounding)
+    graph = _golden_graph(family, seed)
+    for strategy, warm_start in (("mgd", True), ("cg", True), ("do", True), ("do", False)):
+        state.update(incumbent=float("inf"), open=True)
+        assert bb_solve(graph, strategy, BBConfig(warm_start=warm_start)).complete
+
+
+def test_a_node_bounded_just_below_the_incumbent_is_still_priced(monkeypatch):
+    """Pricing stops at the incumbent's regret itself, not at the pruning tolerance below it."""
+    # Three parallel arcs. The midpoint picks arc 0, of regret 1 + 1e-10;
+    # arc 1, the hi-cost shortest path, has regret 1, the optimum.
+    graph = IntervalDigraph.from_edges(2, [(0, 1, 0.0, 1.1 + 1e-10), (0, 1, 1.0, 1.0), (0, 1, 0.1, 100.0)], 0, 1)
+    plain = branch_bound.node_lower_bound
+
+    def tightest(*args, **kwargs):
+        # The optimum itself is the tightest valid bound on the root's subtree.
+        found = plain(*args, **kwargs)
+        return NodeBound(1.0, found.response, found.generated, found.solutions)
+
+    monkeypatch.setattr(branch_bound, "node_lower_bound", tightest)
+    stats = bb_solve(graph, "mgd")
+    assert stats.complete
+    assert (stats.opt, stats.optimal_path.edges) == (1.0, (1,))
 
 
 @pytest.mark.parametrize("strategy, warm_start", (("mgd", True), ("cg", True), ("do", True), ("do", False)))
