@@ -20,7 +20,7 @@ BOUNDS = ("kz", "cg", "do5", "do10", "do")
 
 def main() -> None:
     print("family %s, %d seeds, exact reference via branch and bound\n" % (SPEC.name, SEEDS))
-    records, table = run_lb_experiment(SPEC, SEEDS, BOUNDS, exact=True)
+    records, table = run_lb_experiment(SPEC.seeds(SEEDS), BOUNDS, exact=True)
     failed = [r for r in records if "error" in r]
     if failed:
         raise SystemExit("instance generation failed: %s" % failed)

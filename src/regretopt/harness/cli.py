@@ -21,18 +21,15 @@ from ..shortest_path import sp_oracle
 from .brute_force import brute_force_lb_star, brute_force_opt
 from .experiments import (
     BOUND_NAMES,
-    aggregate_bb,
-    aggregate_lb,
     experiment_rows,
+    instance_id,
+    load_instance,
     run_bb_experiment,
     run_lb_experiment,
     write_csv,
-    _bb_worker,
-    _instance_specs,
-    _lb_worker,
 )
 from .generators import GeneratorSpec, gen_instance
-from .io import parse_dimacs, perturb_intervals, read_native, write_native
+from .io import parse_dimacs, perturb_intervals, write_native
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
@@ -54,50 +51,32 @@ def _generator_spec(args) -> GeneratorSpec:
     )
 
 
-def _write_rows(rows, out: str | None) -> None:
-    if out is None:
-        write_csv(rows, sys.stdout)
-    else:
-        write_csv(rows, out)
+def _sources(args) -> list[GeneratorSpec | str]:
+    """The .ri files given on the command line, else the family the flags name."""
+    return args.files or _generator_spec(args).seeds(args.count)
 
 
 def _cmd_gen(args) -> int:
-    spec = _generator_spec(args)
     os.makedirs(args.out, exist_ok=True)
-    for sub in _instance_specs(spec, args.count):
-        graph = gen_instance(sub)
+    for sub in _generator_spec(args).seeds(args.count):
         path = os.path.join(args.out, "%s-s%d.ri" % (sub.name, sub.seed))
-        write_native(graph, path)
+        write_native(gen_instance(sub), path)
         print(path)
     return 0
 
 
-def _bound_roster(choice: str) -> tuple[str, ...]:
-    return BOUND_NAMES if choice == "all" else (choice,)
-
-
 def _cmd_lb(args) -> int:
-    bounds = _bound_roster(args.lb)
-    if args.files:
-        records = [_lb_worker((path, bounds, args.exact, args.max_support)) for path in args.files]
-        table = aggregate_lb(records, bounds)
-    else:
-        spec = _generator_spec(args)
-        records, table = run_lb_experiment(spec, args.count, bounds, args.exact, args.max_support, args.jobs)
-    _write_rows(experiment_rows(table, records), args.out)
+    bounds = BOUND_NAMES if args.lb == "all" else (args.lb,)
+    records, table = run_lb_experiment(_sources(args), bounds, args.exact, args.max_support, args.jobs)
+    write_csv(experiment_rows(table, records), args.out or sys.stdout)
     return 0
 
 
 def _cmd_bb(args) -> int:
     strategies = STRATEGIES if args.bb == "all" else (args.bb,)
     config = BBConfig(max_support_x=args.max_support, node_limit=args.node_limit, time_limit_ms=args.time_limit_ms)
-    if args.files:
-        records = [_bb_worker((path, strategies, config)) for path in args.files]
-        table = aggregate_bb(records, strategies)
-    else:
-        spec = _generator_spec(args)
-        records, table = run_bb_experiment(spec, args.count, strategies, config, args.jobs)
-    _write_rows(experiment_rows(table, records), args.out)
+    records, table = run_bb_experiment(_sources(args), strategies, config, args.jobs)
+    write_csv(experiment_rows(table, records), args.out or sys.stdout)
     return 0
 
 
@@ -106,7 +85,10 @@ def _cmd_dimacs(args) -> int:
         node_count, arcs = parse_dimacs(handle.read())
     source = args.source - 1 if args.source is not None else None
     target = args.target - 1 if args.target is not None else None
-    graph = perturb_intervals(node_count, arcs, args.seed, source, target)
+    try:
+        graph = perturb_intervals(node_count, arcs, args.seed, source, target)
+    except ValueError as err:
+        raise SystemExit("error: %s" % err) from None
     write_native(graph, args.out)
     print("%s: %d nodes, %d arcs, s=%d, t=%d" % (args.out, graph.node_count, graph.m, graph.source + 1, graph.target + 1))
     return 0
@@ -153,17 +135,12 @@ def verify_instance(graph, path_limit: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify(args) -> int:
-    if args.files:
-        named = [(path, read_native(path)) for path in args.files]
-    else:
-        spec = _generator_spec(args)
-        named = [("%s#%d" % (s.name, s.seed), gen_instance(s)) for s in _instance_specs(spec, args.count)]
     failures = 0
-    for name, graph in named:
-        for label, ok, detail in verify_instance(graph, args.path_limit):
+    for source in _sources(args):
+        for label, ok, detail in verify_instance(load_instance(source), args.path_limit):
             if not ok:
                 failures += 1
-            print("%s %s %s (%s)" % ("PASS" if ok else "FAIL", name, label, detail))
+            print("%s %s %s (%s)" % ("PASS" if ok else "FAIL", instance_id(source), label, detail))
     if failures:
         print("%d check(s) failed" % failures)
     return 1 if failures else 0
@@ -202,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dimacs = sub.add_parser("dimacs", help="DIMACS .gr -> native .ri with interval perturbation")
     p_dimacs.add_argument("--gr", required=True, help="input .gr file")
     p_dimacs.add_argument("--seed", type=int, default=0, help="perturbation seed (default 0)")
-    p_dimacs.add_argument("--source", type=int, help="source node, 1-based (default: drawn)")
-    p_dimacs.add_argument("--target", type=int, help="target node, 1-based (default: drawn)")
+    p_dimacs.add_argument("--source", type=int, help="source node, 1-based; with --target, or both drawn")
+    p_dimacs.add_argument("--target", type=int, help="target node, 1-based; with --source, or both drawn")
     p_dimacs.add_argument("--out", required=True, help="output .ri path")
     p_dimacs.set_defaults(func=_cmd_dimacs)
 

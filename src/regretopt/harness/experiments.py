@@ -1,17 +1,16 @@
 """Experiment drivers behind the command line tool.
 
-Both drivers take one generator family and a seed count, solve each
-instance independently, and aggregate per-bound (or per-strategy)
-statistics.  Output is long-format CSV with three columns: bound, stat,
-value.  Instances parallelize across processes with jobs > 1; everything
-inside a single instance stays serial.
+Both drivers take a list of instance sources, each a GeneratorSpec or
+the path of a native .ri file, solve each instance independently, and
+aggregate per-bound (or per-strategy) statistics.  Output is long-format
+CSV with three columns: bound, stat, value.  Instances parallelize across
+processes with jobs > 1; everything inside a single instance stays serial.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import replace
 from multiprocessing import Pool
 from typing import Iterable, Sequence, TextIO
 
@@ -38,18 +37,15 @@ STANDARD_BOUNDS = ("kz", "cg", "do5", "do10", "do15", "do20", "do")
 _DO_ITERS = {"do5": 5, "do10": 10, "do15": 15, "do20": 20, "do": 10_000}
 
 
-def _instance_specs(spec: GeneratorSpec, count: int) -> list[GeneratorSpec]:
-    return [replace(spec, seed=spec.seed + i) for i in range(count)]
-
-
-def _instance_id(source: GeneratorSpec | str) -> str:
+def instance_id(source: GeneratorSpec | str) -> str:
+    """The name a source's rows carry: family#seed, or the file path."""
     if isinstance(source, GeneratorSpec):
         return "%s#%d" % (source.name, source.seed)
     return source
 
 
-def _load(source: GeneratorSpec | str) -> IntervalDigraph:
-    """The instance a worker solves: generated from a spec, or read from a .ri path."""
+def load_instance(source: GeneratorSpec | str) -> IntervalDigraph:
+    """The instance a source names: generated from a spec, or read from a .ri path."""
     if isinstance(source, GeneratorSpec):
         return gen_instance(source)
     return read_native(source)
@@ -95,12 +91,8 @@ def evaluate_bounds(
         extra: tuple[SolutionIndicator, ...] = ()
         if name == "kz":
             value, time_ms = kz.value, kz.elapsed_ms
-        elif name == "cg":
-            rep = lb_cg(graph)
-            value, time_ms = rep.value, rep.elapsed_ms
-            extra = (rep.artifacts["path"].indicator(),)
-        elif name == "mgd":
-            rep = lb_mgd(graph)
+        elif name in ("cg", "mgd"):
+            rep = (lb_cg if name == "cg" else lb_mgd)(graph)
             value, time_ms = rep.value, rep.elapsed_ms
             extra = (rep.artifacts["path"].indicator(),)
         else:
@@ -137,36 +129,44 @@ INPUT_ERRORS = (ValueError, OSError, NoFeasibleSolution)
 def _lb_worker(args) -> dict:
     source, bounds, exact, max_support = args
     try:
-        record = evaluate_bounds(_load(source), bounds, exact, max_support)
+        record = evaluate_bounds(load_instance(source), bounds, exact, max_support)
     except INPUT_ERRORS as err:
-        return {"instance": _instance_id(source), "error": "%s" % (err,)}
-    record["instance"] = _instance_id(source)
+        return {"instance": instance_id(source), "error": "%s" % (err,)}
+    record["instance"] = instance_id(source)
     return record
 
 
 def _run_workers(worker, arglist, jobs: int) -> list[dict]:
     if jobs <= 1 or len(arglist) <= 1:
         return [worker(a) for a in arglist]
-    with Pool(jobs) as pool:
+    with Pool(min(jobs, len(arglist))) as pool:
         return list(pool.imap(worker, arglist))
 
 
 def run_lb_experiment(
-    spec: GeneratorSpec,
-    count: int,
+    sources: Sequence[GeneratorSpec | str],
     bounds: Sequence[str] = STANDARD_BOUNDS,
     exact: bool = False,
     max_support: int = 50,
     jobs: int = 1,
 ) -> tuple[list[dict], dict[str, dict[str, float]]]:
-    """Bound comparison over `count` seeds starting at spec.seed.
+    """Bound comparison over instance sources: generator specs or .ri paths.
 
     Returns per-instance records (failed instances carry an "error" key)
     and the aggregate {bound: {stat: value}} table.
     """
-    arglist = [(s, tuple(bounds), exact, max_support) for s in _instance_specs(spec, count)]
+    arglist = [(s, tuple(bounds), exact, max_support) for s in sources]
     records = _run_workers(_lb_worker, arglist, jobs)
     return records, aggregate_lb(records, bounds)
+
+
+def _column_stats(qty: str, column: Sequence[float]) -> dict[str, float]:
+    """Mean, std, min and max of one nonempty column, keyed qty_mean and so on."""
+    values = np.array(column, dtype=float)
+    # A zero bound yields an infinite gap; its std is then nan.
+    with np.errstate(invalid="ignore"):
+        stats = (values.mean(), values.std(), values.min(), values.max())
+    return {qty + suffix: float(v) for suffix, v in zip(("_mean", "_std", "_min", "_max"), stats)}
 
 
 def aggregate_lb(records: list[dict], bounds: Sequence[str]) -> dict[str, dict[str, float]]:
@@ -176,24 +176,17 @@ def aggregate_lb(records: list[dict], bounds: Sequence[str]) -> dict[str, dict[s
         row: dict[str, float] = {}
         for qty in ("time_ms", "gap_medsol", "gap_minsol", "gap_opt"):
             column = [r["bounds"][name][qty] for r in ok]
-            if not column or column[0] is None:
-                continue
-            values = np.array(column, dtype=float)
-            # A zero bound yields an infinite gap; its std is then nan.
-            with np.errstate(invalid="ignore"):
-                row[qty + "_mean"] = float(values.mean())
-                row[qty + "_std"] = float(values.std())
-            row[qty + "_min"] = float(values.min())
-            row[qty + "_max"] = float(values.max())
+            if column and column[0] is not None:
+                row.update(_column_stats(qty, column))
         table[name] = row
     return table
 
 
 def _bb_worker(args) -> dict:
     source, strategies, bb_config = args
-    record: dict = {"instance": _instance_id(source), "strategies": {}}
+    record: dict = {"instance": instance_id(source), "strategies": {}}
     try:
-        graph = _load(source)
+        graph = load_instance(source)
         for strategy in strategies:
             stats = bb_solve(graph, strategy, bb_config)
             record["strategies"][strategy] = {
@@ -203,18 +196,17 @@ def _bb_worker(args) -> dict:
                 "complete": stats.complete,
             }
     except INPUT_ERRORS as err:
-        return {"instance": _instance_id(source), "error": "%s" % (err,)}
+        return {"instance": instance_id(source), "error": "%s" % (err,)}
     return record
 
 
 def run_bb_experiment(
-    spec: GeneratorSpec,
-    count: int,
+    sources: Sequence[GeneratorSpec | str],
     strategies: Sequence[str] = STRATEGIES,
     config: BBConfig | None = None,
     jobs: int = 1,
 ) -> tuple[list[dict], dict[str, dict[str, float]]]:
-    """Exact-solve comparison of bounding strategies over `count` seeds.
+    """Exact-solve comparison of bounding strategies over instance sources.
 
     Any two strategies that both ran to completion on the same instance
     must agree on the optimum; a spread beyond 1e-6 is a correctness bug
@@ -223,7 +215,7 @@ def run_bb_experiment(
     for name in strategies:
         if name not in STRATEGIES:
             raise ValueError("unknown strategy %r" % name)
-    arglist = [(s, tuple(strategies), config) for s in _instance_specs(spec, count)]
+    arglist = [(s, tuple(strategies), config) for s in sources]
     records = _run_workers(_bb_worker, arglist, jobs)
     for record in records:
         if "error" in record:
@@ -242,15 +234,9 @@ def aggregate_bb(records: list[dict], strategies: Sequence[str]) -> dict[str, di
     table: dict[str, dict[str, float]] = {}
     for name in strategies:
         row: dict[str, float] = {}
-        for qty in ("time_ms", "nodes", "opt"):
-            if not ok:
-                continue
-            values = np.array([r["strategies"][name][qty] for r in ok], dtype=float)
-            row[qty + "_mean"] = float(values.mean())
-            row[qty + "_std"] = float(values.std())
-            row[qty + "_min"] = float(values.min())
-            row[qty + "_max"] = float(values.max())
         if ok:
+            for qty in ("time_ms", "nodes", "opt"):
+                row.update(_column_stats(qty, [r["strategies"][name][qty] for r in ok]))
             row["incomplete"] = float(sum(1 for r in ok if not r["strategies"][name]["complete"]))
         table[name] = row
     return table

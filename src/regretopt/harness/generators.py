@@ -10,7 +10,7 @@ in both: a nominal value m uniform on [1, r], a lower bound uniform on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class GeneratorSpec:
         if self.family == "R":
             return "R-%d-%g-%g-%g" % (self.n, self.r, self.d, self.delta)
         return "K-%d-%g-%g-%d" % (self.n, self.r, self.d, self.w)
+
+    def seeds(self, count: int) -> list[GeneratorSpec]:
+        """This spec and the next count - 1 seeds of its family."""
+        return [replace(self, seed=self.seed + i) for i in range(count)]
 
 
 def _draw_costs(rng: np.random.Generator, m: int, r: float, d: float) -> tuple[np.ndarray, np.ndarray]:

@@ -78,9 +78,12 @@ def perturb_intervals(
     """Blow scalar arc costs up into ten-percent intervals around them.
 
     Each cost c becomes [uniform(c - c/10, c), uniform(c, c + c/10)].
-    Terminals may be fixed by the caller; otherwise distinct nodes are
-    drawn until the target is reachable, with a bounded retry budget.
+    The caller may fix both terminals; otherwise distinct nodes are drawn
+    until the target is reachable, with a bounded retry budget.  One
+    terminal alone is an error.
     """
+    if (source is None) != (target is None):
+        raise ValueError("give both terminals or neither")
     rows = list(arcs)
     if not rows:
         raise ValueError("need at least one arc")

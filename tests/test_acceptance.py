@@ -248,11 +248,11 @@ def test_warm_start_changes_nothing_but_speed():
 def test_bound_and_search_trends_on_benchmark_families():
     begin = time.perf_counter()
     dense = GeneratorSpec(family="R", n=500, r=1000.0, d=0.5, delta=0.012, seed=0)
-    dense_records, dense_table = run_lb_experiment(dense, 30, ("kz", "cg", "do"), exact=True)
+    dense_records, dense_table = run_lb_experiment(dense.seeds(30), ("kz", "cg", "do"), exact=True)
     layered = GeneratorSpec(family="K", n=42, r=1000.0, d=1.0, w=4, seed=0)
-    layered_records, layered_table = run_lb_experiment(layered, 30, ("kz", "do20"), exact=True)
+    layered_records, layered_table = run_lb_experiment(layered.seeds(30), ("kz", "do20"), exact=True)
     volatile = GeneratorSpec(family="R", n=25, r=1000.0, d=1.0, delta=0.25, seed=0)
-    volatile_records, volatile_table = run_bb_experiment(volatile, 30, ("mgd", "do"))
+    volatile_records, volatile_table = run_bb_experiment(volatile.seeds(30), ("mgd", "do"))
     elapsed = time.perf_counter() - begin
 
     clean = not any(

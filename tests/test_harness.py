@@ -234,7 +234,7 @@ def test_independent_max_regret_matches_the_solver():
 
 def test_bound_comparison_produces_full_statistics():
     spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20)
-    records, table = run_lb_experiment(spec, 3, ("kz", "cg", "do"), exact=True)
+    records, table = run_lb_experiment(spec.seeds(3), ("kz", "cg", "do"), exact=True)
     assert len(records) == 3
     assert not any("error" in r for r in records)
     for name in ("kz", "cg", "do"):
@@ -250,14 +250,14 @@ def test_bound_comparison_produces_full_statistics():
 
 def test_gap_columns_need_the_exact_switch():
     spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20)
-    _, table = run_lb_experiment(spec, 2, ("kz",), exact=False)
+    _, table = run_lb_experiment(spec.seeds(2), ("kz",), exact=False)
     assert "gap_opt_mean" not in table["kz"]
     assert "gap_medsol_mean" in table["kz"]
 
 
 def test_zero_instances_yield_a_header_only_csv():
     spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20)
-    records, table = run_lb_experiment(spec, 0, ("kz",))
+    records, table = run_lb_experiment(spec.seeds(0), ("kz",))
     out = io.StringIO()
     write_csv(experiment_rows(table, records), out)
     assert out.getvalue().splitlines() == ["bound,stat,value"]
@@ -265,7 +265,7 @@ def test_zero_instances_yield_a_header_only_csv():
 
 def test_degenerate_family_reports_perfect_gaps():
     spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.0, delta=0.8, seed=30)
-    _, table = run_lb_experiment(spec, 2, ("kz", "cg", "do"), exact=True)
+    _, table = run_lb_experiment(spec.seeds(2), ("kz", "cg", "do"), exact=True)
     for name in ("kz", "cg", "do"):
         assert table[name]["gap_medsol_mean"] == 1.0
         assert table[name]["gap_opt_mean"] == 1.0
@@ -335,30 +335,52 @@ def test_evaluate_bounds_rejects_unknown_names():
         evaluate_bounds(six_node_graph(), ("kz", "best"))
 
 
-def test_worker_pool_matches_serial_results():
-    spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20)
-    serial_records, serial = run_lb_experiment(spec, 2, ("kz", "cg"), jobs=1)
-    pooled_records, pooled = run_lb_experiment(spec, 2, ("kz", "cg"), jobs=2)
-    for name in ("kz", "cg"):
-        for key, value in serial[name].items():
-            if key.startswith("time_ms"):
-                continue  # wall time is the one legitimately noisy column
-            assert pooled[name][key] == pytest.approx(value, abs=1e-12)
-    assert [r["instance"] for r in serial_records] == [r["instance"] for r in pooled_records]
+# Both drivers take generator specs and .ri paths alike.
+SOURCE_KINDS = ("generated", "files")
+
+
+def _family_sources(kind, tmp_path, count):
+    """A small R family as generator specs, or written out as .ri files."""
+    specs = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20).seeds(count)
+    if kind == "generated":
+        return specs
+    paths = [str(tmp_path / ("%s-s%d.ri" % (spec.name, spec.seed))) for spec in specs]
+    for spec, path in zip(specs, paths):
+        write_native(gen_instance(spec), path)
+    return paths
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_worker_pool_matches_serial_results(tmp_path, kind):
+    sources = _family_sources(kind, tmp_path, 2)
+
+    def run_lb(sources, jobs):
+        return run_lb_experiment(sources, ("kz", "cg"), jobs=jobs)
+
+    for run in (run_lb, run_bb_experiment):
+        serial_records, serial = run(sources, jobs=1)
+        pooled_records, pooled = run(sources, jobs=2)
+        for name, row in serial.items():
+            for key, value in row.items():
+                if key.startswith("time_ms"):
+                    continue  # wall time is the one legitimately noisy column
+                assert pooled[name][key] == pytest.approx(value, abs=1e-12)
+        assert [r["instance"] for r in serial_records] == [r["instance"] for r in pooled_records]
 
 
 def test_search_comparison_reports_completion():
     spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20)
-    records, table = run_bb_experiment(spec, 2)
+    records, table = run_bb_experiment(spec.seeds(2))
     assert all("error" not in r for r in records)
     for name in ("mgd", "cg", "do"):
         assert table[name]["incomplete"] == 0.0
         assert table[name]["opt_min"] <= table[name]["opt_mean"] <= table[name]["opt_max"]
-    _, capped = run_bb_experiment(spec, 2, ("do",), BBConfig(node_limit=0))
+    _, capped = run_bb_experiment(spec.seeds(2), ("do",), BBConfig(node_limit=0))
     assert capped["do"]["incomplete"] == 2.0
 
 
-def test_strategy_disagreement_is_a_hard_failure(monkeypatch):
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_strategy_disagreement_is_a_hard_failure(monkeypatch, tmp_path, kind):
     from regretopt import branch_bound
     from regretopt.harness import experiments
 
@@ -372,9 +394,12 @@ def test_strategy_disagreement_is_a_hard_failure(monkeypatch):
         )
 
     monkeypatch.setattr(experiments, "bb_solve", rigged)
-    spec = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20)
+    sources = _family_sources(kind, tmp_path, 1)
     with pytest.raises(RuntimeError, match="strategies disagree"):
-        run_bb_experiment(spec, 1, ("mgd", "do"))
+        if kind == "files":
+            main(["bb", *sources, "--bb", "all", "--out", str(tmp_path / "bb.csv")])
+        else:
+            run_bb_experiment(sources, ("mgd", "do"))
 
 
 def test_verify_instance_passes_on_the_fixture():
@@ -435,6 +460,19 @@ def test_cli_bb_roundtrip(tmp_path):
     lines = open(out).read().splitlines()
     assert any(line.startswith("do,opt_mean,") for line in lines)
     assert any(line == "do,incomplete,0.0" for line in lines)
+
+
+def test_dimacs_terminals_come_both_or_neither(tmp_path):
+    arcs = [(0, 1, 10.0), (1, 2, 10.0), (2, 3, 10.0)]
+    for source, target in ((1, None), (None, 3)):
+        with pytest.raises(ValueError, match="both terminals or neither"):
+            perturb_intervals(4, arcs, seed=0, source=source, target=target)
+    gr = tmp_path / "chain.gr"
+    gr.write_text("p sp 4 3\na 1 2 10\na 2 3 10\na 3 4 10\n")
+    out = tmp_path / "chain.ri"
+    with pytest.raises(SystemExit, match="^error: give both terminals or neither$"):
+        main(["dimacs", "--gr", str(gr), "--source", "2", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_dimacs_conversion(tmp_path):

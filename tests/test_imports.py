@@ -6,7 +6,8 @@ or in a quoted annotation.  Package __init__ modules are exempt because
 their imports are the re-exported API, and so are ``from __future__``
 imports, which change how the module compiles.  Likewise every private
 module-level name (a leading underscore, not a dunder) must be read in its
-own module, since no other module is meant to use it.
+own module, and no module imports a private name from another regretopt
+module, since no other module is meant to use it.
 """
 
 import ast
@@ -55,6 +56,10 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     return sorted((name, line) for name, line in _imported_names(tree).items() if name not in used)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def _private_names(tree: ast.Module) -> dict[str, int]:
     """Private name bound by each top-level definition or assignment, with its line."""
     bound = {}
@@ -67,7 +72,7 @@ def _private_names(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+            if _is_private(name):
                 bound[name] = node.lineno
     return bound
 
@@ -129,3 +134,33 @@ def test_package_private_names_are_used_in_their_module():
         if (found := unreferenced_private_names(p.read_text()))
     }
     assert unused == {}
+
+
+def private_imports(source: str) -> list[tuple[str, int]]:
+    """Private names imported from a regretopt module (relative or absolute), with their lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "regretopt"):
+            found += [(alias.name, node.lineno) for alias in node.names if _is_private(alias.name)]
+    return sorted(found)
+
+
+def test_the_scan_sees_private_imports():
+    source = (
+        "from ._internal import public, _hidden\n"
+        "from regretopt.core import _helper as helper\n"
+        "from .. import __version__\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(source) == [("_helper", 2), ("_hidden", 1)]
+
+
+def test_package_modules_import_no_private_names():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    imported = {
+        str(p.relative_to(PACKAGE)): found
+        for p in modules
+        if (found := private_imports(p.read_text()))
+    }
+    assert imported == {}
