@@ -95,8 +95,8 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
         raise NoFeasibleSolution("constraint admits no path")
     path, constrained_value = found
     relaxed = np.array(graph.hi)
-    for e in constraint.out_set:
-        relaxed[e] = graph.lo[e]
+    forbidden = np.fromiter(constraint.out_set, np.intp, len(constraint.out_set))
+    relaxed[forbidden] = graph.lo[forbidden]
     unrestricted = dijkstra(graph, relaxed)
     value = constrained_value - unrestricted[1]
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -9,6 +9,14 @@ each child inherits the parent's solutions that remain feasible for it.
 Nodes and the incumbent carry solutions as member sets only; the optimal
 path is put in traversal order once, when the search ends.
 
+Before branching, the root forbids every arc that no path with regret
+below the midpoint incumbent's can use (see fixed_arcs), so every node of
+every strategy inherits those arcs.  The bounds read forbidden arcs as
+"paths avoiding these arcs", and only such paths can beat the incumbent,
+so each bound stays valid: mgd and cg price the fixed arcs at lo, the
+game's solution player skips them, and scenario optima still search the
+whole graph.
+
 No node work is repeated that cannot change the answer: with the mgd bound
 the child that takes the branch arc inherits its parent's bound and
 response, and the solutions of a node bounded at or above the incumbent's
@@ -23,7 +31,7 @@ import time
 from dataclasses import dataclass
 
 from .bounds import lb_cg, lb_mgd
-from .core import NoFeasibleSolution, SolutionIndicator, midpoint_scenario
+from .core import NoFeasibleSolution, SolutionIndicator, favoring_scenario, midpoint_scenario, val
 from .double_oracle import (
     DoubleOracleConfig,
     PENALIZING,
@@ -33,7 +41,7 @@ from .double_oracle import (
     run_double_oracle,
 )
 from .game import SolverFailure
-from .shortest_path import IntervalDigraph, Path, PathConstraint, order_path_edges, sp_oracle
+from .shortest_path import IntervalDigraph, Path, PathConstraint, order_path_edges, sp_oracle, through_arc_costs
 
 STRATEGIES = ("mgd", "cg", "do")
 
@@ -51,11 +59,15 @@ class BBConfig:
 
 @dataclass(frozen=True)
 class BBStats:
-    """Search outcome; opt is only proven optimal when complete is true."""
+    """Search outcome; opt is only proven optimal when complete is true.
+
+    fixed_arcs counts the arcs the root forbade before any branching.
+    """
 
     opt: float
     optimal_path: Path
     nodes_expanded: int
+    fixed_arcs: int
     elapsed_ms: float
     complete: bool
     strategy: str
@@ -84,12 +96,9 @@ def branch(graph: IntervalDigraph, constraint: PathConstraint, k: int) -> tuple[
     """
     if not 0 <= k < graph.m:
         raise ValueError("branch arc id out of range")
-    if k in constraint.in_chain or k in constraint.out_set:
-        raise ValueError("branch arc already constrained")
+    take, skip = constraint.split(k)
     if int(graph.tails[k]) != constraint.chain_end(graph):
         raise ValueError("branch arc does not extend the forced prefix")
-    take = PathConstraint(constraint.in_chain + (k,), constraint.out_set)
-    skip = PathConstraint(constraint.in_chain, constraint.out_set | {k})
     take.validate(graph)
     return take, skip
 
@@ -106,6 +115,23 @@ def select_branch_edge(graph: IntervalDigraph, constraint: PathConstraint, respo
         if graph.tails.item(e) == end:
             return e
     return None
+
+
+def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: float) -> frozenset[int]:
+    """The arcs on no s-t path whose maximum regret is below the given regret.
+
+    For any s-t paths P and Q, regret(P) >= c(P) - lo(Q), where c is Q's
+    favoring scenario (lo on Q, hi elsewhere): this is P's penalizing
+    scenario evaluated at Q.  An arc is fixed when the cheapest walk
+    through it under c, less lo(Q), reaches regret + 1e-9 * max(1, regret).
+    The margin keeps the reference's own arcs, which score zero up to
+    rounding, free.
+    """
+    scenario = favoring_scenario(graph.instance, reference)
+    lo_q = val(reference, scenario)
+    limit = regret + 1e-9 * max(1.0, regret)
+    through = through_arc_costs(graph, scenario.costs)
+    return frozenset(e for e, cost in enumerate(through) if cost - lo_q >= limit)
 
 
 def _split_inherited(solutions, k: int) -> tuple[tuple[SolutionIndicator, ...], tuple[SolutionIndicator, ...]]:
@@ -159,9 +185,12 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
 
     Best-first on the node bounds, ties preferring deeper nodes and then
     insertion order.  The incumbent starts at the midpoint-optimal path and
-    absorbs every solution generated by a node bounded below it.  A node whose
-    game LP fails is bounded by the pair bound instead.  Node or time
-    limits leave complete=False and the incumbent as the best known value.
+    absorbs every solution generated by a node bounded below it.  The root
+    forbids the arcs fixed_arcs finds against that first incumbent, once;
+    the midpoint path's own arcs stay free, so the root is feasible.  A
+    node whose game LP fails is bounded by the pair bound instead.  Node or
+    time limits leave complete=False and the incumbent as the best known
+    value.
     """
     if lb_strategy not in STRATEGIES:
         raise ValueError("unknown bounding strategy %r" % (lb_strategy,))
@@ -182,6 +211,9 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     mid_path, _ = oracle.solve_path(midpoint_scenario(instance).costs)
     best = mid_path.indicator()
     best_regret = regret_of(best)
+    # Paths through these arcs cannot beat the incumbent: the root forbids
+    # them, so every node inherits them.
+    fixed = fixed_arcs(graph, best, best_regret)
 
     def absorb(x: SolutionIndicator) -> None:
         nonlocal best, best_regret
@@ -218,7 +250,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         return found
 
     counter = itertools.count()
-    root_constraint = PathConstraint()
+    root_constraint = PathConstraint(out_set=fixed)
     # The midpoint path seeds the root's game, solved once for the incumbent.
     root = bound_node(root_constraint, (best,))
     heap: list = [(root.value, 0, next(counter), root_constraint, root)]
@@ -271,6 +303,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         opt=best_regret,
         optimal_path=optimal_path,
         nodes_expanded=expanded,
+        fixed_arcs=len(fixed),
         elapsed_ms=elapsed,
         complete=complete,
         strategy=lb_strategy,

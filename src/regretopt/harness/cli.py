@@ -5,7 +5,8 @@ Subcommands:
   lb      lower-bound comparison over a generated family or .ri files -> CSV
   bb      exact solve / search-strategy comparison -> CSV
   dimacs  ingest a DIMACS .gr file, perturb costs into intervals, write .ri
-  verify  brute-force cross-checks on small instances
+  verify  brute-force cross-checks on small instances; a file that cannot
+          be read or checked prints an ERROR line and counts as a failure
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from ..shortest_path import sp_oracle
 from .brute_force import brute_force_lb_star, brute_force_opt
 from .experiments import (
     BOUND_NAMES,
+    INPUT_ERRORS,
     experiment_rows,
     instance_id,
     load_instance,
@@ -137,7 +139,13 @@ def verify_instance(graph, path_limit: int) -> list[tuple[str, bool, str]]:
 def _cmd_verify(args) -> int:
     failures = 0
     for source in _sources(args):
-        for label, ok, detail in verify_instance(load_instance(source), args.path_limit):
+        try:
+            checks = verify_instance(load_instance(source), args.path_limit)
+        except INPUT_ERRORS as err:
+            failures += 1
+            print("ERROR %s %s" % (instance_id(source), err))
+            continue
+        for label, ok, detail in checks:
             if not ok:
                 failures += 1
             print("%s %s %s (%s)" % ("PASS" if ok else "FAIL", instance_id(source), label, detail))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import time
-from multiprocessing import Pool
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -139,6 +138,10 @@ def _lb_worker(args) -> dict:
 def _run_workers(worker, arglist, jobs: int) -> list[dict]:
     if jobs <= 1 or len(arglist) <= 1:
         return [worker(a) for a in arglist]
+    # Imported here: multiprocessing adds about 0.6 MB to every process
+    # that imports the harness, and only a worker pool needs it.
+    from multiprocessing import Pool
+
     with Pool(min(jobs, len(arglist))) as pool:
         return list(pool.imap(worker, arglist))
 

@@ -2,8 +2,9 @@
 
 Holds the graph container, Dijkstra, shortest path search under branch
 constraints (forced prefix, forbidden arcs), a two-unit minimum cost flow
-used by the pair-scenario bound, and the adapter that turns all of this
-into a standard-problem oracle.
+used by the pair-scenario bound, the cheapest s-t walk through each arc
+that branch and bound's arc fixing reads, and the adapter that turns all
+of this into a standard-problem oracle.
 
 The searches index plain Python sequences: each call copies its costs into
 a flat array of doubles, and the graph keeps its adjacency as per-node
@@ -146,22 +147,8 @@ class IntervalDigraph:
         then kept.
         """
         if self._goal_potential is None:
-            into: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
-            for u, v, w in zip(self.tails.tolist(), self.heads.tolist(), self.lo.tolist()):
-                into[v].append((u, w))
-            h = [math.inf] * self.node_count
-            h[self.target] = 0.0
-            heap = [(0.0, self.target)]
-            while heap:
-                d, v = heapq.heappop(heap)
-                if d > h[v]:
-                    continue
-                for u, w in into[v]:
-                    nd = d + w
-                    if nd < h[u]:
-                        h[u] = nd
-                        heapq.heappush(heap, (nd, u))
             shrink = 1.0 - 2.0**-20
+            h = _distances_to_target(self, self.lo.tolist())
             # Every graph keeps this, so it is stored as doubles: 8 bytes a node.
             object.__setattr__(self, "_goal_potential", array("d", [x * shrink for x in h]))
         return self._goal_potential
@@ -183,10 +170,18 @@ class IntervalDigraph:
 
 @dataclass(frozen=True)
 class PathConstraint:
-    """Branch state: a forced arc prefix out of the source plus forbidden arcs."""
+    """Branch state: a forced arc prefix out of the source plus forbidden arcs.
+
+    The forbidden arcs can number in the hundreds once branch and bound
+    fixes arcs at its root, so neither branching nor validate passes over
+    them: split builds both children from checked parts, and validate
+    reads the range of the forbidden ids from the span kept with them.
+    """
 
     in_chain: tuple[int, ...] = ()
     out_set: frozenset[int] = frozenset()
+    # The least and greatest forbidden arc ids; None when none is forbidden.
+    _out_span: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         chain = tuple(map(int, self.in_chain))
@@ -198,13 +193,33 @@ class PathConstraint:
             raise ValueError("forced prefix repeats an arc")
         object.__setattr__(self, "in_chain", chain)
         object.__setattr__(self, "out_set", out)
+        object.__setattr__(self, "_out_span", (min(out), max(out)) if out else None)
+
+    def split(self, k: int) -> tuple["PathConstraint", "PathConstraint"]:
+        """The two children on arc k: k appended to the forced prefix, and k forbidden."""
+        k = int(k)
+        if k in self.out_set or k in self.in_chain:
+            raise ValueError("arc already constrained")
+        lo, hi = self._out_span or (k, k)
+        take = self._child(self.in_chain + (k,), self.out_set, self._out_span)
+        skip = self._child(self.in_chain, self.out_set | {k}, (min(lo, k), max(hi, k)))
+        return take, skip
+
+    @classmethod
+    def _child(cls, chain: tuple[int, ...], out: frozenset[int], span) -> "PathConstraint":
+        # The parts are checked and normalised already: skip __post_init__.
+        child = object.__new__(cls)
+        object.__setattr__(child, "in_chain", chain)
+        object.__setattr__(child, "out_set", out)
+        object.__setattr__(child, "_out_span", span)
+        return child
 
     def validate(self, graph: IntervalDigraph) -> None:
-        """Check the prefix really is a simple path leaving the source."""
+        """Check the arc ids and that the prefix is a simple path leaving the source."""
         m = graph.m
         if self.in_chain and not (min(self.in_chain) >= 0 and max(self.in_chain) < m):
             raise ValueError("forced arc id out of range")
-        if self.out_set and not (min(self.out_set) >= 0 and max(self.out_set) < m):
+        if self._out_span and not (self._out_span[0] >= 0 and self._out_span[1] < m):
             raise ValueError("forbidden arc id out of range")
         node = graph.source
         seen = {node}
@@ -291,6 +306,44 @@ def _settle_all(graph, costs: array, src, banned_nodes, target, h):
             elif nd == dv and e < pred[v]:
                 pred[v] = e
     return dist, pred
+
+
+def _distances_to_target(graph, costs) -> list[float]:
+    """Each node's least cost to the target, by one Dijkstra over the reversed arcs.
+
+    costs is a flat sequence of floats.  The reversed adjacency is built
+    for the call and dropped with it.
+    """
+    into: list[list[tuple[int, float]]] = [[] for _ in range(graph.node_count)]
+    for u, v, w in zip(graph.tails.tolist(), graph.heads.tolist(), costs):
+        into[v].append((u, w))
+    h = [math.inf] * graph.node_count
+    h[graph.target] = 0.0
+    heap = [(0.0, graph.target)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > h[v]:
+            continue
+        for u, w in into[v]:
+            nd = d + w
+            if nd < h[u]:
+                h[u] = nd
+                heapq.heappush(heap, (nd, u))
+    return h
+
+
+def through_arc_costs(graph: IntervalDigraph, costs) -> list[float]:
+    """Per arc (u, v): d_s(u) + c_uv + d_t(v), the cheapest s-t walk through it.
+
+    d_s and d_t are the least costs from the source and to the target
+    under the given costs.  No s-t path through the arc costs less; the
+    value is inf when no s-t walk uses the arc.
+    """
+    c, _ = _check_costs(graph, costs)
+    c = array("d", c.tobytes())
+    d_s, _ = _settle_all(graph, c, graph.source, (), None, [0.0] * graph.node_count)
+    d_t = _distances_to_target(graph, c)
+    return [d_s[u] + w + d_t[v] for u, v, w in zip(graph.tails.tolist(), graph.heads.tolist(), c)]
 
 
 def _walk_back(graph, pred, src, dst) -> Path:

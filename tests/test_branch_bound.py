@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from regretopt import IntervalDigraph, NoFeasibleSolution, PathConstraint, SolverFailure, branch_bound, double_oracle, lb_mgd, midpoint_scenario, shortest_path
-from regretopt.branch_bound import BBConfig, NodeBound, bb_solve, branch, node_lower_bound, select_branch_edge
+from regretopt.branch_bound import BBConfig, NodeBound, bb_solve, branch, fixed_arcs, node_lower_bound, select_branch_edge
 from regretopt.harness import GeneratorSpec, gen_instance
-from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt
-from regretopt.shortest_path import order_path_edges
+from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt, enumerate_paths
+from regretopt.shortest_path import order_path_edges, sp_oracle
 
 from _fixtures import six_node_graph, two_arc_graph
 
@@ -64,6 +64,35 @@ def test_node_lower_bound_strategies():
         node_lower_bound(graph, PathConstraint(out_set=frozenset({0, 1})), "cg")
 
 
+def test_fixed_arcs_carry_no_path_that_beats_the_incumbent():
+    """Root arc fixing against the midpoint incumbent, checked by enumerating every path.
+
+    On zero-width graphs the incumbent's regret is 0, so only the margin
+    keeps the midpoint path's own arcs (score 0 up to rounding) free.
+    """
+    zero_width = through_fixed = 0
+    for i in range(150):
+        d = (0.0, 0.5, 1.0)[i % 3]
+        spec = GeneratorSpec(family="R", n=4 + i % 4, r=100.0, d=d, delta=0.5 + 0.1 * (i % 5), seed=2400 + i)
+        graph = gen_instance(spec)
+        oracle = sp_oracle(graph)
+        mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
+        incumbent = double_oracle.max_regret(graph.instance, oracle, mid)
+        fixed = fixed_arcs(graph, mid, incumbent)
+        assert fixed.isdisjoint(mid.members)
+        # brute_force_opt lists every path's regret, by enumeration, in enumerate_paths order.
+        _, _, regrets = brute_force_opt(graph)
+        for path, regret in zip(enumerate_paths(graph), regrets, strict=True):
+            if not fixed.isdisjoint(path.edges):
+                assert regret >= incumbent - 1e-9
+                through_fixed += 1
+        assert bb_solve(graph, "cg").fixed_arcs == len(fixed)
+        if d == 0.0:
+            assert incumbent == 0.0
+            zero_width += 1
+    assert zero_width == 50 and through_fixed > 3000
+
+
 # ------------------------------------------------------------- full search
 
 
@@ -92,18 +121,18 @@ def test_every_strategy_solves_the_fixtures():
 # search's exact answers and its node order, not a theorem: a change meant
 # to keep the search's answers must keep every bit and count here.
 GOLDEN_SEARCHES = {
-    ("R", 0): ("0x1.267013d861601p+8", (2, 91, 215, 232), (30, 10, 2, 2)),
-    ("R", 1): ("0x1.2e4fb7628250dp+7", (0, 15, 66), (10, 5, 1, 1)),
-    ("R", 2): ("0x1.72d92d889d1dap+9", (4, 154, 84, 109), (72, 17, 10, 7)),
-    ("R", 3): ("0x1.d1dead4d15729p+8", (4, 220, 36, 120, 79, 49, 94, 210, 61), (84, 23, 8, 8)),
-    ("R", 4): ("0x1.cb6ccfadf9028p+8", (2, 136, 149, 262, 38, 218), (26, 12, 4, 4)),
-    ("R", 5): ("0x1.72606f090c1a4p+7", (4, 196), (7, 5, 2, 2)),
-    ("R", 6): ("0x1.b562d0f971a48p+6", (0, 71, 104, 243), (4, 4, 1, 1)),
-    ("R", 7): ("0x1.23227214e1a98p+8", (2, 199), (5, 5, 2, 2)),
-    ("K", 0): ("0x1.945834c657a84p+9", (3, 16, 20, 36, 53, 69), (67, 22, 6, 7)),
-    ("K", 1): ("0x1.6ca24b84de21cp+9", (2, 14, 28, 36, 54, 70), (39, 13, 5, 6)),
-    ("K", 2): ("0x1.32f4c65d8cebdp+10", (3, 17, 26, 47, 64, 68), (179, 52, 17, 18)),
-    ("K", 3): ("0x1.2d07fc273dec4p+8", (0, 4, 20, 39, 67, 71), (16, 8, 4, 4)),
+    ("R", 0): ("0x1.267013d861601p+8", (2, 91, 215, 232), (4, 5, 1, 1)),
+    ("R", 1): ("0x1.2e4fb7628250dp+7", (0, 15, 66), (1, 3, 1, 1)),
+    ("R", 2): ("0x1.72d92d889d1dap+9", (4, 154, 84, 109), (15, 15, 8, 7)),
+    ("R", 3): ("0x1.d1dead4d15729p+8", (4, 220, 36, 120, 79, 49, 94, 210, 61), (9, 16, 3, 3)),
+    ("R", 4): ("0x1.cb6ccfadf9028p+8", (2, 136, 149, 262, 38, 218), (6, 9, 4, 4)),
+    ("R", 5): ("0x1.72606f090c1a4p+7", (4, 196), (1, 4, 1, 1)),
+    ("R", 6): ("0x1.b562d0f971a48p+6", (0, 71, 104, 243), (1, 4, 1, 1)),
+    ("R", 7): ("0x1.23227214e1a98p+8", (2, 199), (1, 2, 1, 1)),
+    ("K", 0): ("0x1.945834c657a84p+9", (3, 16, 20, 36, 53, 69), (33, 22, 5, 5)),
+    ("K", 1): ("0x1.6ca24b84de21cp+9", (2, 14, 28, 36, 54, 70), (21, 12, 5, 6)),
+    ("K", 2): ("0x1.32f4c65d8cebdp+10", (3, 17, 26, 47, 64, 68), (53, 43, 1, 1)),
+    ("K", 3): ("0x1.2d07fc273dec4p+8", (0, 4, 20, 39, 67, 71), (1, 5, 1, 1)),
 }
 
 

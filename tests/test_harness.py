@@ -390,7 +390,7 @@ def test_strategy_disagreement_is_a_hard_failure(monkeypatch, tmp_path, kind):
         counter["calls"] += 1
         return branch_bound.BBStats(
             opt=float(counter["calls"]), optimal_path=None, nodes_expanded=1,
-            elapsed_ms=0.0, complete=True, strategy=strategy,
+            fixed_arcs=0, elapsed_ms=0.0, complete=True, strategy=strategy,
         )
 
     monkeypatch.setattr(experiments, "bb_solve", rigged)
@@ -493,6 +493,18 @@ def test_cli_verify_exits_clean_on_sound_instances(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") == 6
+
+
+def test_cli_verify_reports_a_malformed_file_and_goes_on(tmp_path, capsys):
+    bad = tmp_path / "bad.ri"
+    bad.write_text("2 2 0 1\n")
+    good = str(tmp_path / "six.ri")
+    write_native(six_node_graph(), good)
+    assert main(["verify", str(bad), good]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "ERROR %s line 1: unrecognized line type '2'" % bad
+    assert [line.split()[0] for line in lines[1:]] == ["PASS"] * 6 + ["1"]
+    assert lines[-1] == "1 check(s) failed"
 
 
 def test_cli_requires_family_or_files():
