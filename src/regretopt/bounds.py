@@ -95,7 +95,7 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
         raise NoFeasibleSolution("constraint admits no path")
     path, constrained_value = found
     relaxed = np.array(graph.hi)
-    forbidden = np.fromiter(constraint.out_set, np.intp, len(constraint.out_set))
+    forbidden = constraint.out_index
     relaxed[forbidden] = graph.lo[forbidden]
     unrestricted = dijkstra(graph, relaxed)
     value = constrained_value - unrestricted[1]

@@ -30,6 +30,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import lb_cg, lb_mgd
 from .core import NoFeasibleSolution, SolutionIndicator, favoring_scenario, midpoint_scenario, val
 from .double_oracle import (
@@ -47,6 +49,9 @@ STRATEGIES = ("mgd", "cg", "do")
 
 # A node is pruned once its bound comes this close to the incumbent's regret.
 _PRUNE_TOL = 1e-9
+
+# Root fixing searches walks up to this factor past its limit (see fixed_arcs).
+_CUTOFF_FACTOR = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,18 @@ def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: flo
     through it under c, less lo(Q), reaches regret + 1e-9 * max(1, regret).
     The margin keeps the reference's own arcs, which score zero up to
     rounding, free.
+
+    The walks are searched only up to (lo(Q) + that limit) * (1 + 1e-12):
+    an arc past that cutoff, or within rounding of it, reads inf, and every
+    other arc reads the sum full searches give.  The factor lies far above
+    the rounding of the sums, so every arc that reads inf reaches the limit
+    under full searches too, and the fixed set is the same.
     """
     scenario = favoring_scenario(graph.instance, reference)
     lo_q = val(reference, scenario)
     limit = regret + 1e-9 * max(1.0, regret)
-    through = through_arc_costs(graph, scenario.costs)
-    return frozenset(e for e, cost in enumerate(through) if cost - lo_q >= limit)
+    through = through_arc_costs(graph, scenario.costs, (lo_q + limit) * _CUTOFF_FACTOR)
+    return frozenset(np.flatnonzero(through - lo_q >= limit).tolist())
 
 
 def _split_inherited(solutions, k: int) -> tuple[tuple[SolutionIndicator, ...], tuple[SolutionIndicator, ...]]:

@@ -9,7 +9,12 @@ of this into a standard-problem oracle.
 The searches index plain Python sequences: each call copies its costs into
 a flat array of doubles, and the graph keeps its adjacency as per-node
 tuples, because indexing numpy scalars one arc at a time costs more than
-the search itself.
+the search itself.  Work over all arcs stays in numpy: a constraint keeps
+its forbidden arcs as an index array, marked at inf with one store, and
+the walk through each arc is scored in one expression.  The graph's own
+lo and hi were checked when it was built and are read-only, so a search
+handed either of them checks nothing again; every other cost vector is
+checked on every call.
 
 Searches toward the target are goal-directed (A*).  Every cost vector the
 solvers build lies in [lo, hi], so each node's lo-cost distance to the
@@ -17,7 +22,10 @@ target, shrunk by a hair, is a consistent potential for all of them; the
 graph computes it once, on first use.  Costs below lo anywhere fall back
 to a zero potential, which is plain Dijkstra.  The two-unit flow stops its
 first pass at the target and prices its second with the first pass's
-labels, capped at the target's label less the potential.
+labels, capped at the target's label less the potential.  The walk through
+each arc may be cut off at a cost: both of its searches then expand only
+the nodes whose key stays below it, so arc fixing at the root of branch and
+bound settles the few nodes near a cheap route instead of the whole graph.
 """
 
 from __future__ import annotations
@@ -148,7 +156,7 @@ class IntervalDigraph:
         """
         if self._goal_potential is None:
             shrink = 1.0 - 2.0**-20
-            h = _distances_to_target(self, self.lo.tolist())
+            h = _distances_to_target(self, self.lo)
             # Every graph keeps this, so it is stored as doubles: 8 bytes a node.
             object.__setattr__(self, "_goal_potential", array("d", [x * shrink for x in h]))
         return self._goal_potential
@@ -173,13 +181,17 @@ class PathConstraint:
     """Branch state: a forced arc prefix out of the source plus forbidden arcs.
 
     The forbidden arcs can number in the hundreds once branch and bound
-    fixes arcs at its root, so neither branching nor validate passes over
-    them: split builds both children from checked parts, and validate
-    reads the range of the forbidden ids from the span kept with them.
+    fixes arcs at its root, so neither branching, validate nor the searches
+    pass over them in Python.  out_index holds the forbidden ids once each,
+    as a read-only numpy array, and the searches mark them with one indexed
+    store; validate reads their range from the span kept beside it.  split
+    builds both children from checked parts: the take child shares its
+    parent's index, and the skip child's is the parent's with k appended.
     """
 
     in_chain: tuple[int, ...] = ()
     out_set: frozenset[int] = frozenset()
+    out_index: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     # The least and greatest forbidden arc ids; None when none is forbidden.
     _out_span: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -191,8 +203,11 @@ class PathConstraint:
             raise ValueError("an arc cannot be both forced and forbidden")
         if len(forced) != len(chain):
             raise ValueError("forced prefix repeats an arc")
+        index = np.fromiter(out, np.intp, len(out))
+        index.setflags(write=False)
         object.__setattr__(self, "in_chain", chain)
         object.__setattr__(self, "out_set", out)
+        object.__setattr__(self, "out_index", index)
         object.__setattr__(self, "_out_span", (min(out), max(out)) if out else None)
 
     def split(self, k: int) -> tuple["PathConstraint", "PathConstraint"]:
@@ -201,16 +216,19 @@ class PathConstraint:
         if k in self.out_set or k in self.in_chain:
             raise ValueError("arc already constrained")
         lo, hi = self._out_span or (k, k)
-        take = self._child(self.in_chain + (k,), self.out_set, self._out_span)
-        skip = self._child(self.in_chain, self.out_set | {k}, (min(lo, k), max(hi, k)))
+        take = self._child(self.in_chain + (k,), self.out_set, self.out_index, self._out_span)
+        index = np.append(self.out_index, k)
+        index.setflags(write=False)
+        skip = self._child(self.in_chain, self.out_set | {k}, index, (min(lo, k), max(hi, k)))
         return take, skip
 
     @classmethod
-    def _child(cls, chain: tuple[int, ...], out: frozenset[int], span) -> "PathConstraint":
+    def _child(cls, chain: tuple[int, ...], out: frozenset[int], index: np.ndarray, span) -> "PathConstraint":
         # The parts are checked and normalised already: skip __post_init__.
         child = object.__new__(cls)
         object.__setattr__(child, "in_chain", chain)
         object.__setattr__(child, "out_set", out)
+        object.__setattr__(child, "out_index", index)
         object.__setattr__(child, "_out_span", span)
         return child
 
@@ -243,9 +261,12 @@ class PathConstraint:
 def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, bool]:
     """The costs as a float array, and whether none lies below its arc's lo.
 
-    Costs at or above lo are nonnegative already, so they need only the
-    finiteness check.
+    The graph's own lo and hi pass unchecked: both were checked when the
+    graph was built and are read-only.  Costs at or above lo are
+    nonnegative already, so they need only the finiteness check.
     """
+    if costs is graph.lo or costs is graph.hi:
+        return costs, True
     c = np.asarray(costs, dtype=float)
     if c.shape != (graph.m,):
         raise ValueError("one cost per arc required")
@@ -261,17 +282,20 @@ def _potential(graph: IntervalDigraph, above_lo: bool):
     return graph.goal_potential if above_lo else [0.0] * graph.node_count
 
 
-def _settle_all(graph, costs: array, src, banned_nodes, target, h):
+def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.inf):
     """A* labels from src toward target under the consistent potential h.
 
     The heap orders nodes by (label + h, label, node), so a zero potential
     is plain Dijkstra; the search stops once target is settled, and with
     target None settles everything src reaches.  Equal-cost relaxations
     keep the smallest arc id.  Arcs priced at infinity are never relaxed,
-    nodes with an infinite potential never enter the heap, and banned
-    nodes start out settled.  Predecessors are only rewritten while the
-    head is unsettled, so the predecessor chain always walks strictly back
-    in settle order and stays acyclic even across zero-cost arcs.
+    nodes whose key label + h reaches cutoff never enter the heap (with the
+    default cutoff, those of infinite potential), and banned nodes start
+    out settled.  So with target None a node other than src is settled
+    exactly when its final label + h lies below cutoff.  Predecessors are
+    only rewritten while the head is unsettled, so the predecessor chain
+    always walks strictly back in settle order and stays acyclic even
+    across zero-cost arcs.
     """
     n = graph.node_count
     dist = [math.inf] * n
@@ -300,50 +324,83 @@ def _settle_all(graph, costs: array, src, banned_nodes, target, h):
             if nd < dv:
                 dist[v] = nd
                 pred[v] = e
-                hv = h[v]
-                if hv < math.inf:
-                    push(heap, (nd + hv, nd, v))
+                key = nd + h[v]
+                if key < cutoff:
+                    push(heap, (key, nd, v))
             elif nd == dv and e < pred[v]:
                 pred[v] = e
     return dist, pred
 
 
-def _distances_to_target(graph, costs) -> list[float]:
-    """Each node's least cost to the target, by one Dijkstra over the reversed arcs.
+def _distances_to_target(graph, costs: np.ndarray, arcs=None, h=None, cutoff=math.inf) -> list[float]:
+    """Each node's least cost to the target, by one search over the reversed arcs.
 
-    costs is a flat sequence of floats.  The reversed adjacency is built
-    for the call and dropped with it.
+    With arcs, a boolean mask, only those arcs are searched.  With h, a
+    potential consistent for the reversed arcs such as labels from the
+    source, the heap orders nodes by label + h, and nodes whose key reaches
+    cutoff are labelled but not expanded.  A node popped at a stale label
+    is skipped and one relabelled after its pop is expanded again, so every
+    label below the cutoff is final however h rounds.  The reversed
+    adjacency is built for the call and dropped with it.
     """
-    into: list[list[tuple[int, float]]] = [[] for _ in range(graph.node_count)]
-    for u, v, w in zip(graph.tails.tolist(), graph.heads.tolist(), costs):
-        into[v].append((u, w))
-    h = [math.inf] * graph.node_count
-    h[graph.target] = 0.0
-    heap = [(0.0, graph.target)]
+    n = graph.node_count
+    tails, heads, w = graph.tails, graph.heads, costs
+    if arcs is not None:
+        tails, heads, w = tails[arcs], heads[arcs], w[arcs]
+    into: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, c in zip(tails.tolist(), heads.tolist(), w.tolist()):
+        into[v].append((u, c))
+    h = [0.0] * n if h is None else h
+    dist = [math.inf] * n
+    t = graph.target
+    dist[t] = 0.0
+    heap = [(h[t], 0.0, t)]
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, v = heapq.heappop(heap)
-        if d > h[v]:
+        _, d, v = pop(heap)
+        if d > dist[v]:
             continue
-        for u, w in into[v]:
-            nd = d + w
-            if nd < h[u]:
-                h[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return h
+        for u, c in into[v]:
+            nd = d + c
+            if nd < dist[u]:
+                dist[u] = nd
+                key = nd + h[u]
+                if key < cutoff:
+                    push(heap, (key, nd, u))
+    return dist
 
 
-def through_arc_costs(graph: IntervalDigraph, costs) -> list[float]:
+def through_arc_costs(graph: IntervalDigraph, costs, cutoff: float = math.inf) -> np.ndarray:
     """Per arc (u, v): d_s(u) + c_uv + d_t(v), the cheapest s-t walk through it.
 
     d_s and d_t are the least costs from the source and to the target
     under the given costs.  No s-t path through the arc costs less; the
-    value is inf when no s-t walk uses the arc.
+    value is inf when no s-t walk uses the arc, or when it reaches cutoff.
+
+    Both searches stop short of the cutoff.  The forward one is A* from the
+    source under the goal potential, which never exceeds d_t, and expands
+    only nodes whose key d_s + potential lies below the cutoff.  So an arc
+    whose walk costs less than the cutoff has both ends settled, at final
+    labels.  The reverse search runs over the arcs between settled nodes,
+    with the forward labels as its potential, and expands only nodes whose
+    d_s + d_t lies below the cutoff; every node on the cheapest route from
+    such a node to the target meets the same test.  The arcs below the
+    cutoff therefore read the same sums as with full searches, and the
+    rest read inf.  The keys are summed in another order than the walks,
+    so an arc within rounding of the cutoff may read inf either way.
     """
-    c, _ = _check_costs(graph, costs)
-    c = array("d", c.tobytes())
-    d_s, _ = _settle_all(graph, c, graph.source, (), None, [0.0] * graph.node_count)
-    d_t = _distances_to_target(graph, c)
-    return [d_s[u] + w + d_t[v] for u, v, w in zip(graph.tails.tolist(), graph.heads.tolist(), c)]
+    c, above_lo = _check_costs(graph, costs)
+    h = _potential(graph, above_lo)
+    d_s, _ = _settle_all(graph, array("d", c.tobytes()), graph.source, (), None, h, cutoff)
+    d_s = np.array(d_s)
+    # Labels of nodes left unsettled may not be final: read them as inf.
+    settled = d_s + np.asarray(h) < cutoff
+    d_s[~settled] = math.inf
+    tails, heads = graph.tails, graph.heads
+    d_t = np.array(_distances_to_target(graph, c, settled[tails] & settled[heads], d_s.tolist(), cutoff))
+    through = d_s[tails] + c + d_t[heads]
+    through[through >= cutoff] = math.inf
+    return through
 
 
 def _walk_back(graph, pred, src, dst) -> Path:
@@ -378,8 +435,8 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
     *banned_nodes, start = constraint.chain_nodes(graph)
     if start == graph.target:
         return Path(constraint.in_chain), chain_value
-    for e in constraint.out_set:
-        c[e] = math.inf
+    # validate has checked the forbidden ids' range, so the store stays in bounds.
+    np.frombuffer(c)[constraint.out_index] = math.inf
     dist, pred = _settle_all(graph, c, start, banned_nodes, graph.target, _potential(graph, above_lo))
     if dist[graph.target] == math.inf:
         return None
@@ -400,7 +457,8 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
     """
     lo, above_lo = _check_costs(graph, lo_costs)
     hi, _ = _check_costs(graph, hi_costs)
-    if (hi < lo).any():
+    # The graph's own pair was checked when the graph was built.
+    if not (lo is graph.lo and hi is graph.hi) and (hi < lo).any():
         raise ValueError("per-arc second-use cost below first-use cost")
     costs = array("d", lo.tobytes())
     out = frozenset()

@@ -8,16 +8,21 @@ Nothing is shared with the production solver beyond numpy.
 
 EnumeratedOracle is a standard-problem oracle over an explicit list of
 feasible sets, the fake for a problem that is not a shortest path.
+
+full_sweep_fixed_arcs is root arc fixing as first written: two plain
+Dijkstras that settle every node, and a Python pass over every arc.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from regretopt import NoFeasibleSolution, SolutionIndicator
+from regretopt import NoFeasibleSolution, SolutionIndicator, favoring_scenario, val
 
 _EPS = 1e-8
 
@@ -105,3 +110,44 @@ def enum_equilibrium(matrix) -> tuple[float, np.ndarray, np.ndarray]:
             if (p @ a).max() <= value + _EPS and (a @ q).min() >= value - _EPS:
                 return float(value), p, q
     raise RuntimeError("no equilibrium found by support enumeration")
+
+
+def _plain_dijkstra(node_count: int, source: int, arcs) -> list[float]:
+    """Least cost from source to every node over (tail, head, cost) arcs."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
+    for u, v, w in arcs:
+        adj[u].append((v, w))
+    dist = [math.inf] * node_count
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def full_sweep_through_costs(graph, costs) -> list[float]:
+    """Per arc (u, v): d_s(u) + c_uv + d_t(v), from sweeps that settle every node."""
+    tails, heads, c = graph.tails.tolist(), graph.heads.tolist(), [float(x) for x in costs]
+    d_s = _plain_dijkstra(graph.node_count, graph.source, zip(tails, heads, c))
+    d_t = _plain_dijkstra(graph.node_count, graph.target, zip(heads, tails, c))
+    return [d_s[u] + w + d_t[v] for u, v, w in zip(tails, heads, c)]
+
+
+def full_sweep_fixed_arcs(graph, reference: SolutionIndicator, regret: float) -> frozenset[int]:
+    """The arcs fixed_arcs fixes, from full forward and reverse sweeps.
+
+    An arc is fixed when d_s(u) + c_uv + d_t(v) - lo(Q) reaches
+    regret + 1e-9 * max(1, regret), with c the reference's favoring
+    scenario and Q the reference.
+    """
+    scenario = favoring_scenario(graph.instance, reference)
+    lo_q = val(reference, scenario)
+    limit = regret + 1e-9 * max(1.0, regret)
+    through = full_sweep_through_costs(graph, scenario.costs)
+    return frozenset(e for e, cost in enumerate(through) if cost - lo_q >= limit)

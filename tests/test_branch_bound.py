@@ -10,6 +10,7 @@ from regretopt.harness.brute_force import brute_force_max_regret, brute_force_op
 from regretopt.shortest_path import order_path_edges, sp_oracle
 
 from _fixtures import six_node_graph, two_arc_graph
+from _oracles import full_sweep_fixed_arcs
 
 
 # ------------------------------------------------------------- primitives
@@ -91,6 +92,53 @@ def test_fixed_arcs_carry_no_path_that_beats_the_incumbent():
             assert incumbent == 0.0
             zero_width += 1
     assert zero_width == 50 and through_fixed > 3000
+
+
+def _fixing_cases(graph):
+    """The midpoint incumbent with its own regret, and with a half and a zero one."""
+    oracle = sp_oracle(graph)
+    mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
+    incumbent = double_oracle.max_regret(graph.instance, oracle, mid)
+    return [(mid, incumbent), (mid, incumbent / 2.0), (mid, 0.0)]
+
+
+def _integer_costs(graph):
+    """The same arcs with costs cut to a few integer levels, so walks tie often."""
+    return IntervalDigraph(
+        graph.node_count, graph.tails, graph.heads, np.floor(graph.lo / 250.0), np.floor(graph.hi / 250.0),
+        graph.source, graph.target,
+    )
+
+
+def test_bounded_fixing_matches_the_full_sweep():
+    """fixed_arcs cuts its searches off near the limit; the fixed set must not notice."""
+    graphs = 0
+    for i in range(240):
+        d = (0.0, 0.5, 1.0)[i % 3]
+        if i % 2:
+            spec = GeneratorSpec(family="K", n=2 + 3 * (2 + i % 5), r=1000.0, d=d, w=3, seed=3100 + i)
+        else:
+            spec = GeneratorSpec(family="R", n=5 + i % 20, r=1000.0, d=d, delta=0.2 + 0.05 * (i % 9), seed=3100 + i)
+        graph = gen_instance(spec)
+        if i % 4 == 3:
+            graph = _integer_costs(graph)
+        for reference, regret in _fixing_cases(graph):
+            assert fixed_arcs(graph, reference, regret) == full_sweep_fixed_arcs(graph, reference, regret)
+        graphs += 1
+    assert graphs >= 200
+
+
+def test_bounded_fixing_matches_the_full_sweep_on_the_search_roster():
+    # The benchmark's search-R graphs, as generated: R-40, delta 0.2, seeds 0-49.
+    fixed = arcs = 0
+    for seed in range(50):
+        graph = gen_instance(GeneratorSpec(family="R", n=40, r=1000.0, d=1.0, delta=0.2, seed=seed))
+        reference, regret = _fixing_cases(graph)[0]
+        found = fixed_arcs(graph, reference, regret)
+        assert found == full_sweep_fixed_arcs(graph, reference, regret)
+        fixed += len(found)
+        arcs += graph.m
+    assert (fixed, arcs) == (15064, 15656)
 
 
 # ------------------------------------------------------------- full search

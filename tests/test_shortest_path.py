@@ -5,6 +5,8 @@ import types
 import numpy as np
 import pytest
 
+from array import array
+
 from regretopt import (
     IntervalDigraph,
     NoFeasibleSolution,
@@ -12,15 +14,20 @@ from regretopt import (
     PathConstraint,
     constrained_sp,
     dijkstra,
+    lb_mgd,
+    midpoint_scenario,
     sp_oracle,
     two_unit_min_flow,
 )
 from regretopt import shortest_path
+from regretopt.branch_bound import fixed_arcs
+from regretopt.double_oracle import max_regret
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import enumerate_paths
-from regretopt.shortest_path import order_path_edges
+from regretopt.shortest_path import order_path_edges, through_arc_costs
 
 from _fixtures import six_node_graph, two_arc_graph
+from _oracles import full_sweep_through_costs
 
 
 def random_graph(i: int) -> IntervalDigraph:
@@ -102,6 +109,33 @@ def test_dijkstra_rejects_bad_costs():
         dijkstra(g, [2.0, -1e-300])
 
 
+def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
+    # lo and hi of a graph are checked once, when it is built, and stay read-only;
+    # every other cost vector, a copy of either included, is checked on every call.
+    g = two_arc_graph()
+    assert not g.lo.flags.writeable and not g.hi.flags.writeable
+    assert shortest_path._check_costs(g, g.lo) == (g.lo, True)
+    assert shortest_path._check_costs(g, g.hi)[0] is g.hi
+    bad_vectors = ([1.0], [1.0, 2.0, 3.0], [2.0, np.nan], [np.inf, 2.0], [-np.inf, 2.0], [-1.0, 2.0], [2.0, -1e-300])
+    for bad in bad_vectors:
+        with pytest.raises(ValueError):
+            constrained_sp(g, bad, PathConstraint())
+        with pytest.raises(ValueError):
+            constrained_sp(g, bad, PathConstraint(out_set=frozenset({1})))
+        with pytest.raises(ValueError):
+            two_unit_min_flow(g, bad, g.hi)
+        with pytest.raises(ValueError):
+            two_unit_min_flow(g, g.lo, bad)
+    # A second use that costs less than the first, on arcs of positive width.
+    assert (g.hi > g.lo).all()
+    for lo, hi in ((g.hi, g.lo), (np.array(g.hi), g.lo), (g.lo, g.lo / 2.0)):
+        with pytest.raises(ValueError):
+            two_unit_min_flow(g, lo, hi)
+        with pytest.raises(ValueError):
+            two_unit_min_flow(g, lo, hi, PathConstraint(in_chain=(0,)))
+    assert two_unit_min_flow(g, g.lo, g.hi) == two_unit_min_flow(g, np.array(g.lo), np.array(g.hi)) == 12.0
+
+
 def test_negative_zero_is_a_valid_cost():
     g = two_arc_graph()
     path, value = dijkstra(g, [3.0, -0.0])
@@ -160,6 +194,112 @@ def test_oracle_restriction_raises_when_infeasible():
     assert x.members == {0, 3, 6} and value == 5.0
     with pytest.raises(NoFeasibleSolution):
         oracle.solve(np.array(g.lo), PathConstraint(in_chain=(0,), out_set=frozenset({2, 3})))
+
+
+def test_through_arc_costs_below_a_cutoff_match_full_sweeps():
+    # Costs at or above lo search under the goal potential, costs below lo without one;
+    # the cutoffs include exact walk costs, the edge case.
+    rng = np.random.default_rng(3003)
+    for i in range(90):
+        g = random_graph(i)
+        width = g.hi - g.lo
+        for costs in (g.lo + rng.random(g.m) * width, g.hi, rng.random(g.m) * g.lo, np.floor(g.lo + rng.random(g.m) * width)):
+            full = np.array(full_sweep_through_costs(g, costs))
+            assert through_arc_costs(g, costs).tolist() == full.tolist()
+            finite = np.sort(full[np.isfinite(full)])
+            for cutoff in (finite[0], finite[len(finite) // 3], finite[-1], finite[-1] * 2.0, 0.0):
+                # Within rounding of the cutoff an arc may read either way.
+                got = through_arc_costs(g, costs, cutoff)
+                assert ((got == full) | (got == math.inf)).all()
+                clear = full < cutoff * (1.0 - 1e-12)
+                assert got[clear].tolist() == full[clear].tolist()
+                assert (got[full >= cutoff] == math.inf).all()
+
+
+def test_forbidden_index_follows_split_chains():
+    rng = np.random.default_rng(404)
+    for i in range(60):
+        g = random_graph(i)
+        out = frozenset(int(e) for e in rng.choice(g.m, size=int(rng.integers(0, g.m // 2 + 1)), replace=False))
+        constraint = PathConstraint(out_set=out)
+        while True:
+            index = constraint.out_index
+            assert index.dtype == np.intp and not index.flags.writeable
+            assert len(set(index.tolist())) == index.size == len(constraint.out_set)
+            assert set(index.tolist()) == constraint.out_set
+            free = [e for e in range(g.m) if e not in constraint.out_set and e not in constraint.in_chain]
+            if not free:
+                break
+            take, skip = constraint.split(int(rng.choice(free)))
+            assert take.out_index is index
+            constraint = take if rng.random() < 0.3 else skip
+
+
+def loop_marked_sp(graph, costs, constraint):
+    """constrained_sp with every forbidden arc set to inf one at a time, as (arcs, value) or None."""
+    c = array("d", np.asarray(costs, dtype=float).tobytes())
+    chain = constraint.in_chain
+    chain_value = float(sum(c[e] for e in chain))
+    *banned_nodes, start = constraint.chain_nodes(graph)
+    if start == graph.target:
+        return chain, chain_value
+    for e in constraint.out_set:
+        c[e] = math.inf
+    above_lo = bool((np.asarray(costs) >= graph.lo).all())
+    dist, pred = shortest_path._settle_all(graph, c, start, banned_nodes, graph.target, shortest_path._potential(graph, above_lo))
+    if dist[graph.target] == math.inf:
+        return None
+    return chain + shortest_path._walk_back(graph, pred, start, graph.target).edges, chain_value + dist[graph.target]
+
+
+def root_sized_constraints(rng, graph):
+    """Root fixing's forbidden set, then random branches off it, then random sets of most arcs."""
+    oracle = sp_oracle(graph)
+    mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
+    constraint = PathConstraint(out_set=fixed_arcs(graph, mid, max_regret(graph.instance, oracle, mid)))
+    yield constraint
+    for _ in range(8):
+        end = constraint.chain_end(graph)
+        if end == graph.target:
+            break
+        free = [e for e in graph.out_edges[end] if e not in constraint.out_set and graph.heads.item(e) not in constraint.chain_nodes(graph)]
+        if not free:
+            break
+        take, skip = constraint.split(int(rng.choice(free)))
+        constraint = take if rng.random() < 0.5 else skip
+        yield constraint
+    for share in (0.5, 0.8, 0.95):
+        chain = random_constraint(rng, graph).in_chain
+        yield PathConstraint(in_chain=chain, out_set=frozenset(e for e in range(graph.m) if e not in chain and rng.random() < share))
+
+
+def test_indexed_marking_matches_loop_marking():
+    rng = np.random.default_rng(1101)
+    forbidden = searches = 0
+    for seed in range(12):
+        g = gen_instance(GeneratorSpec(family="R", n=40, r=1000.0, d=1.0, delta=0.2, seed=900 + seed))
+        mid = midpoint_scenario(g.instance).costs
+        for constraint in root_sized_constraints(rng, g):
+            forbidden = max(forbidden, len(constraint.out_set))
+            for costs in (mid, g.hi, g.lo + rng.random(g.m) * (g.hi - g.lo), rng.random(g.m) * g.lo):
+                found = constrained_sp(g, costs, constraint)
+                expected = loop_marked_sp(g, costs, constraint)
+                assert (found if found is None else (found[0].edges, found[1])) == expected
+                assert expected == reference_constrained(g, costs, constraint)
+                searches += expected is not None
+            found = loop_marked_sp(g, g.hi, constraint)
+            if found is None:
+                with pytest.raises(NoFeasibleSolution):
+                    lb_mgd(g, constraint)
+                continue
+            relaxed = np.array(g.hi)
+            for e in constraint.out_set:
+                relaxed[e] = g.lo[e]
+            report = lb_mgd(g, constraint)
+            assert report.artifacts["path"].edges == found[0]
+            assert report.artifacts["constrained_value"] == found[1]
+            assert report.value == max(found[1] - dijkstra(g, relaxed)[1], 0.0)
+    assert forbidden >= 280 and searches >= 200
 
 
 def test_order_path_edges():
