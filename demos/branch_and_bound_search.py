@@ -20,17 +20,15 @@ def main() -> None:
     print("five volatile instances from %s\n" % SPEC.name)
     print("%-8s %8s %8s %8s %12s" % ("seed", "mgd", "cg", "do", "fixed arcs"))
     graphs = []
-    for seed in range(5):
-        graph = gen_instance(GeneratorSpec(
-            family=SPEC.family, n=SPEC.n, r=SPEC.r, d=SPEC.d, delta=SPEC.delta, seed=seed,
-        ))
+    for spec in SPEC.seeds(5):
+        graph = gen_instance(spec)
         graphs.append(graph)
         nodes = {}
         for strategy in ("mgd", "cg", "do"):
             stats = bb_solve(graph, strategy)
             nodes[strategy] = stats.nodes_expanded
         print("%-8d %8d %8d %8d %5d of %-4d (opt %.1f)"
-              % (seed, nodes["mgd"], nodes["cg"], nodes["do"], stats.fixed_arcs, graph.m, stats.opt))
+              % (spec.seed, nodes["mgd"], nodes["cg"], nodes["do"], stats.fixed_arcs, graph.m, stats.opt))
 
     print("\nwarm versus cold restricted games, do strategy:")
     for seed, graph in enumerate(graphs[:3]):

@@ -15,16 +15,7 @@ anytime staircase, then certify the fixed point with the two oracles.
 
 import numpy as np
 
-from regretopt import (
-    DoubleOracleConfig,
-    IntervalDigraph,
-    ScenarioDescriptor,
-    br_c,
-    lb_kz,
-    run_double_oracle,
-    sp_oracle,
-)
-from regretopt.double_oracle import PENALIZING
+from regretopt import DoubleOracleConfig, IntervalDigraph, br_c, lb_kz, run_double_oracle, sp_oracle
 
 
 def main() -> None:
@@ -32,18 +23,16 @@ def main() -> None:
         2, [(0, 1, 5.0, 10.0), (0, 1, 7.0, 12.0)], source=0, target=1
     )
     oracle = sp_oracle(graph)
+    # The game starts from the midpoint arc and the scenario penalizing it.
     x_mid = lb_kz(graph, oracle).artifacts["path"].indicator()
-    start_c = ScenarioDescriptor(x_mid, PENALIZING)
 
     print("anytime staircase (bound after n generation rounds):")
     for n in (1, 2, 3, 4):
         budget = DoubleOracleConfig(max_iterations=n)
-        bound = run_double_oracle(graph.instance, oracle, [x_mid], [start_c], budget).lower_bound
+        bound = run_double_oracle(graph.instance, oracle, [x_mid], config=budget).lower_bound
         print("  n=%d  bound %g" % (n, bound))
 
-    result = run_double_oracle(
-        graph.instance, oracle, [x_mid], [start_c], DoubleOracleConfig()
-    )
+    result = run_double_oracle(graph.instance, oracle, [x_mid])
     print("\nconverged after %d iterations, game value %g" % (result.iterations, result.lower_bound))
     print("per-iteration bounds: %s" % ", ".join("%g" % b for b in result.trace))
     print("solutions generated: %s" % [sorted(x.members) for x in result.solutions])

@@ -85,8 +85,8 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
     """Detour cost the constraint forces under the all-hi scenario.
 
     Compares the constrained shortest path against the shortest path that
-    may still use forbidden arcs, pricing forbidden arcs at lo.  Zero at
-    the root by construction.
+    may still use forbidden arcs, pricing forbidden arcs at lo.  Zero
+    under an empty constraint by construction.
     """
     start = time.perf_counter()
     constraint = constraint or PathConstraint()

@@ -34,14 +34,7 @@ import numpy as np
 
 from .bounds import lb_cg, lb_mgd
 from .core import NoFeasibleSolution, SolutionIndicator, favoring_scenario, midpoint_scenario, val
-from .double_oracle import (
-    DoubleOracleConfig,
-    PENALIZING,
-    ScenarioDescriptor,
-    ScenarioPool,
-    max_regret,
-    run_double_oracle,
-)
+from .double_oracle import DoubleOracleConfig, ScenarioPool, max_regret, run_double_oracle
 from .game import SolverFailure
 from .shortest_path import IntervalDigraph, Path, PathConstraint, order_path_edges, sp_oracle, through_arc_costs
 
@@ -164,9 +157,10 @@ def node_lower_bound(
     """Bound one node and report the response to branch along.
 
     Raises NoFeasibleSolution when the constraint admits no path.  With the
-    game bound, inherited solutions warm-start the node's game, the pool
-    contributes every known scenario, and newly generated strategies are
-    returned so the caller can refresh its incumbent.
+    game bound, the game starts from the distinct inherited solutions, or
+    else the node's midpoint-optimal path, and from the pool's scenarios,
+    or else the first solution's penalizing one (see run_double_oracle).
+    The solutions it adds are returned to refresh the caller's incumbent.
     """
     if lb_strategy not in STRATEGIES:
         raise ValueError("unknown bounding strategy %r" % (lb_strategy,))
@@ -178,16 +172,13 @@ def node_lower_bound(
     instance = graph.instance
     restriction = constraint if (constraint.in_chain or constraint.out_set) else None
     init_x = list(inherited)
-    init_c = []
     if not init_x:
         seed, _ = oracle.solve(midpoint_scenario(instance).costs, restriction)
         init_x = [seed]
-    if pool is None or len(pool) == 0:
-        init_c = [ScenarioDescriptor(init_x[0], PENALIZING)]
-    known = {x.members for x in init_x}
     config = DoubleOracleConfig(max_support_x=max_support_x, stop_value=stop_value)
-    result = run_double_oracle(instance, oracle, init_x, init_c, config, restriction, pool)
-    generated = tuple(x for x in result.solutions if x.members not in known)
+    result = run_double_oracle(instance, oracle, init_x, config=config, restriction=restriction, pool=pool)
+    # The starting solutions are distinct and enter the game first.
+    generated = result.solutions[len(init_x):]
     return NodeBound(result.lower_bound, result.best_response, generated, result.solutions)
 
 
@@ -235,14 +226,13 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     shared_pool = ScenarioPool(instance, oracle) if config.warm_start else None
 
     def bound_node(constraint: PathConstraint, inherited) -> NodeBound:
-        pool = shared_pool if config.warm_start else ScenarioPool(instance, oracle)
         try:
             found = node_lower_bound(
                 graph,
                 constraint,
                 lb_strategy,
                 oracle=oracle,
-                pool=pool,
+                pool=shared_pool,
                 inherited=inherited,
                 max_support_x=config.max_support_x,
                 stop_value=best_regret - _PRUNE_TOL,

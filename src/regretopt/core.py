@@ -10,7 +10,6 @@ branch and bound) is built from the handful of operations defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -21,13 +20,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalInstance:
-    """Per-element cost intervals [lo_i, hi_i], immutable after construction."""
+    """Per-element cost intervals [lo_i, hi_i], immutable after construction; equal and hashed by identity."""
 
     lo: np.ndarray
     hi: np.ndarray
-    _width: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _width: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         lo = _frozen_array(self.lo)
@@ -58,9 +57,9 @@ class IntervalInstance:
         return self._width
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """One realized cost per element."""
+    """One realized cost per element; equal and hashed by identity."""
 
     costs: np.ndarray
 
@@ -90,10 +89,6 @@ class SolutionIndicator:
         if members and min(members) < 0:
             raise ValueError("element indices must be nonnegative")
         object.__setattr__(self, "members", members)
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "SolutionIndicator":
-        return cls(frozenset(indices))
 
     def __contains__(self, index: int) -> bool:
         return index in self.members

@@ -12,7 +12,7 @@ so even truncated runs are useful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ FAVORING = "favoring"
 _CONVERGENCE_TOL = 1e-9
 
 
-@runtime_checkable
 class StandardOracle(Protocol):
     """Minimizer of linear costs over a fixed feasible set of subsets.
 
@@ -248,18 +247,6 @@ class DoubleOracleResult:
     best_response: SolutionIndicator
 
 
-def _as_solutions(init_x) -> list[SolutionIndicator]:
-    if isinstance(init_x, SolutionIndicator):
-        return [init_x]
-    return list(init_x)
-
-
-def _as_descriptors(init_c) -> list[ScenarioDescriptor]:
-    if isinstance(init_c, ScenarioDescriptor):
-        return [init_c]
-    return list(init_c) if init_c is not None else []
-
-
 def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solutions) -> ScenarioDescriptor:
     """Best scenario against a solution mixture, as a favoring descriptor.
 
@@ -284,34 +271,38 @@ def max_regret(instance: IntervalInstance, oracle: StandardOracle, x: SolutionIn
 def run_double_oracle(
     instance: IntervalInstance,
     oracle: StandardOracle,
-    init_x,
-    init_c,
+    init_x: Sequence[SolutionIndicator],
+    init_c: Sequence[ScenarioDescriptor] = (),
     config: DoubleOracleConfig | None = None,
     restriction=None,
     pool: ScenarioPool | None = None,
 ) -> DoubleOracleResult:
     """Grow the restricted regret game until both best responses are stale.
 
-    init_x and init_c may be single strategies or sequences (warm starts).
-    When a pool is supplied, every scenario it already holds joins the
-    initial column set, and newly generated scenarios are published back
-    to it.  The restriction only narrows the solution player; scenario
-    best responses and scenario optima always search the full problem.
+    The game's rows start as init_x, a nonempty list of solutions, and its
+    columns as the pool's scenarios followed by init_c, a list of
+    descriptors; new scenarios are published back to the pool (a fresh
+    one by default).  With no pooled scenario and no init_c, the first
+    column is init_x[0]'s penalizing scenario, where its regret peaks.
+    The restriction only narrows the solution player; scenario best
+    responses and scenario optima always search the full problem.
     """
     config = config or DoubleOracleConfig()
     if config.max_iterations < 1:
         raise ValueError("at least one iteration required")
+    if not init_x:
+        raise ValueError("need at least one initial solution")
     pool = pool if pool is not None else ScenarioPool(instance, oracle)
     game = RestrictedGame(instance, pool)
+    if not init_c and not game.scenario_ids:
+        init_c = [ScenarioDescriptor(init_x[0], PENALIZING)]
     # Columns go in first, so they enter with no rows to price.
-    for desc in _as_descriptors(init_c):
+    for desc in init_c:
         if not game.has_scenario(desc):
             game.add_scenario(desc, [])
-    for x in _as_solutions(init_x):
+    for x in init_x:
         if not game.has_solution(x):
             game.add_solution(x)
-    if not game.solutions or not game.scenario_ids:
-        raise ValueError("need at least one initial solution and scenario")
 
     def best_response(equilibrium: Equilibrium) -> tuple[SolutionIndicator, float]:
         """The solution player's answer to the column mixture, and the anytime bound it certifies."""

@@ -30,9 +30,9 @@ class SolverFailure(Exception):
     """The simplex could not produce a certified equilibrium."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Equilibrium:
-    """Optimal mixed strategies and the game value they guarantee."""
+    """Optimal mixed strategies and the game value they guarantee; equal and hashed by identity."""
 
     row_probs: np.ndarray
     col_probs: np.ndarray

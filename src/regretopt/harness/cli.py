@@ -17,7 +17,7 @@ import sys
 
 from ..bounds import lb_cg, lb_kz
 from ..branch_bound import STRATEGIES, BBConfig, bb_solve
-from ..double_oracle import PENALIZING, DoubleOracleConfig, ScenarioDescriptor, run_double_oracle
+from ..double_oracle import run_double_oracle
 from ..shortest_path import sp_oracle
 from .brute_force import brute_force_lb_star, brute_force_opt
 from .experiments import (
@@ -109,9 +109,7 @@ def verify_instance(graph, path_limit: int) -> list[tuple[str, bool, str]]:
     oracle = sp_oracle(graph)
     kz = lb_kz(graph, oracle)
     x_mid = kz.artifacts["path"].indicator()
-    result = run_double_oracle(
-        graph.instance, oracle, [x_mid], [ScenarioDescriptor(x_mid, PENALIZING)], DoubleOracleConfig()
-    )
+    result = run_double_oracle(graph.instance, oracle, [x_mid])
     checks.append(("do-converged", result.converged, "iterations=%d" % result.iterations))
     checks.append(
         ("lb-star-agrees", abs(result.lower_bound - bf_value) <= 1e-6, "do=%g brute=%g" % (result.lower_bound, bf_value))

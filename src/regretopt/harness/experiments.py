@@ -18,13 +18,7 @@ import numpy as np
 from ..bounds import gap_metrics, lb_cg, lb_kz, lb_mgd
 from ..branch_bound import STRATEGIES, BBConfig, bb_solve
 from ..core import NoFeasibleSolution, SolutionIndicator
-from ..double_oracle import (
-    PENALIZING,
-    DoubleOracleConfig,
-    ScenarioDescriptor,
-    max_regret,
-    run_double_oracle,
-)
+from ..double_oracle import DoubleOracleConfig, max_regret, run_double_oracle
 from ..shortest_path import IntervalDigraph, sp_oracle
 from .generators import GeneratorSpec, gen_instance
 from .io import read_native
@@ -97,13 +91,7 @@ def evaluate_bounds(
         else:
             config = DoubleOracleConfig(max_iterations=_DO_ITERS[name], max_support_x=max_support)
             begin = time.perf_counter()
-            result = run_double_oracle(
-                graph.instance,
-                oracle,
-                [x_mid],
-                [ScenarioDescriptor(x_mid, PENALIZING)],
-                config,
-            )
+            result = run_double_oracle(graph.instance, oracle, [x_mid], config=config)
             time_ms = (time.perf_counter() - begin) * 1e3
             value = result.lower_bound
             extra = tuple(result.solutions)

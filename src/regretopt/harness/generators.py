@@ -5,7 +5,7 @@ independently with a fixed probability, K graphs chain fully connected
 layers of equal width between the terminals.  Costs follow the same recipe
 in both: a nominal value m uniform on [1, r], a lower bound uniform on
 [(1-d)m, (1+d)m], and an upper bound uniform between the lower bound and
-(1+d)m, so d scales the cost variability from degenerate (d=0) wide (d=1).
+(1+d)m, so d scales the cost variability from degenerate (d=0) to wide (d=1).
 """
 
 from __future__ import annotations

@@ -67,13 +67,14 @@ class Path:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalDigraph:
     """Digraph with an interval cost per arc and fixed terminals.
 
     Parallel arcs are allowed; arcs are identified by index into the tail,
     head, lo and hi arrays.  Construction rejects graphs whose target is
-    not reachable from the source.
+    not reachable from the source, and derives out_edges and instance from
+    the arrays.  Equality and hashing are by identity.
     """
 
     node_count: int
@@ -83,12 +84,12 @@ class IntervalDigraph:
     hi: np.ndarray
     source: int
     target: int
-    out_edges: tuple[tuple[int, ...], ...] = None
-    instance: IntervalInstance = None
+    out_edges: tuple[tuple[int, ...], ...] = field(init=False)
+    instance: IntervalInstance = field(init=False)
     # The head of every arc in out_edges, position by position.
-    _out_heads: tuple[tuple[int, ...], ...] = field(default=None, init=False, repr=False, compare=False)
+    _out_heads: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     # Filled on first use of goal_potential.
-    _goal_potential: array = field(default=None, init=False, repr=False, compare=False)
+    _goal_potential: array = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = int(self.node_count)
@@ -181,10 +182,10 @@ class PathConstraint:
     """Branch state: a forced arc prefix out of the source plus forbidden arcs.
 
     The forbidden arcs can number in the hundreds once branch and bound
-    fixes arcs at its root, so neither branching, validate nor the searches
+    fixes arcs at its root, so neither branching, the checks nor the searches
     pass over them in Python.  out_index holds the forbidden ids once each,
     as a read-only numpy array, and the searches mark them with one indexed
-    store; validate reads their range from the span kept beside it.  split
+    store; the checks read their range from the span kept beside it.  split
     builds both children from checked parts: the take child shares its
     parent's index, and the skip child's is the parent's with k appended.
     """
@@ -234,28 +235,30 @@ class PathConstraint:
 
     def validate(self, graph: IntervalDigraph) -> None:
         """Check the arc ids and that the prefix is a simple path leaving the source."""
+        self.chain_nodes(graph)
+
+    def chain_end(self, graph: IntervalDigraph) -> int:
+        return graph.heads.item(self.in_chain[-1]) if self.in_chain else graph.source
+
+    def chain_nodes(self, graph: IntervalDigraph) -> tuple[int, ...]:
+        """The prefix's nodes from the source on, checked as validate describes."""
         m = graph.m
         if self.in_chain and not (min(self.in_chain) >= 0 and max(self.in_chain) < m):
             raise ValueError("forced arc id out of range")
         if self._out_span and not (self._out_span[0] >= 0 and self._out_span[1] < m):
             raise ValueError("forbidden arc id out of range")
         node = graph.source
-        seen = {node}
+        nodes = [node]
         for e in self.in_chain:
             if graph.tails.item(e) != node:
                 raise ValueError("forced prefix does not chain from the source")
             node = graph.heads.item(e)
-            if node in seen:
+            if node in nodes:
                 raise ValueError("forced prefix revisits a node")
-            seen.add(node)
-        if graph.target in seen - {node}:
+            nodes.append(node)
+        if graph.target in nodes[:-1]:
             raise ValueError("forced prefix passes through the target")
-
-    def chain_end(self, graph: IntervalDigraph) -> int:
-        return graph.heads.item(self.in_chain[-1]) if self.in_chain else graph.source
-
-    def chain_nodes(self, graph: IntervalDigraph) -> tuple[int, ...]:
-        return (graph.source,) + tuple(graph.heads.item(e) for e in self.in_chain)
+        return tuple(nodes)
 
 
 def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, bool]:
@@ -430,12 +433,11 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
     """
     c, above_lo = _check_costs(graph, costs)
     c = array("d", c.tobytes())
-    constraint.validate(graph)
-    chain_value = float(sum(c[e] for e in constraint.in_chain))
     *banned_nodes, start = constraint.chain_nodes(graph)
+    chain_value = float(sum(c[e] for e in constraint.in_chain))
     if start == graph.target:
         return Path(constraint.in_chain), chain_value
-    # validate has checked the forbidden ids' range, so the store stays in bounds.
+    # chain_nodes has checked the forbidden ids' range, so the store stays in bounds.
     np.frombuffer(c)[constraint.out_index] = math.inf
     dist, pred = _settle_all(graph, c, start, banned_nodes, graph.target, _potential(graph, above_lo))
     if dist[graph.target] == math.inf:

@@ -35,7 +35,7 @@ class EnumeratedOracle:
         normalized = []
         for x in solutions:
             if not isinstance(x, SolutionIndicator):
-                x = SolutionIndicator.of(x)
+                x = SolutionIndicator(frozenset(x))
             normalized.append(x)
         if not normalized:
             raise ValueError("oracle needs at least one feasible solution")

@@ -22,7 +22,7 @@ from _fixtures import five_element_instance, six_node_graph, two_arc_graph
 
 
 def sol(*indices):
-    return SolutionIndicator.of(indices)
+    return SolutionIndicator(frozenset(indices))
 
 
 # ---------------------------------------------------------------- validation

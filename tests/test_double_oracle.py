@@ -36,7 +36,7 @@ from _oracles import EnumeratedOracle
 
 
 def sol(*indices):
-    return SolutionIndicator.of(indices)
+    return SolutionIndicator(frozenset(indices))
 
 
 def pair_oracle(n):
@@ -54,8 +54,9 @@ def six_node_setup():
 
 
 def root_start(inst, oracle):
+    """The midpoint solution and its penalizing scenario, as starting lists."""
     x_mid, _ = oracle.solve(midpoint_scenario(inst).costs)
-    return x_mid, ScenarioDescriptor(x_mid, "penalizing")
+    return [x_mid], [ScenarioDescriptor(x_mid, PENALIZING)]
 
 
 def full_game_value(inst, oracle):
@@ -297,9 +298,9 @@ def test_max_regret_examples():
 
 def test_two_arc_run_from_midpoint_root():
     inst, oracle = two_arc_setup()
-    x_mid, pen_mid = root_start(inst, oracle)
-    assert x_mid.members == frozenset({0})
-    result = run_double_oracle(inst, oracle, x_mid, pen_mid)
+    init_x, init_c = root_start(inst, oracle)
+    assert init_x[0].members == frozenset({0})
+    result = run_double_oracle(inst, oracle, init_x, init_c)
     assert result.converged
     assert result.iterations == 3
     np.testing.assert_allclose(result.trace, [0.0, 0.0, 2.1], atol=1e-9)
@@ -385,7 +386,7 @@ def test_pooled_scenarios_seed_a_game_without_pool_lookups(monkeypatch):
     assert game.scenarios == pooled
     assert game.scenario_ids == [0, 1, 2]
     # A run from another start reads the pooled columns by position too.
-    second = run_double_oracle(inst, oracle, [sol(1, 4, 6)], ScenarioDescriptor(sol(1, 4, 6), "favoring"), pool=pool)
+    second = run_double_oracle(inst, oracle, [sol(1, 4, 6)], [ScenarioDescriptor(sol(1, 4, 6), "favoring")], pool=pool)
     assert list(second.scenarios[:3]) == pooled
     assert not set(asked) & set(pooled)
 
@@ -477,20 +478,55 @@ def test_wide_payoff_root_game_converges():
 
 def test_run_validates_inputs():
     inst, oracle = two_arc_setup()
-    x_mid, pen_mid = root_start(inst, oracle)
+    init_x, init_c = root_start(inst, oracle)
     with pytest.raises(ValueError):
-        run_double_oracle(inst, oracle, x_mid, pen_mid, DoubleOracleConfig(max_iterations=0))
+        run_double_oracle(inst, oracle, init_x, init_c, DoubleOracleConfig(max_iterations=0))
     with pytest.raises(ValueError):
-        run_double_oracle(inst, oracle, x_mid, None)
+        run_double_oracle(inst, oracle, [], init_c)
+    with pytest.raises(ValueError):
+        run_double_oracle(inst, oracle, [])
+
+
+def test_run_without_columns_starts_from_the_first_solutions_penalizing_scenario():
+    graph, inst, oracle = six_node_setup()
+    init_x, init_c = root_start(inst, oracle)
+    init_x.append(sol(0, 3, 6))
+    for config in (DoubleOracleConfig(), DoubleOracleConfig(max_iterations=2)):
+        seeded = run_double_oracle(inst, oracle, init_x, init_c, config)
+        unseeded = run_double_oracle(inst, oracle, init_x, config=config)
+        assert unseeded.scenarios[0] == init_c[0]
+        assert [b.hex() for b in unseeded.trace] == [b.hex() for b in seeded.trace]
+        assert unseeded.lower_bound.hex() == seeded.lower_bound.hex()
+        assert unseeded.solutions == seeded.solutions
+        assert unseeded.scenarios == seeded.scenarios
+        assert unseeded.best_response == seeded.best_response
+        assert (unseeded.converged, unseeded.iterations) == (seeded.converged, seeded.iterations)
+        np.testing.assert_array_equal(unseeded.equilibrium.col_probs, seeded.equilibrium.col_probs)
+        # An empty pool seeds the same column, and keeps it for later runs.
+        pool = ScenarioPool(inst, oracle)
+        pooled = run_double_oracle(inst, oracle, init_x, config=config, pool=pool)
+        assert pooled.scenarios == seeded.scenarios
+        assert pool.descriptors[0] == init_c[0]
+
+
+def test_run_from_a_pool_adds_no_penalizing_column():
+    graph, inst, oracle = six_node_setup()
+    pool = ScenarioPool(inst, oracle)
+    pool.ensure(ScenarioDescriptor(sol(1, 4, 6), "favoring"))
+    x = sol(0, 2, 5, 7)
+    result = run_double_oracle(inst, oracle, [x], pool=pool)
+    assert result.scenarios[0] == ScenarioDescriptor(sol(1, 4, 6), "favoring")
+    assert ScenarioDescriptor(x, PENALIZING) not in result.scenarios
+    assert all(d.kind != PENALIZING for d in pool.descriptors)
 
 
 def test_lb_star_n_is_the_best_bound_within_the_budget():
     """LB*_n, the best anytime bound of the first n iterations, is the lower_bound of an n-iteration run."""
     inst, oracle = two_arc_setup()
-    x_mid, pen_mid = root_start(inst, oracle)
+    init_x, init_c = root_start(inst, oracle)
 
     def lb_star(n):
-        return run_double_oracle(inst, oracle, x_mid, pen_mid, DoubleOracleConfig(max_iterations=n)).lower_bound
+        return run_double_oracle(inst, oracle, init_x, init_c, DoubleOracleConfig(max_iterations=n)).lower_bound
 
     # The first two iterations only grow the game.  After the first the
     # re-solved game still lacks a scenario; after the second the re-solved

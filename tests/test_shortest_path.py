@@ -12,10 +12,12 @@ from regretopt import (
     NoFeasibleSolution,
     Path,
     PathConstraint,
+    Scenario,
     constrained_sp,
     dijkstra,
     lb_mgd,
     midpoint_scenario,
+    solve_zero_sum,
     sp_oracle,
     two_unit_min_flow,
 )
@@ -56,6 +58,29 @@ def test_construction_rejects_bad_graphs():
         IntervalDigraph.from_edges(2, [(0, 1, 3.0, 2.0)], 0, 1)
 
 
+def test_graphs_and_their_records_compare_and_hash_by_identity():
+    g, h = six_node_graph(), six_node_graph()
+    # Each record holds numpy arrays, which have no single truth value.
+    records = [
+        (g, h),
+        (g.instance, h.instance),
+        (Scenario(g.lo), Scenario(g.lo)),
+        (solve_zero_sum([[1.0, 0.0]]), solve_zero_sum([[1.0, 0.0]])),
+    ]
+    for a, b in records:
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
+def test_derived_graph_fields_are_not_init_parameters():
+    args = (3, [0, 1], [1, 2], [1.0, 1.0], [2.0, 2.0], 0, 2)
+    assert IntervalDigraph(*args).out_edges == ((0,), (1,), ())
+    with pytest.raises(TypeError):
+        IntervalDigraph(*args, out_edges=((9,), (), ()))
+    with pytest.raises(TypeError):
+        IntervalDigraph(*args, instance=six_node_graph().instance)
+
+
 def test_path_helpers():
     g = six_node_graph()
     p = Path((0, 3, 6))
@@ -76,6 +101,20 @@ def test_constraint_validation():
     assert PathConstraint(in_chain=(0, 2)).chain_end(g) == 2
     assert PathConstraint().chain_end(g) == 0
     assert PathConstraint(in_chain=(0, 2)).chain_nodes(g) == (0, 1, 2)
+
+
+
+def test_chain_nodes_checks_what_validate_checks():
+    g = six_node_graph()
+    # Off the source, an id out of range, and a forbidden id out of range.
+    bad = [PathConstraint(in_chain=(2,)), PathConstraint(in_chain=(0, 99)), PathConstraint(out_set=frozenset({99}))]
+    for constraint in bad:
+        messages = set()
+        for check in (constraint.validate, constraint.chain_nodes, lambda graph: constrained_sp(graph, graph.hi, constraint)):
+            with pytest.raises(ValueError) as caught:
+                check(g)
+            messages.add(str(caught.value))
+        assert len(messages) == 1
 
 
 # ------------------------------------------------------------------ dijkstra
