@@ -61,7 +61,7 @@ def lb_cg(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> B
     second use of an arc costs its remaining interval endpoint.
     """
     start = time.perf_counter()
-    constraint = constraint or PathConstraint()
+    constraint = constraint or PathConstraint(graph)
     mid = midpoint_scenario(graph.instance).costs
     found = constrained_sp(graph, mid, constraint)
     if found is None:
@@ -89,7 +89,7 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
     under an empty constraint by construction.
     """
     start = time.perf_counter()
-    constraint = constraint or PathConstraint()
+    constraint = constraint or PathConstraint(graph)
     found = constrained_sp(graph, graph.hi, constraint)
     if found is None:
         raise NoFeasibleSolution("constraint admits no path")

@@ -1,8 +1,9 @@
 """Exact minmax regret paths by best-first branch and bound.
 
-A node fixes a path prefix out of the source and a set of forbidden arcs.
-Branching picks the arc with which the node's current best response leaves
-the prefix's end node, and splits on using it or banning it.  Nodes are
+A node fixes a path prefix out of the source and a set of forbidden arcs,
+as a PathConstraint on the graph.  Branching picks the arc with which the
+node's current best response leaves the prefix's end node, and splits the
+constraint on using it or banning it (PathConstraint.split).  Nodes are
 bounded by one of the fast bounds or by the game bound; with the game
 bound, the scenarios generated anywhere in the tree are shared globally and
 each child inherits the parent's solutions that remain feasible for it.
@@ -86,31 +87,16 @@ class NodeBound:
     solutions: tuple[SolutionIndicator, ...] = ()
 
 
-def branch(graph: IntervalDigraph, constraint: PathConstraint, k: int) -> tuple[PathConstraint, PathConstraint]:
-    """Split a node on arc k: force it into the prefix, or forbid it.
-
-    k must extend the current prefix, i.e. leave the prefix's end node,
-    and must not already be forced or forbidden.
-    """
-    if not 0 <= k < graph.m:
-        raise ValueError("branch arc id out of range")
-    take, skip = constraint.split(k)
-    if int(graph.tails[k]) != constraint.chain_end(graph):
-        raise ValueError("branch arc does not extend the forced prefix")
-    take.validate(graph)
-    return take, skip
-
-
-def select_branch_edge(graph: IntervalDigraph, constraint: PathConstraint, response: SolutionIndicator) -> int | None:
+def select_branch_edge(constraint: PathConstraint, response: SolutionIndicator) -> int | None:
     """The response's arc out of the forced prefix's end node; None at a leaf.
 
     The response is a simple path, so it leaves that node at most once.
     """
     if not response.members.issuperset(constraint.in_chain):
         raise ValueError("response does not contain the forced prefix")
-    end = constraint.chain_end(graph)
+    tails, end = constraint.graph.tails, constraint.end
     for e in response.members:
-        if graph.tails.item(e) == end:
+        if tails.item(e) == end:
             return e
     return None
 
@@ -251,7 +237,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         return found
 
     counter = itertools.count()
-    root_constraint = PathConstraint(out_set=fixed)
+    root_constraint = PathConstraint(graph, out_set=fixed)
     # The midpoint path seeds the root's game, solved once for the incumbent.
     root = bound_node(root_constraint, (best,))
     heap: list = [(root.value, 0, next(counter), root_constraint, root)]
@@ -274,14 +260,14 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         expanded += 1
         if lb >= best_regret - _PRUNE_TOL:
             break  # best-first: every remaining node is bounded at least as high
-        k = select_branch_edge(graph, constraint, node.response)
+        k = select_branch_edge(constraint, node.response)
         if k is None:
             absorb(node.response)
             continue
-        take, skip = branch(graph, constraint, k)
+        take, skip = constraint.split(k)
         take_inherit, skip_inherit = _split_inherited(node.solutions if config.warm_start else (), k)
         for child_constraint, child_inherit in ((take, take_inherit), (skip, skip_inherit)):
-            if child_constraint.chain_end(graph) == graph.target:
+            if child_constraint.end == graph.target:
                 absorb(Path(child_constraint.in_chain).indicator())
                 continue
             if lb_strategy == "mgd" and child_constraint is take:

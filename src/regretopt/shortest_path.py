@@ -4,7 +4,9 @@ Holds the graph container, Dijkstra, shortest path search under branch
 constraints (forced prefix, forbidden arcs), a two-unit minimum cost flow
 used by the pair-scenario bound, the cheapest s-t walk through each arc
 that branch and bound's arc fixing reads, and the adapter that turns all
-of this into a standard-problem oracle.
+of this into a standard-problem oracle.  A constraint is built for one
+graph and checked against it then, once: split checks only the arc it
+adds, and a search only tests that it was handed the constraint's graph.
 
 The searches index plain Python sequences: each call copies its costs into
 a flat array of doubles, and the graph keeps its adjacency as per-node
@@ -179,24 +181,25 @@ class IntervalDigraph:
 
 @dataclass(frozen=True)
 class PathConstraint:
-    """Branch state: a forced arc prefix out of the source plus forbidden arcs.
+    """Branch state on one graph: a forced arc prefix out of the source plus forbidden arcs.
 
-    The forbidden arcs can number in the hundreds once branch and bound
-    fixes arcs at its root, so neither branching, the checks nor the searches
-    pass over them in Python.  out_index holds the forbidden ids once each,
-    as a read-only numpy array, and the searches mark them with one indexed
-    store; the checks read their range from the span kept beside it.  split
-    builds both children from checked parts: the take child shares its
-    parent's index, and the skip child's is the parent's with k appended.
+    Construction checks it against the graph once; nodes holds the
+    prefix's nodes from the source on, and split checks only the arc it
+    adds.  The forbidden arcs can number in the hundreds once branch and
+    bound fixes arcs at its root, so neither splitting nor the searches pass
+    over them in Python: out_index holds the forbidden ids once each, as a
+    read-only numpy array marked with one indexed store.  The take child
+    shares its parent's index; the skip child's is the parent's with k appended.
     """
 
+    graph: IntervalDigraph = field(repr=False)
     in_chain: tuple[int, ...] = ()
     out_set: frozenset[int] = frozenset()
+    nodes: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     out_index: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    # The least and greatest forbidden arc ids; None when none is forbidden.
-    _out_span: tuple[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        graph = self.graph
         chain = tuple(map(int, self.in_chain))
         out = frozenset(map(int, self.out_set))
         forced = set(chain)
@@ -204,52 +207,13 @@ class PathConstraint:
             raise ValueError("an arc cannot be both forced and forbidden")
         if len(forced) != len(chain):
             raise ValueError("forced prefix repeats an arc")
-        index = np.fromiter(out, np.intp, len(out))
-        index.setflags(write=False)
-        object.__setattr__(self, "in_chain", chain)
-        object.__setattr__(self, "out_set", out)
-        object.__setattr__(self, "out_index", index)
-        object.__setattr__(self, "_out_span", (min(out), max(out)) if out else None)
-
-    def split(self, k: int) -> tuple["PathConstraint", "PathConstraint"]:
-        """The two children on arc k: k appended to the forced prefix, and k forbidden."""
-        k = int(k)
-        if k in self.out_set or k in self.in_chain:
-            raise ValueError("arc already constrained")
-        lo, hi = self._out_span or (k, k)
-        take = self._child(self.in_chain + (k,), self.out_set, self.out_index, self._out_span)
-        index = np.append(self.out_index, k)
-        index.setflags(write=False)
-        skip = self._child(self.in_chain, self.out_set | {k}, index, (min(lo, k), max(hi, k)))
-        return take, skip
-
-    @classmethod
-    def _child(cls, chain: tuple[int, ...], out: frozenset[int], index: np.ndarray, span) -> "PathConstraint":
-        # The parts are checked and normalised already: skip __post_init__.
-        child = object.__new__(cls)
-        object.__setattr__(child, "in_chain", chain)
-        object.__setattr__(child, "out_set", out)
-        object.__setattr__(child, "out_index", index)
-        object.__setattr__(child, "_out_span", span)
-        return child
-
-    def validate(self, graph: IntervalDigraph) -> None:
-        """Check the arc ids and that the prefix is a simple path leaving the source."""
-        self.chain_nodes(graph)
-
-    def chain_end(self, graph: IntervalDigraph) -> int:
-        return graph.heads.item(self.in_chain[-1]) if self.in_chain else graph.source
-
-    def chain_nodes(self, graph: IntervalDigraph) -> tuple[int, ...]:
-        """The prefix's nodes from the source on, checked as validate describes."""
-        m = graph.m
-        if self.in_chain and not (min(self.in_chain) >= 0 and max(self.in_chain) < m):
+        if chain and not (min(chain) >= 0 and max(chain) < graph.m):
             raise ValueError("forced arc id out of range")
-        if self._out_span and not (self._out_span[0] >= 0 and self._out_span[1] < m):
+        if out and not (min(out) >= 0 and max(out) < graph.m):
             raise ValueError("forbidden arc id out of range")
         node = graph.source
         nodes = [node]
-        for e in self.in_chain:
+        for e in chain:
             if graph.tails.item(e) != node:
                 raise ValueError("forced prefix does not chain from the source")
             node = graph.heads.item(e)
@@ -258,7 +222,40 @@ class PathConstraint:
             nodes.append(node)
         if graph.target in nodes[:-1]:
             raise ValueError("forced prefix passes through the target")
-        return tuple(nodes)
+        index = np.fromiter(out, np.intp, len(out))
+        index.setflags(write=False)
+        self.__dict__.update(in_chain=chain, out_set=out, nodes=tuple(nodes), out_index=index)
+
+    @property
+    def end(self) -> int:
+        return self.nodes[-1]
+
+    def split(self, k: int) -> tuple["PathConstraint", "PathConstraint"]:
+        """The two children on arc k, an arc out of end: k appended to the forced prefix, and k forbidden."""
+        k = int(k)
+        graph = self.graph
+        if not 0 <= k < graph.m:
+            raise ValueError("branch arc id out of range")
+        if k in self.out_set or k in self.in_chain:
+            raise ValueError("arc already constrained")
+        if graph.tails.item(k) != self.end:
+            raise ValueError("branch arc does not extend the forced prefix")
+        head = graph.heads.item(k)
+        if head in self.nodes:
+            raise ValueError("forced prefix revisits a node")
+        if self.end == graph.target:
+            raise ValueError("forced prefix passes through the target")
+        take = self._child(self.in_chain + (k,), self.nodes + (head,), self.out_set, self.out_index)
+        index = np.append(self.out_index, k)
+        index.setflags(write=False)
+        skip = self._child(self.in_chain, self.nodes, self.out_set | {k}, index)
+        return take, skip
+
+    def _child(self, chain, nodes, out, index) -> "PathConstraint":
+        # The parts are checked against the same graph already: skip __post_init__.
+        child = object.__new__(PathConstraint)
+        child.__dict__.update(graph=self.graph, in_chain=chain, out_set=out, nodes=nodes, out_index=index)
+        return child
 
 
 def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, bool]:
@@ -406,7 +403,7 @@ def through_arc_costs(graph: IntervalDigraph, costs, cutoff: float = math.inf) -
     return through
 
 
-def _walk_back(graph, pred, src, dst) -> Path:
+def _walk_back(graph, pred, src, dst) -> tuple[int, ...]:
     edges = []
     node = dst
     while node != src:
@@ -414,7 +411,7 @@ def _walk_back(graph, pred, src, dst) -> Path:
         edges.append(e)
         node = graph.tails.item(e)
     edges.reverse()
-    return Path(tuple(edges))
+    return tuple(edges)
 
 
 def dijkstra(graph: IntervalDigraph, costs):
@@ -422,7 +419,7 @@ def dijkstra(graph: IntervalDigraph, costs):
     c, above_lo = _check_costs(graph, costs)
     s, t = graph.source, graph.target
     dist, pred = _settle_all(graph, array("d", c.tobytes()), s, (), t, _potential(graph, above_lo))
-    return _walk_back(graph, pred, s, t), dist[t]
+    return Path(_walk_back(graph, pred, s, t)), dist[t]
 
 
 def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
@@ -431,19 +428,20 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
     The completion search starts at the end of the prefix and may not
     revisit any earlier prefix node.  Returns None when no such path exists.
     """
+    if constraint.graph is not graph:
+        raise ValueError("constraint belongs to another graph")
     c, above_lo = _check_costs(graph, costs)
     c = array("d", c.tobytes())
-    *banned_nodes, start = constraint.chain_nodes(graph)
+    *banned_nodes, start = constraint.nodes
     chain_value = float(sum(c[e] for e in constraint.in_chain))
     if start == graph.target:
         return Path(constraint.in_chain), chain_value
-    # chain_nodes has checked the forbidden ids' range, so the store stays in bounds.
+    # The forbidden ids were checked against this graph, so the store stays in bounds.
     np.frombuffer(c)[constraint.out_index] = math.inf
     dist, pred = _settle_all(graph, c, start, banned_nodes, graph.target, _potential(graph, above_lo))
     if dist[graph.target] == math.inf:
         return None
-    tail = _walk_back(graph, pred, start, graph.target)
-    return Path(constraint.in_chain + tail.edges), chain_value + dist[graph.target]
+    return Path(constraint.in_chain + _walk_back(graph, pred, start, graph.target)), chain_value + dist[graph.target]
 
 
 def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: PathConstraint | None = None):
@@ -465,7 +463,8 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
     costs = array("d", lo.tobytes())
     out = frozenset()
     if constraint is not None:
-        constraint.validate(graph)
+        if constraint.graph is not graph:
+            raise ValueError("constraint belongs to another graph")
         for e in constraint.in_chain:
             costs[e] = hi.item(e)
         out = constraint.out_set
@@ -476,7 +475,7 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
     dt = dist[t]
     if dt == math.inf:
         return None
-    used = _walk_back(graph, pred, s, t).edges
+    used = _walk_back(graph, pred, s, t)
 
     # Second augmentation on the residual graph: a used arc carries its
     # second-use cost forward and a free backward copy that cancels the

@@ -33,6 +33,12 @@ def two_arc_graph() -> IntervalDigraph:
     return IntervalDigraph.from_edges(2, [(0, 1, 5.0, 10.0), (0, 1, 7.0, 12.0)], 0, 1)
 
 
+def loop_graph() -> IntervalDigraph:
+    """Source 0, target 3, an arc 2 -> 0 back to the source and an arc 3 -> 1 out of the target."""
+    rows = [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 0, 0.0, 0.0), (2, 3, 9.0, 9.0), (0, 3, 1.0, 1.0), (3, 1, 1.0, 1.0)]
+    return IntervalDigraph.from_edges(4, rows, 0, 3)
+
+
 def five_element_instance() -> IntervalInstance:
     """Five cost intervals used in the scenario-construction examples."""
     return IntervalInstance(

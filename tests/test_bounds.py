@@ -55,18 +55,19 @@ def test_detour_bound_is_zero_at_the_root():
 
 def test_detour_bound_prices_a_forbidden_arc():
     # Banning the cheap source arc forces the all-hi path from 9 up to 10.
-    report = lb_mgd(six_node_graph(), PathConstraint(out_set=frozenset({0})))
+    graph = six_node_graph()
+    report = lb_mgd(graph, PathConstraint(graph, out_set=frozenset({0})))
     assert report.value == 1.0
     assert report.artifacts["constrained_value"] == 10.0
 
 
 def test_constrained_pair_bound_goldens():
     graph = six_node_graph()
-    report = lb_cg(graph, PathConstraint(in_chain=(0,)))
+    report = lb_cg(graph, PathConstraint(graph, in_chain=(0,)))
     assert report.value == 2.5
     assert report.artifacts["pair_value"] == 13.0
 
-    node = PathConstraint(in_chain=(1,), out_set=frozenset({7}))
+    node = PathConstraint(graph, in_chain=(1,), out_set=frozenset({7}))
     report = lb_cg(graph, node)
     assert report.value == 3.5
     assert report.artifacts["mid_value"] == 9.0
@@ -76,7 +77,7 @@ def test_constrained_pair_bound_goldens():
 
 def test_blocked_constraint_raises():
     graph = six_node_graph()
-    dead = PathConstraint(out_set=frozenset({0, 1}))
+    dead = PathConstraint(graph, out_set=frozenset({0, 1}))
     with pytest.raises(NoFeasibleSolution):
         lb_cg(graph, dead)
     with pytest.raises(NoFeasibleSolution):
@@ -104,8 +105,7 @@ def test_constrained_bounds_never_exceed_the_feasible_optimum():
         out = frozenset(
             int(e) for e in rng.choice(rest, size=min(2, len(rest)), replace=False)
         )
-        node = PathConstraint(in_chain=chain, out_set=out)
-        node.validate(graph)
+        node = PathConstraint(graph, in_chain=chain, out_set=out)
         feasible = [
             q for q in paths
             if tuple(q.edges[: len(chain)]) == chain and not (set(q.edges) & out)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from regretopt import IntervalDigraph, NoFeasibleSolution, PathConstraint, SolverFailure, branch_bound, double_oracle, lb_mgd, midpoint_scenario, shortest_path
-from regretopt.branch_bound import BBConfig, NodeBound, bb_solve, branch, fixed_arcs, node_lower_bound, select_branch_edge
+from regretopt.branch_bound import BBConfig, NodeBound, bb_solve, fixed_arcs, node_lower_bound, select_branch_edge
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt, enumerate_paths
 from regretopt.shortest_path import order_path_edges, sp_oracle
 
-from _fixtures import six_node_graph, two_arc_graph
+from _fixtures import loop_graph, six_node_graph, two_arc_graph
 from _oracles import full_sweep_fixed_arcs
 
 
@@ -17,52 +17,60 @@ from _oracles import full_sweep_fixed_arcs
 
 
 def test_branch_splits_into_take_and_skip():
-    graph = six_node_graph()
-    take, skip = branch(graph, PathConstraint(), 0)
-    assert take.in_chain == (0,)
-    assert take.out_set == frozenset()
-    assert skip.in_chain == ()
-    assert skip.out_set == frozenset({0})
-
-    deeper, _ = branch(graph, take, 2)
-    assert deeper.in_chain == (0, 2)
+    g = six_node_graph()
+    root = PathConstraint(g)
+    take, skip = root.split(0)
+    assert (take.in_chain, take.out_set, take.end) == ((0,), frozenset(), 1)
+    assert (skip.in_chain, skip.out_set, skip.end) == ((), frozenset({0}), 0)
+    deeper, _ = take.split(2)
+    assert (deeper.in_chain, deeper.nodes) == ((0, 2), (0, 1, 2))
+    # Each child is the constraint its parts build, checked in full.
+    for child in (take, skip, deeper):
+        built = PathConstraint(g, child.in_chain, child.out_set)
+        assert child.graph is g and child == built and child.nodes == built.nodes
+        assert sorted(child.out_index.tolist()) == sorted(built.out_index.tolist())
 
 
 def test_branch_rejects_bad_arcs():
-    graph = six_node_graph()
-    with pytest.raises(ValueError):
-        branch(graph, PathConstraint(), 99)
-    with pytest.raises(ValueError):
-        branch(graph, PathConstraint(in_chain=(0,)), 0)
-    with pytest.raises(ValueError):
-        branch(graph, PathConstraint(out_set=frozenset({3})), 3)
-    # arc 7 leaves node 4, not the root prefix end
-    with pytest.raises(ValueError):
-        branch(graph, PathConstraint(), 7)
+    g, loop = six_node_graph(), loop_graph()
+    root = PathConstraint(g)
+    bad = [
+        (root, 99, "branch arc id out of range"),
+        (root, -1, "branch arc id out of range"),
+        (PathConstraint(g, in_chain=(0,)), 0, "arc already constrained"),
+        (PathConstraint(g, out_set=frozenset({3})), 3, "arc already constrained"),
+        (root, 7, "branch arc does not extend the forced prefix"),  # arc 7 leaves node 4
+        (PathConstraint(loop, in_chain=(0, 1)), 2, "forced prefix revisits a node"),
+        (PathConstraint(loop, in_chain=(4,)), 5, "forced prefix passes through the target"),
+    ]
+    for constraint, k, message in bad:
+        with pytest.raises(ValueError) as caught:
+            constraint.split(k)
+        assert str(caught.value) == message
 
 
 def test_select_branch_edge_walks_the_response():
     graph = six_node_graph()
-    response = node_lower_bound(graph, PathConstraint(), "cg").response
+    response = node_lower_bound(graph, PathConstraint(graph), "cg").response
     assert response.members == {0, 3, 6}
-    assert select_branch_edge(graph, PathConstraint(), response) == 0
-    assert select_branch_edge(graph, PathConstraint(in_chain=(0,)), response) == 3
-    assert select_branch_edge(graph, PathConstraint(in_chain=(0, 3, 6)), response) is None
+    assert select_branch_edge(PathConstraint(graph), response) == 0
+    assert select_branch_edge(PathConstraint(graph, in_chain=(0,)), response) == 3
+    assert select_branch_edge(PathConstraint(graph, in_chain=(0, 3, 6)), response) is None
     with pytest.raises(ValueError):
-        select_branch_edge(graph, PathConstraint(in_chain=(1,)), response)
+        select_branch_edge(PathConstraint(graph, in_chain=(1,)), response)
 
 
 def test_node_lower_bound_strategies():
     graph = six_node_graph()
-    assert node_lower_bound(graph, PathConstraint(), "mgd").value == 0.0
-    assert node_lower_bound(graph, PathConstraint(), "cg").value == 2.5
-    game = node_lower_bound(graph, PathConstraint(), "do")
+    assert node_lower_bound(graph, PathConstraint(graph), "mgd").value == 0.0
+    assert node_lower_bound(graph, PathConstraint(graph), "cg").value == 2.5
+    game = node_lower_bound(graph, PathConstraint(graph), "do")
     assert game.value == pytest.approx(2.5, abs=1e-9)
     assert len(game.solutions) >= 1
     with pytest.raises(ValueError):
-        node_lower_bound(graph, PathConstraint(), "best")
+        node_lower_bound(graph, PathConstraint(graph), "best")
     with pytest.raises(NoFeasibleSolution):
-        node_lower_bound(graph, PathConstraint(out_set=frozenset({0, 1})), "cg")
+        node_lower_bound(graph, PathConstraint(graph, out_set=frozenset({0, 1})), "cg")
 
 
 def test_fixed_arcs_carry_no_path_that_beats_the_incumbent():
@@ -212,13 +220,13 @@ def test_mgd_take_child_keeps_its_parents_bound(family, seed):
     rng = random.Random(seed)
     checked = 0
     for _ in range(6):
-        constraint = PathConstraint()
+        constraint = PathConstraint(graph)
         node = node_lower_bound(graph, constraint, "mgd")
         while True:
-            k = select_branch_edge(graph, constraint, node.response)
+            k = select_branch_edge(constraint, node.response)
             if k is None:
                 break
-            take, skip = branch(graph, constraint, k)
+            take, skip = constraint.split(k)
             assert node.response.members.issuperset(take.in_chain)
             assert node.response.members.isdisjoint(take.out_set)
             assert lb_mgd(graph, take).value == pytest.approx(node.value, rel=1e-12)
@@ -236,10 +244,10 @@ def test_mgd_take_child_keeps_its_parents_bound(family, seed):
 def test_mgd_search_bounds_no_take_child(monkeypatch):
     """A take child reuses its parent's mgd bound; only roots and skip children are bounded."""
     takes, bounded = [], []
-    plain_branch, plain_lb_mgd = branch_bound.branch, branch_bound.lb_mgd
+    plain_split, plain_lb_mgd = PathConstraint.split, branch_bound.lb_mgd
 
-    def recording_branch(graph, constraint, k):
-        take, skip = plain_branch(graph, constraint, k)
+    def recording_split(constraint, k):
+        take, skip = plain_split(constraint, k)
         takes.append(take)
         return take, skip
 
@@ -247,7 +255,7 @@ def test_mgd_search_bounds_no_take_child(monkeypatch):
         bounded.append(constraint)
         return plain_lb_mgd(graph, constraint)
 
-    monkeypatch.setattr(branch_bound, "branch", recording_branch)
+    monkeypatch.setattr(PathConstraint, "split", recording_split)
     monkeypatch.setattr(branch_bound, "lb_mgd", recording_lb_mgd)
     stats = bb_solve(_golden_graph("R", 2), "mgd")
     assert stats.nodes_expanded == GOLDEN_SEARCHES["R", 2][2][0]

@@ -7,7 +7,10 @@ their imports are the re-exported API, and so are ``from __future__``
 imports, which change how the module compiles.  Likewise every private
 module-level name (a leading underscore, not a dunder) must be read in its
 own module, and no module imports a private name from another regretopt
-module, since no other module is meant to use it.
+module, since no other module is meant to use it.  Last, every public
+top-level function and class of the package must be read somewhere in the
+package, the demos or the benchmark's non-test code, so that none is kept
+alive only by its own tests.
 """
 
 import ast
@@ -164,3 +167,61 @@ def test_package_modules_import_no_private_names():
         if (found := private_imports(p.read_text()))
     }
     assert imported == {}
+
+
+ROOT = PACKAGE.parent.parent
+# Reference implementations that only the tests compare against.
+REFERENCE_MODULES = {PACKAGE / "harness" / "brute_force.py"}
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Public function or class defined at the top level of a module, with its line."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name: node.lineno for node in tree.body if isinstance(node, kinds) and not node.name.startswith("_")}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name read in the module, bare or as an attribute, including inside quoted annotations."""
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return _referenced_names(tree) | attributes
+
+
+def unread_public_names(defining: dict[str, str], readers: list[str]) -> list[tuple[str, str, int]]:
+    """Public top-level functions and classes of the defining sources that no reader reads.
+
+    defining maps a module's label to its source; an import alone is not a read.
+    """
+    read = set().union(*(_read_names(ast.parse(source)) for source in readers))
+    return sorted(
+        (label, name, line)
+        for label, source in defining.items()
+        for name, line in _public_definitions(ast.parse(source)).items()
+        if name not in read
+    )
+
+
+def test_the_scan_sees_public_names_read_nowhere():
+    module = (
+        "import dataclasses\n"
+        "def called(): pass\n"
+        "def orphan(): pass\n"
+        "class Hinted: pass\n"
+        "class Attribute: pass\n"
+        "def _private(): pass\n"
+        "@dataclasses.dataclass\n"
+        "class Imported: pass\n"
+    )
+    readers = [
+        module,
+        "from m import Imported, called\ncalled()\n",
+        "import m\ndef f(x: 'Hinted') -> None:\n    return m.Attribute\n",
+    ]
+    assert unread_public_names({"m.py": module}, readers) == [("m.py", "Imported", 8), ("m.py", "orphan", 3)]
+
+
+def test_no_public_name_is_kept_alive_only_by_tests():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    readers = [p.read_text() for p in modules + sorted((ROOT / "demos").glob("*.py")) + bench]
+    defining = {str(p.relative_to(PACKAGE)): p.read_text() for p in modules if p not in REFERENCE_MODULES}
+    assert bench and unread_public_names(defining, readers) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 import types
@@ -15,6 +16,7 @@ from regretopt import (
     Scenario,
     constrained_sp,
     dijkstra,
+    lb_cg,
     lb_mgd,
     midpoint_scenario,
     solve_zero_sum,
@@ -28,7 +30,7 @@ from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import enumerate_paths
 from regretopt.shortest_path import order_path_edges, through_arc_costs
 
-from _fixtures import six_node_graph, two_arc_graph
+from _fixtures import loop_graph, six_node_graph, two_arc_graph
 from _oracles import full_sweep_through_costs
 
 
@@ -91,30 +93,56 @@ def test_path_helpers():
 
 def test_constraint_validation():
     g = six_node_graph()
-    PathConstraint(in_chain=(0, 2), out_set=frozenset({5})).validate(g)
-    with pytest.raises(ValueError):
-        PathConstraint(in_chain=(0,), out_set=frozenset({0}))
-    with pytest.raises(ValueError):
-        PathConstraint(in_chain=(2,)).validate(g)  # does not start at the source
-    with pytest.raises(ValueError):
-        PathConstraint(in_chain=(0, 99)).validate(g)
-    assert PathConstraint(in_chain=(0, 2)).chain_end(g) == 2
-    assert PathConstraint().chain_end(g) == 0
-    assert PathConstraint(in_chain=(0, 2)).chain_nodes(g) == (0, 1, 2)
-
+    constraint = PathConstraint(g, in_chain=(0, 2), out_set=frozenset({5}))
+    assert (constraint.nodes, constraint.end) == ((0, 1, 2), 2)
+    assert (PathConstraint(g).nodes, PathConstraint(g).end) == ((0,), 0)
+    # Each bad part raises at construction, in this order of checks.
+    bad = [
+        (g, (0,), {0}, "an arc cannot be both forced and forbidden"),
+        (g, (0, 0), (), "forced prefix repeats an arc"),
+        (g, (0, 99), (), "forced arc id out of range"),
+        (g, (-1,), (), "forced arc id out of range"),
+        (g, (), {99}, "forbidden arc id out of range"),
+        (g, (), {-1}, "forbidden arc id out of range"),
+        (g, (2,), (), "forced prefix does not chain from the source"),
+        (loop_graph(), (0, 1, 2), (), "forced prefix revisits a node"),
+        (loop_graph(), (4, 5), (), "forced prefix passes through the target"),
+    ]
+    for graph, chain, out, message in bad:
+        with pytest.raises(ValueError) as caught:
+            PathConstraint(graph, chain, frozenset(out))
+        assert str(caught.value) == message
 
 
 def test_chain_nodes_checks_what_validate_checks():
     g = six_node_graph()
-    # Off the source, an id out of range, and a forbidden id out of range.
-    bad = [PathConstraint(in_chain=(2,)), PathConstraint(in_chain=(0, 99)), PathConstraint(out_set=frozenset({99}))]
-    for constraint in bad:
-        messages = set()
-        for check in (constraint.validate, constraint.chain_nodes, lambda graph: constrained_sp(graph, graph.hi, constraint)):
+    # Off the source, an id out of range, and a forbidden id out of range: built
+    # directly or replaced into a checked constraint, each raises one message.
+    bad = [((2,), (), "forced prefix does not chain from the source"), ((0, 99), (), "forced arc id out of range"), ((), {99}, "forbidden arc id out of range")]
+    checked = PathConstraint(g, in_chain=(0,))
+    for chain, out, message in bad:
+        for build in (lambda: PathConstraint(g, chain, frozenset(out)), lambda: dataclasses.replace(checked, in_chain=chain, out_set=frozenset(out))):
             with pytest.raises(ValueError) as caught:
-                check(g)
-            messages.add(str(caught.value))
-        assert len(messages) == 1
+                build()
+            assert str(caught.value) == message
+    # A replaced constraint gets its nodes from its own prefix.
+    assert dataclasses.replace(checked, in_chain=(0, 2)).nodes == (0, 1, 2)
+
+
+def test_a_constraint_serves_only_its_own_graph():
+    g, twin = six_node_graph(), six_node_graph()
+    oracle = sp_oracle(g)
+    for foreign in (PathConstraint(twin), PathConstraint(twin, in_chain=(0,), out_set=frozenset({4}))):
+        calls = (
+            lambda: constrained_sp(g, g.hi, foreign),
+            lambda: two_unit_min_flow(g, g.lo, g.hi, foreign),
+            lambda: oracle.solve(g.lo, foreign),
+            lambda: lb_cg(g, foreign),
+            lambda: lb_mgd(g, foreign),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^constraint belongs to another graph$"):
+                call()
 
 
 # ------------------------------------------------------------------ dijkstra
@@ -158,9 +186,9 @@ def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
     bad_vectors = ([1.0], [1.0, 2.0, 3.0], [2.0, np.nan], [np.inf, 2.0], [-np.inf, 2.0], [-1.0, 2.0], [2.0, -1e-300])
     for bad in bad_vectors:
         with pytest.raises(ValueError):
-            constrained_sp(g, bad, PathConstraint())
+            constrained_sp(g, bad, PathConstraint(g))
         with pytest.raises(ValueError):
-            constrained_sp(g, bad, PathConstraint(out_set=frozenset({1})))
+            constrained_sp(g, bad, PathConstraint(g, out_set=frozenset({1})))
         with pytest.raises(ValueError):
             two_unit_min_flow(g, bad, g.hi)
         with pytest.raises(ValueError):
@@ -171,7 +199,7 @@ def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
         with pytest.raises(ValueError):
             two_unit_min_flow(g, lo, hi)
         with pytest.raises(ValueError):
-            two_unit_min_flow(g, lo, hi, PathConstraint(in_chain=(0,)))
+            two_unit_min_flow(g, lo, hi, PathConstraint(g, in_chain=(0,)))
     assert two_unit_min_flow(g, g.lo, g.hi) == two_unit_min_flow(g, np.array(g.lo), np.array(g.hi)) == 12.0
 
 
@@ -200,15 +228,15 @@ def test_zero_cost_cycle_does_not_trap_the_search():
 def test_constrained_sp_honors_chain_and_bans():
     g = six_node_graph()
     mid = (g.lo + g.hi) / 2.0
-    path, value = constrained_sp(g, mid, PathConstraint(in_chain=(0, 2), out_set=frozenset({5})))
+    path, value = constrained_sp(g, mid, PathConstraint(g, in_chain=(0, 2), out_set=frozenset({5})))
     assert path.edges == (0, 2, 4, 6)
     assert value == pytest.approx(9.5)
     # chain already reaches the target
-    path, value = constrained_sp(g, mid, PathConstraint(in_chain=(0, 3, 6)))
+    path, value = constrained_sp(g, mid, PathConstraint(g, in_chain=(0, 3, 6)))
     assert path.edges == (0, 3, 6)
     assert value == pytest.approx(8.0)
     # both arcs out of the chain end are forbidden
-    assert constrained_sp(g, mid, PathConstraint(in_chain=(0,), out_set=frozenset({2, 3}))) is None
+    assert constrained_sp(g, mid, PathConstraint(g, in_chain=(0,), out_set=frozenset({2, 3}))) is None
 
 
 def test_constrained_sp_never_revisits_chain_nodes():
@@ -218,7 +246,7 @@ def test_constrained_sp_never_revisits_chain_nodes():
         0,
         3,
     )
-    found = constrained_sp(g, g.lo, PathConstraint(in_chain=(0, 1)))
+    found = constrained_sp(g, g.lo, PathConstraint(g, in_chain=(0, 1)))
     assert found is not None
     path, value = found
     # the cheap detour through arc 2 would revisit the source
@@ -232,7 +260,7 @@ def test_oracle_restriction_raises_when_infeasible():
     x, value = oracle.solve(np.array(g.lo))
     assert x.members == {0, 3, 6} and value == 5.0
     with pytest.raises(NoFeasibleSolution):
-        oracle.solve(np.array(g.lo), PathConstraint(in_chain=(0,), out_set=frozenset({2, 3})))
+        oracle.solve(np.array(g.lo), PathConstraint(g, in_chain=(0,), out_set=frozenset({2, 3})))
 
 
 def test_through_arc_costs_below_a_cutoff_match_full_sweeps():
@@ -260,14 +288,15 @@ def test_forbidden_index_follows_split_chains():
     for i in range(60):
         g = random_graph(i)
         out = frozenset(int(e) for e in rng.choice(g.m, size=int(rng.integers(0, g.m // 2 + 1)), replace=False))
-        constraint = PathConstraint(out_set=out)
+        constraint = PathConstraint(g, out_set=out)
         while True:
             index = constraint.out_index
             assert index.dtype == np.intp and not index.flags.writeable
             assert len(set(index.tolist())) == index.size == len(constraint.out_set)
             assert set(index.tolist()) == constraint.out_set
-            free = [e for e in range(g.m) if e not in constraint.out_set and e not in constraint.in_chain]
-            if not free:
+            end = constraint.end
+            free = [e for e in g.out_edges[end] if e not in constraint.out_set and g.heads.item(e) not in constraint.nodes]
+            if end == g.target or not free:
                 break
             take, skip = constraint.split(int(rng.choice(free)))
             assert take.out_index is index
@@ -279,7 +308,7 @@ def loop_marked_sp(graph, costs, constraint):
     c = array("d", np.asarray(costs, dtype=float).tobytes())
     chain = constraint.in_chain
     chain_value = float(sum(c[e] for e in chain))
-    *banned_nodes, start = constraint.chain_nodes(graph)
+    *banned_nodes, start = constraint.nodes
     if start == graph.target:
         return chain, chain_value
     for e in constraint.out_set:
@@ -288,20 +317,20 @@ def loop_marked_sp(graph, costs, constraint):
     dist, pred = shortest_path._settle_all(graph, c, start, banned_nodes, graph.target, shortest_path._potential(graph, above_lo))
     if dist[graph.target] == math.inf:
         return None
-    return chain + shortest_path._walk_back(graph, pred, start, graph.target).edges, chain_value + dist[graph.target]
+    return chain + shortest_path._walk_back(graph, pred, start, graph.target), chain_value + dist[graph.target]
 
 
 def root_sized_constraints(rng, graph):
     """Root fixing's forbidden set, then random branches off it, then random sets of most arcs."""
     oracle = sp_oracle(graph)
     mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
-    constraint = PathConstraint(out_set=fixed_arcs(graph, mid, max_regret(graph.instance, oracle, mid)))
+    constraint = PathConstraint(graph, out_set=fixed_arcs(graph, mid, max_regret(graph.instance, oracle, mid)))
     yield constraint
     for _ in range(8):
-        end = constraint.chain_end(graph)
+        end = constraint.end
         if end == graph.target:
             break
-        free = [e for e in graph.out_edges[end] if e not in constraint.out_set and graph.heads.item(e) not in constraint.chain_nodes(graph)]
+        free = [e for e in graph.out_edges[end] if e not in constraint.out_set and graph.heads.item(e) not in constraint.nodes]
         if not free:
             break
         take, skip = constraint.split(int(rng.choice(free)))
@@ -309,7 +338,7 @@ def root_sized_constraints(rng, graph):
         yield constraint
     for share in (0.5, 0.8, 0.95):
         chain = random_constraint(rng, graph).in_chain
-        yield PathConstraint(in_chain=chain, out_set=frozenset(e for e in range(graph.m) if e not in chain and rng.random() < share))
+        yield PathConstraint(graph, in_chain=chain, out_set=frozenset(e for e in range(graph.m) if e not in chain and rng.random() < share))
 
 
 def test_indexed_marking_matches_loop_marking():
@@ -390,13 +419,13 @@ def test_two_unit_flow_matches_pair_enumeration():
         if g.node_count > 7:
             continue
         flow = two_unit_min_flow(g, g.lo, g.hi)
-        ref = brute_pair_minimum(g, PathConstraint())
+        ref = brute_pair_minimum(g, PathConstraint(g))
         assert flow == pytest.approx(ref, abs=1e-9)
         checked += 1
         # reprice along a shortest path prefix and re-check
         path, _ = dijkstra(g, g.lo)
         if len(path.edges) >= 2:
-            constraint = PathConstraint(in_chain=path.edges[:1], out_set=frozenset({path.edges[-1]}))
+            constraint = PathConstraint(g, in_chain=path.edges[:1], out_set=frozenset({path.edges[-1]}))
             ref = brute_pair_minimum(g, constraint)
             flow = two_unit_min_flow(g, g.lo, g.hi, constraint)
             assert flow == pytest.approx(ref, abs=1e-9)
@@ -506,7 +535,7 @@ def test_two_unit_flow_matches_a_full_settle_reference():
     for seed in range(4):
         g = gen_instance(GeneratorSpec(family="R", n=200, r=1000.0, d=1.0, delta=0.03, seed=seed))
         for costs in (g.lo, g.lo * rng.random(g.m)):
-            for constraint in (PathConstraint(), random_constraint(rng, g), random_constraint(rng, g)):
+            for constraint in (PathConstraint(g), random_constraint(rng, g), random_constraint(rng, g)):
                 ref = full_settle_pair_flow(g, costs, g.hi, constraint)
                 assert two_unit_min_flow(g, costs, g.hi, constraint) == pytest.approx(ref, rel=1e-12)
 
@@ -593,13 +622,13 @@ def random_constraint(rng, graph):
         node = int(graph.heads[e])
         seen.add(node)
     out = frozenset(e for e in range(graph.m) if e not in chain and rng.random() < 0.25)
-    return PathConstraint(in_chain=tuple(chain), out_set=out)
+    return PathConstraint(graph, in_chain=tuple(chain), out_set=out)
 
 
 def reference_constrained(graph, costs, constraint):
     """The forced prefix plus reference_search's completion from its end, or None."""
     chain, out = constraint.in_chain, constraint.out_set
-    *banned_nodes, start = constraint.chain_nodes(graph)
+    *banned_nodes, start = constraint.nodes
     chain_value = float(sum(costs[e] for e in chain))
     if start == graph.target:
         return chain, chain_value
@@ -684,7 +713,7 @@ def test_one_cost_below_lo_drops_the_potential():
     costs = [1.0, 1.0, 1.0, 0.5]
     path, value = dijkstra(g, costs)
     assert (path.edges, value) == ((2, 3), 1.5) == reference_search(g, costs, g.source)
-    path, value = constrained_sp(g, costs, PathConstraint())
+    path, value = constrained_sp(g, costs, PathConstraint(g))
     assert (path.edges, value) == ((2, 3), 1.5)
 
 
