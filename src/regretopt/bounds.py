@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NoFeasibleSolution, midpoint_scenario
+from .core import NoFeasibleSolution
 from .double_oracle import max_regret
 from .shortest_path import IntervalDigraph, PathConstraint, constrained_sp, dijkstra, sp_oracle, two_unit_min_flow
 
@@ -39,8 +39,7 @@ def lb_kz(graph: IntervalDigraph, oracle=None) -> BoundReport:
     """
     start = time.perf_counter()
     oracle = oracle or sp_oracle(graph)
-    mid = midpoint_scenario(graph.instance)
-    path, _ = oracle.solve_path(mid.costs)
+    path, _ = oracle.solve_path(graph.instance.mid)
     regret = max_regret(graph.instance, oracle, path.indicator())
     elapsed = (time.perf_counter() - start) * 1000.0
     return BoundReport(
@@ -62,7 +61,7 @@ def lb_cg(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> B
     """
     start = time.perf_counter()
     constraint = constraint or PathConstraint(graph)
-    mid = midpoint_scenario(graph.instance).costs
+    mid = graph.instance.mid
     found = constrained_sp(graph, mid, constraint)
     if found is None:
         raise NoFeasibleSolution("constraint admits no path")

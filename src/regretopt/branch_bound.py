@@ -31,10 +31,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import lb_cg, lb_mgd
-from .core import NoFeasibleSolution, SolutionIndicator, favoring_scenario, midpoint_scenario, val
+from .core import NoFeasibleSolution, SolutionIndicator, favoring_scenario, val
 from .double_oracle import DoubleOracleConfig, ScenarioPool, max_regret, run_double_oracle
 from .game import SolverFailure
 from .shortest_path import IntervalDigraph, Path, PathConstraint, order_path_edges, sp_oracle, through_arc_costs
@@ -101,8 +99,8 @@ def select_branch_edge(constraint: PathConstraint, response: SolutionIndicator) 
     return None
 
 
-def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: float) -> frozenset[int]:
-    """The arcs on no s-t path whose maximum regret is below the given regret.
+def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: float) -> PathConstraint:
+    """The root constraint: it forbids the arcs on no s-t path whose maximum regret is below the given regret.
 
     For any s-t paths P and Q, regret(P) >= c(P) - lo(Q), where c is Q's
     favoring scenario (lo on Q, hi elsewhere): this is P's penalizing
@@ -115,13 +113,14 @@ def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: flo
     an arc past that cutoff, or within rounding of it, reads inf, and every
     other arc reads the sum full searches give.  The factor lies far above
     the rounding of the sums, so every arc that reads inf reaches the limit
-    under full searches too, and the fixed set is the same.
+    under full searches too, and the fixed set is the same.  The scores
+    are one flag per arc, so the constraint is built from them unchecked.
     """
     scenario = favoring_scenario(graph.instance, reference)
     lo_q = val(reference, scenario)
     limit = regret + 1e-9 * max(1.0, regret)
     through = through_arc_costs(graph, scenario.costs, (lo_q + limit) * _CUTOFF_FACTOR)
-    return frozenset(np.flatnonzero(through - lo_q >= limit).tolist())
+    return PathConstraint.forbidding(graph, through - lo_q >= limit)
 
 
 def _split_inherited(solutions, k: int) -> tuple[tuple[SolutionIndicator, ...], tuple[SolutionIndicator, ...]]:
@@ -159,7 +158,7 @@ def node_lower_bound(
     restriction = constraint if (constraint.in_chain or constraint.out_set) else None
     init_x = list(inherited)
     if not init_x:
-        seed, _ = oracle.solve(midpoint_scenario(instance).costs, restriction)
+        seed, _ = oracle.solve(instance.mid, restriction)
         init_x = [seed]
     config = DoubleOracleConfig(max_support_x=max_support_x, stop_value=stop_value)
     result = run_double_oracle(instance, oracle, init_x, config=config, restriction=restriction, pool=pool)
@@ -175,7 +174,9 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     insertion order.  The incumbent starts at the midpoint-optimal path and
     absorbs every solution generated by a node bounded below it.  The root
     forbids the arcs fixed_arcs finds against that first incumbent, once;
-    the midpoint path's own arcs stay free, so the root is feasible.  A
+    the midpoint path's own arcs stay free, so the root is feasible.  With
+    the game bound, the incumbent's penalizing scenario is solved once: it
+    prices the incumbent's regret and is the root game's first column.  A
     node whose game LP fails is bounded by the pair bound instead.  Node or
     time limits leave complete=False and the incumbent as the best known
     value.
@@ -196,12 +197,15 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
             regret_cache[x.members] = cached
         return cached
 
-    mid_path, _ = oracle.solve_path(midpoint_scenario(instance).costs)
+    mid_path, _ = oracle.solve_path(instance.mid)
     best = mid_path.indicator()
-    best_regret = regret_of(best)
+    # The root game's pool: with no scenario yet, its first column is the
+    # incumbent's penalizing scenario, so pricing the regret fills it.
+    root_pool = ScenarioPool(instance, oracle) if lb_strategy == "do" else None
+    best_regret = regret_cache[best.members] = max_regret(instance, oracle, best, root_pool)
     # Paths through these arcs cannot beat the incumbent: the root forbids
     # them, so every node inherits them.
-    fixed = fixed_arcs(graph, best, best_regret)
+    root_constraint = fixed_arcs(graph, best, best_regret)
 
     def absorb(x: SolutionIndicator) -> None:
         nonlocal best, best_regret
@@ -209,16 +213,16 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         if regret < best_regret:
             best, best_regret = x, regret
 
-    shared_pool = ScenarioPool(instance, oracle) if config.warm_start else None
+    shared_pool = root_pool if config.warm_start else None
 
-    def bound_node(constraint: PathConstraint, inherited) -> NodeBound:
+    def bound_node(constraint: PathConstraint, inherited, pool: ScenarioPool | None = shared_pool) -> NodeBound:
         try:
             found = node_lower_bound(
                 graph,
                 constraint,
                 lb_strategy,
                 oracle=oracle,
-                pool=shared_pool,
+                pool=pool,
                 inherited=inherited,
                 max_support_x=config.max_support_x,
                 stop_value=best_regret - _PRUNE_TOL,
@@ -237,9 +241,8 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         return found
 
     counter = itertools.count()
-    root_constraint = PathConstraint(graph, out_set=fixed)
     # The midpoint path seeds the root's game, solved once for the incumbent.
-    root = bound_node(root_constraint, (best,))
+    root = bound_node(root_constraint, (best,), root_pool)
     heap: list = [(root.value, 0, next(counter), root_constraint, root)]
 
     expanded = 0
@@ -290,7 +293,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         opt=best_regret,
         optimal_path=optimal_path,
         nodes_expanded=expanded,
-        fixed_arcs=len(fixed),
+        fixed_arcs=len(root_constraint.out_set),
         elapsed_ms=elapsed,
         complete=complete,
         strategy=lb_strategy,

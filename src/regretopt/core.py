@@ -22,11 +22,18 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IntervalInstance:
-    """Per-element cost intervals [lo_i, hi_i], immutable after construction; equal and hashed by identity."""
+    """Per-element cost intervals [lo_i, hi_i], immutable after construction; equal and hashed by identity.
+
+    Construction checks lo and hi and derives the width hi - lo and the
+    midpoint (lo + hi) / 2, each once and read-only.  The midpoint lies in
+    [lo, hi]: doubling either bound is exact, and rounding the sum keeps
+    its order.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
     _width: np.ndarray = field(default=None, init=False, repr=False)
+    _mid: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         lo = _frozen_array(self.lo)
@@ -41,11 +48,16 @@ class IntervalInstance:
             raise ValueError("interval bounds must be nonnegative")
         if (lo > hi).any():
             raise ValueError("every interval needs lo <= hi")
+        mid = (lo + hi) / 2.0
+        if not np.isfinite(mid).all():
+            raise ValueError("interval midpoints must be finite")
         width = hi - lo
         width.setflags(write=False)
+        mid.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_mid", mid)
 
     @property
     def n(self) -> int:
@@ -55,6 +67,11 @@ class IntervalInstance:
     def width(self) -> np.ndarray:
         """hi - lo, computed once; read-only."""
         return self._width
+
+    @property
+    def mid(self) -> np.ndarray:
+        """(lo + hi) / 2, computed once; read-only."""
+        return self._mid
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +85,13 @@ class Scenario:
         if c.ndim != 1 or not np.isfinite(c).all():
             raise ValueError("scenario costs must be a finite 1-d array")
         object.__setattr__(self, "costs", c)
+
+    @classmethod
+    def _of_checked(cls, costs: np.ndarray) -> "Scenario":
+        """Wrap costs already known to be a read-only, finite 1-d array: no copy, no check."""
+        scenario = object.__new__(cls)
+        object.__setattr__(scenario, "costs", costs)
+        return scenario
 
     @property
     def n(self) -> int:
@@ -104,32 +128,37 @@ def val(x: SolutionIndicator, c: Scenario) -> float:
     return float(sum(map(c.costs.item, x.members)))
 
 
+def _extreme(base: np.ndarray, swap: np.ndarray, x: SolutionIndicator) -> Scenario:
+    """base with x's members swapped for their swap values.
+
+    Both arrays are an instance's checked bounds, so the copy is checked
+    once, for members the instance does not price.
+    """
+    costs = np.array(base)
+    for i in x.members:
+        if i >= costs.size:
+            raise ValueError("solution does not fit the instance")
+        costs[i] = swap[i]
+    costs.setflags(write=False)
+    return Scenario._of_checked(costs)
+
+
 def penalizing_scenario(instance: IntervalInstance, x: SolutionIndicator) -> Scenario:
     """Extreme scenario that is worst for x: hi on its members, lo elsewhere.
 
     This scenario attains x's maximum regret.
     """
-    costs = np.array(instance.lo)
-    for i in x.members:
-        if i >= instance.n:
-            raise ValueError("solution does not fit the instance")
-        costs[i] = instance.hi[i]
-    return Scenario(costs)
+    return _extreme(instance.lo, instance.hi, x)
 
 
 def favoring_scenario(instance: IntervalInstance, y: SolutionIndicator) -> Scenario:
     """Extreme scenario that is best for y: lo on its members, hi elsewhere."""
-    costs = np.array(instance.hi)
-    for i in y.members:
-        if i >= instance.n:
-            raise ValueError("solution does not fit the instance")
-        costs[i] = instance.lo[i]
-    return Scenario(costs)
+    return _extreme(instance.hi, instance.lo, y)
 
 
 def midpoint_scenario(instance: IntervalInstance) -> Scenario:
-    """Interval midpoints (lo + hi) / 2."""
-    return Scenario((instance.lo + instance.hi) / 2.0)
+    """Interval midpoints (lo + hi) / 2: the instance's own read-only array."""
+    return Scenario._of_checked(instance.mid)
 
 
 def marginals(row_probs, solutions, n: int) -> np.ndarray:

@@ -260,10 +260,17 @@ def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solution
     return ScenarioDescriptor(z, FAVORING)
 
 
-def max_regret(instance: IntervalInstance, oracle: StandardOracle, x: SolutionIndicator) -> float:
-    """Worst-case regret of x, attained at its penalizing scenario."""
+def max_regret(instance: IntervalInstance, oracle: StandardOracle, x: SolutionIndicator, pool: ScenarioPool | None = None) -> float:
+    """Worst-case regret of x, attained at its penalizing scenario.
+
+    With a pool, that scenario's optimum is the pool's, solved into it on
+    first sight, so a game that starts from the scenario solves it no more.
+    """
     worst = penalizing_scenario(instance, x)
-    _, opt_value = oracle.solve(worst.costs, None)
+    if pool is None:
+        _, opt_value = oracle.solve(worst.costs, None)
+    else:
+        opt_value = pool.opt_values[pool.ensure(ScenarioDescriptor(x, PENALIZING))]
     # Nonnegative by definition; summation-order dust can dip below zero.
     return max(val(x, worst) - float(opt_value), 0.0)
 

@@ -14,9 +14,9 @@ tuples, because indexing numpy scalars one arc at a time costs more than
 the search itself.  Work over all arcs stays in numpy: a constraint keeps
 its forbidden arcs as an index array, marked at inf with one store, and
 the walk through each arc is scored in one expression.  The graph's own
-lo and hi were checked when it was built and are read-only, so a search
-handed either of them checks nothing again; every other cost vector is
-checked on every call.
+lo, hi and midpoint costs (instance.mid) were checked when it was built
+and are read-only, so a search handed any of them checks nothing again;
+every other cost vector is checked on every call.
 
 Searches toward the target are goal-directed (A*).  Every cost vector the
 solvers build lies in [lo, hi], so each node's lo-cost distance to the
@@ -190,6 +190,7 @@ class PathConstraint:
     over them in Python: out_index holds the forbidden ids once each, as a
     read-only numpy array marked with one indexed store.  The take child
     shares its parent's index; the skip child's is the parent's with k appended.
+    forbidding builds a constraint straight from a mask over the arcs.
     """
 
     graph: IntervalDigraph = field(repr=False)
@@ -226,6 +227,20 @@ class PathConstraint:
         index.setflags(write=False)
         self.__dict__.update(in_chain=chain, out_set=out, nodes=tuple(nodes), out_index=index)
 
+    @classmethod
+    def forbidding(cls, graph: IntervalDigraph, mask) -> "PathConstraint":
+        """The constraint that forces no arc and forbids each arc whose flag in mask is set.
+
+        A mask holds one flag per arc, so its ids are distinct and in range:
+        they are read off it once, in increasing order, and not checked again.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (graph.m,):
+            raise ValueError("one flag per arc required")
+        index = np.flatnonzero(mask)
+        index.setflags(write=False)
+        return cls._unchecked(graph, (), (graph.source,), frozenset(index.tolist()), index)
+
     @property
     def end(self) -> int:
         return self.nodes[-1]
@@ -245,27 +260,29 @@ class PathConstraint:
             raise ValueError("forced prefix revisits a node")
         if self.end == graph.target:
             raise ValueError("forced prefix passes through the target")
-        take = self._child(self.in_chain + (k,), self.nodes + (head,), self.out_set, self.out_index)
+        take = self._unchecked(graph, self.in_chain + (k,), self.nodes + (head,), self.out_set, self.out_index)
         index = np.append(self.out_index, k)
         index.setflags(write=False)
-        skip = self._child(self.in_chain, self.nodes, self.out_set | {k}, index)
+        skip = self._unchecked(graph, self.in_chain, self.nodes, self.out_set | {k}, index)
         return take, skip
 
-    def _child(self, chain, nodes, out, index) -> "PathConstraint":
-        # The parts are checked against the same graph already: skip __post_init__.
-        child = object.__new__(PathConstraint)
-        child.__dict__.update(graph=self.graph, in_chain=chain, out_set=out, nodes=nodes, out_index=index)
-        return child
+    @classmethod
+    def _unchecked(cls, graph, chain, nodes, out, index) -> "PathConstraint":
+        # The parts are checked against this graph already: skip __post_init__.
+        made = object.__new__(cls)
+        made.__dict__.update(graph=graph, in_chain=chain, out_set=out, nodes=nodes, out_index=index)
+        return made
 
 
 def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, bool]:
     """The costs as a float array, and whether none lies below its arc's lo.
 
-    The graph's own lo and hi pass unchecked: both were checked when the
-    graph was built and are read-only.  Costs at or above lo are
-    nonnegative already, so they need only the finiteness check.
+    The graph's own lo, hi and midpoint costs pass unchecked: all three
+    were checked when the graph was built and are read-only.  Costs at or
+    above lo are nonnegative already, so they need only the finiteness check.
     """
-    if costs is graph.lo or costs is graph.hi:
+    instance = graph.instance
+    if costs is instance.lo or costs is instance.hi or costs is instance.mid:
         return costs, True
     c = np.asarray(costs, dtype=float)
     if c.shape != (graph.m,):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from regretopt import IntervalDigraph, NoFeasibleSolution, PathConstraint, SolverFailure, branch_bound, double_oracle, lb_mgd, midpoint_scenario, shortest_path
+from regretopt import IntervalDigraph, NoFeasibleSolution, PathConstraint, SolverFailure, branch_bound, double_oracle, lb_mgd, midpoint_scenario, penalizing_scenario, shortest_path
 from regretopt.branch_bound import BBConfig, NodeBound, bb_solve, fixed_arcs, node_lower_bound, select_branch_edge
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt, enumerate_paths
@@ -87,7 +87,7 @@ def test_fixed_arcs_carry_no_path_that_beats_the_incumbent():
         oracle = sp_oracle(graph)
         mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
         incumbent = double_oracle.max_regret(graph.instance, oracle, mid)
-        fixed = fixed_arcs(graph, mid, incumbent)
+        fixed = fixed_arcs(graph, mid, incumbent).out_set
         assert fixed.isdisjoint(mid.members)
         # brute_force_opt lists every path's regret, by enumeration, in enumerate_paths order.
         _, _, regrets = brute_force_opt(graph)
@@ -118,8 +118,21 @@ def _integer_costs(graph):
     )
 
 
+def _check_root(graph, reference, regret):
+    """fixed_arcs' root, built straight from its per-arc flags, against the checked constructor on the full sweep's set."""
+    root = fixed_arcs(graph, reference, regret)
+    checked = PathConstraint(graph, out_set=full_sweep_fixed_arcs(graph, reference, regret))
+    assert root.graph is graph
+    k = select_branch_edge(root, reference)
+    for ours, built in zip((root, *root.split(k)), (checked, *checked.split(k))):
+        assert (ours.in_chain, ours.out_set, ours.nodes, ours.end) == (built.in_chain, built.out_set, built.nodes, built.end)
+        assert ours.out_index.dtype == built.out_index.dtype and not ours.out_index.flags.writeable
+        np.testing.assert_array_equal(np.sort(ours.out_index), np.sort(built.out_index))
+    return root
+
+
 def test_bounded_fixing_matches_the_full_sweep():
-    """fixed_arcs cuts its searches off near the limit; the fixed set must not notice."""
+    """fixed_arcs cuts its searches off near the limit; the fixed set, and the root it builds, must not notice."""
     graphs = 0
     for i in range(240):
         d = (0.0, 0.5, 1.0)[i % 3]
@@ -131,9 +144,17 @@ def test_bounded_fixing_matches_the_full_sweep():
         if i % 4 == 3:
             graph = _integer_costs(graph)
         for reference, regret in _fixing_cases(graph):
-            assert fixed_arcs(graph, reference, regret) == full_sweep_fixed_arcs(graph, reference, regret)
+            _check_root(graph, reference, regret)
         graphs += 1
     assert graphs >= 200
+
+
+def test_forbidding_takes_one_flag_per_arc():
+    g = six_node_graph()
+    np.testing.assert_array_equal(PathConstraint.forbidding(g, np.arange(g.m) % 3 == 0).out_index, [0, 3, 6])
+    for mask in (np.zeros(g.m - 1, dtype=bool), np.zeros((1, g.m), dtype=bool)):
+        with pytest.raises(ValueError, match="one flag per arc"):
+            PathConstraint.forbidding(g, mask)
 
 
 def test_bounded_fixing_matches_the_full_sweep_on_the_search_roster():
@@ -142,8 +163,7 @@ def test_bounded_fixing_matches_the_full_sweep_on_the_search_roster():
     for seed in range(50):
         graph = gen_instance(GeneratorSpec(family="R", n=40, r=1000.0, d=1.0, delta=0.2, seed=seed))
         reference, regret = _fixing_cases(graph)[0]
-        found = fixed_arcs(graph, reference, regret)
-        assert found == full_sweep_fixed_arcs(graph, reference, regret)
+        found = _check_root(graph, reference, regret).out_set
         fixed += len(found)
         arcs += graph.m
     assert (fixed, arcs) == (15064, 15656)
@@ -273,9 +293,9 @@ def test_solutions_are_priced_only_below_the_incumbent(monkeypatch, family, seed
     state = {}
     plain_regret, plain_bound = branch_bound.max_regret, branch_bound.node_lower_bound
 
-    def pricing(instance, oracle, x):
+    def pricing(instance, oracle, x, *pool):
         assert state["open"], "priced a solution of a node bounded at the incumbent"
-        regret = plain_regret(instance, oracle, x)
+        regret = plain_regret(instance, oracle, x, *pool)
         state["incumbent"] = min(state["incumbent"], regret)
         return regret
 
@@ -393,6 +413,29 @@ def test_game_search_solves_the_midpoint_scenario_once(monkeypatch, warm_start):
     stats = bb_solve(graph, "do", BBConfig(warm_start=warm_start))
     assert stats.complete and stats.opt == 4.0
     assert sum(np.array_equal(costs, midpoint) for costs in searched) == 1
+
+
+@pytest.mark.parametrize("warm_start, searches, penalized", ((True, 16, 5), (False, 25, 7)))
+def test_game_search_solves_the_incumbents_penalizing_scenario_once(monkeypatch, warm_start, searches, penalized):
+    """The incumbent's regret and the root game's first column share one solve of its penalizing scenario.
+
+    Solving it apart for each made 17 and 26 searches, 6 and 8 of them under that scenario.
+    """
+    graph = six_node_graph()
+    mid, _ = sp_oracle(graph).solve(midpoint_scenario(graph.instance).costs)
+    worst = penalizing_scenario(graph.instance, mid).costs
+    searched = []
+    plain = shortest_path.dijkstra
+
+    def counting(g, costs, *args, **kwargs):
+        searched.append(np.array(costs, dtype=float))
+        return plain(g, costs, *args, **kwargs)
+
+    monkeypatch.setattr(shortest_path, "dijkstra", counting)
+    stats = bb_solve(graph, "do", BBConfig(warm_start=warm_start))
+    assert stats.complete and stats.opt == 4.0
+    assert len(searched) == searches
+    assert sum(np.array_equal(costs, worst) for costs in searched) == penalized
 
 
 def test_bb_solve_rejects_unknown_strategy():

@@ -116,6 +116,33 @@ def test_midpoints():
     np.testing.assert_array_equal(midpoint_scenario(flat).costs, [1.0])
 
 
+def test_the_instance_keeps_one_read_only_midpoint():
+    """instance.mid is (lo + hi) / 2 to the bit, read-only, inside [lo, hi], and what midpoint_scenario hands out."""
+    rng = np.random.default_rng(1407)
+    instances = [six_node_graph().instance, two_arc_graph().instance, five_element_instance()]
+    for _ in range(200):
+        lo = rng.random(8) * 10.0 ** rng.integers(-3, 6)
+        instances.append(IntervalInstance(lo=lo, hi=lo + rng.random(8) * 10.0 ** rng.integers(-12, 6)))
+    for inst in instances:
+        mid = inst.mid
+        assert mid is inst.mid and not mid.flags.writeable
+        assert mid.tobytes() == ((inst.lo + inst.hi) / 2.0).tobytes()
+        assert (inst.lo <= mid).all() and (mid <= inst.hi).all()
+        assert midpoint_scenario(inst).costs is mid
+    with pytest.raises(ValueError, match="midpoints"), np.errstate(over="ignore"):
+        IntervalInstance(lo=np.array([1e308]), hi=np.array([1.5e308]))
+
+
+def test_extreme_scenarios_are_read_only_copies():
+    inst = five_element_instance()
+    for build in (penalizing_scenario, favoring_scenario):
+        scenario = build(inst, sol(1, 4))
+        assert not scenario.costs.flags.writeable
+        assert not np.shares_memory(scenario.costs, inst.lo) and not np.shares_memory(scenario.costs, inst.hi)
+        with pytest.raises(ValueError, match="does not fit"):
+            build(inst, sol(5))
+
+
 def test_mean_scenario_single_and_weighted():
     """The mean scenario of a mixture, as the restricted game builds it for the solution player."""
     graph = two_arc_graph()

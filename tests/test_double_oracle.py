@@ -293,6 +293,31 @@ def test_max_regret_examples():
     assert max_regret(inst6, oracle6, sol(0, 3, 6)) == 5.0
 
 
+def test_max_regret_through_a_pool_matches_a_plain_solve():
+    """Priced through a pool, x's regret is the plain one to the bit, and the pool holds the optimum a game starts from."""
+    for i in range(100):
+        if i % 2:
+            spec = GeneratorSpec(family="K", n=2 + 3 * (2 + i % 5), r=1000.0, d=(0.5, 1.0)[i % 4 // 2], w=3, seed=6100 + i)
+        else:
+            spec = GeneratorSpec(family="R", n=5 + i % 30, r=1000.0, d=(0.5, 1.0)[i % 4 // 2], delta=0.3, seed=6100 + i)
+        graph = gen_instance(spec)
+        inst, oracle = graph.instance, sp_oracle(graph)
+        for costs in (inst.mid, inst.hi):
+            x, _ = oracle.solve(costs)
+            pool = ScenarioPool(inst, oracle)
+            shared = max_regret(inst, oracle, x, pool)
+            assert shared.hex() == max_regret(inst, oracle, x).hex()
+            assert pool.descriptors == [ScenarioDescriptor(x, PENALIZING)]
+            # A second pricing reads the pool, and a game from it starts as from a fresh one.
+            assert max_regret(inst, oracle, x, pool).hex() == shared.hex() and len(pool) == 1
+            if i % 10 == 0:
+                config = DoubleOracleConfig(max_iterations=3)
+                ours = run_double_oracle(inst, oracle, [x], config=config, pool=pool)
+                fresh = run_double_oracle(inst, oracle, [x], config=config)
+                assert [v.hex() for v in ours.trace] == [v.hex() for v in fresh.trace]
+                assert (ours.solutions, ours.scenarios) == (fresh.solutions, fresh.scenarios)
+
+
 # --------------------------------------------------------------- generation
 
 

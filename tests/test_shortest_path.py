@@ -183,6 +183,7 @@ def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
     assert not g.lo.flags.writeable and not g.hi.flags.writeable
     assert shortest_path._check_costs(g, g.lo) == (g.lo, True)
     assert shortest_path._check_costs(g, g.hi)[0] is g.hi
+    assert shortest_path._check_costs(g, g.instance.mid) == (g.instance.mid, True)
     bad_vectors = ([1.0], [1.0, 2.0, 3.0], [2.0, np.nan], [np.inf, 2.0], [-np.inf, 2.0], [-1.0, 2.0], [2.0, -1e-300])
     for bad in bad_vectors:
         with pytest.raises(ValueError):
@@ -201,6 +202,38 @@ def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
         with pytest.raises(ValueError):
             two_unit_min_flow(g, lo, hi, PathConstraint(g, in_chain=(0,)))
     assert two_unit_min_flow(g, g.lo, g.hi) == two_unit_min_flow(g, np.array(g.lo), np.array(g.hi)) == 12.0
+
+
+def test_the_midpoint_array_searches_like_a_checked_copy():
+    """Handed instance.mid, the searches and lb_cg skip the cost check and answer as for a writable copy."""
+    rng = np.random.default_rng(1408)
+    checked = 0
+    for i in range(40):
+        if i % 2:
+            spec = GeneratorSpec(family="K", n=2 + 3 * (2 + i % 5), r=1000.0, d=(0.5, 1.0)[i % 4 // 2], w=3, seed=5200 + i)
+        else:
+            spec = GeneratorSpec(family="R", n=6 + i % 30, r=1000.0, d=(0.5, 1.0)[i % 4 // 2], delta=0.3, seed=5200 + i)
+        g = gen_instance(spec)
+        mid = g.instance.mid
+        copy = np.array(mid)
+        assert copy.flags.writeable and shortest_path._check_costs(g, copy)[0] is not mid
+        path, value = dijkstra(g, mid)
+        copy_path, copy_value = dijkstra(g, copy)
+        assert (path.edges, value.hex()) == (copy_path.edges, copy_value.hex())
+        for constraint in (PathConstraint(g), random_constraint(rng, g), random_constraint(rng, g)):
+            found = constrained_sp(g, mid, constraint)
+            expected = constrained_sp(g, copy, constraint)
+            if expected is None:
+                assert found is None
+                continue
+            assert (found[0].edges, found[1].hex()) == (expected[0].edges, expected[1].hex())
+            # lb_cg reads instance.mid; rebuild its value from the copy.
+            report = lb_cg(g, constraint)
+            pinned = float(sum(g.hi[e] - copy[e] for e in constraint.in_chain))
+            value = pinned + expected[1] - two_unit_min_flow(g, g.lo, g.hi, constraint) / 2.0
+            assert (report.artifacts["path"].edges, report.value.hex()) == (expected[0].edges, max(value, 0.0).hex())
+            checked += 1
+    assert checked >= 80
 
 
 def test_negative_zero_is_a_valid_cost():
@@ -324,7 +357,7 @@ def root_sized_constraints(rng, graph):
     """Root fixing's forbidden set, then random branches off it, then random sets of most arcs."""
     oracle = sp_oracle(graph)
     mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
-    constraint = PathConstraint(graph, out_set=fixed_arcs(graph, mid, max_regret(graph.instance, oracle, mid)))
+    constraint = fixed_arcs(graph, mid, max_regret(graph.instance, oracle, mid))
     yield constraint
     for _ in range(8):
         end = constraint.end
