@@ -67,7 +67,6 @@ class BBStats:
     fixed_arcs: int
     elapsed_ms: float
     complete: bool
-    strategy: str
 
 
 @dataclass(frozen=True)
@@ -174,12 +173,13 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     insertion order.  The incumbent starts at the midpoint-optimal path and
     absorbs every solution generated by a node bounded below it.  The root
     forbids the arcs fixed_arcs finds against that first incumbent, once;
-    the midpoint path's own arcs stay free, so the root is feasible.  With
-    the game bound, the incumbent's penalizing scenario is solved once: it
-    prices the incumbent's regret and is the root game's first column.  A
-    node whose game LP fails is bounded by the pair bound instead.  Node or
-    time limits leave complete=False and the incumbent as the best known
-    value.
+    the midpoint path's own arcs stay free, so the root is feasible.  Each
+    distinct solution is priced once, through the root game's pool, which
+    publishes nothing: with the game bound, the root game's first column,
+    the incumbent's penalizing scenario, reuses the solve that priced the
+    incumbent.  A node whose game LP fails is bounded by the pair bound
+    instead.  Node or time limits leave complete=False and the incumbent as
+    the best known value.
     """
     if lb_strategy not in STRATEGIES:
         raise ValueError("unknown bounding strategy %r" % (lb_strategy,))
@@ -188,28 +188,23 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     oracle = sp_oracle(graph)
     instance = graph.instance
 
-    regret_cache: dict[frozenset, float] = {}
-
-    def regret_of(x: SolutionIndicator) -> float:
-        cached = regret_cache.get(x.members)
-        if cached is None:
-            cached = max_regret(instance, oracle, x)
-            regret_cache[x.members] = cached
-        return cached
-
     mid_path, _ = oracle.solve_path(instance.mid)
     best = mid_path.indicator()
-    # The root game's pool: with no scenario yet, its first column is the
-    # incumbent's penalizing scenario, so pricing the regret fills it.
-    root_pool = ScenarioPool(instance, oracle) if lb_strategy == "do" else None
-    best_regret = regret_cache[best.members] = max_regret(instance, oracle, best, root_pool)
+    root_pool = ScenarioPool(instance, oracle)
+    priced = {best.members}
+    best_regret = max_regret(instance, oracle, best, root_pool)
     # Paths through these arcs cannot beat the incumbent: the root forbids
     # them, so every node inherits them.
     root_constraint = fixed_arcs(graph, best, best_regret)
 
     def absorb(x: SolutionIndicator) -> None:
         nonlocal best, best_regret
-        regret = regret_of(x)
+        # A solution priced before was the incumbent or no better than it
+        # then, and the incumbent only improves.
+        if x.members in priced:
+            return
+        priced.add(x.members)
+        regret = max_regret(instance, oracle, x, root_pool)
         if regret < best_regret:
             best, best_regret = x, regret
 
@@ -296,5 +291,4 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         fixed_arcs=len(root_constraint.out_set),
         elapsed_ms=elapsed,
         complete=complete,
-        strategy=lb_strategy,
     )

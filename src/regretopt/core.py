@@ -114,12 +114,6 @@ class SolutionIndicator:
             raise ValueError("element indices must be nonnegative")
         object.__setattr__(self, "members", members)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def val(x: SolutionIndicator, c: Scenario) -> float:
     """Cost of solution x under scenario c."""
@@ -159,17 +153,3 @@ def favoring_scenario(instance: IntervalInstance, y: SolutionIndicator) -> Scena
 def midpoint_scenario(instance: IntervalInstance) -> Scenario:
     """Interval midpoints (lo + hi) / 2: the instance's own read-only array."""
     return Scenario._of_checked(instance.mid)
-
-
-def marginals(row_probs, solutions, n: int) -> np.ndarray:
-    """Per-element probability that a solution drawn from the mixture uses the element.
-
-    row_probs[k] is the probability of solutions[k]; lengths must match.
-    """
-    t = np.zeros(n)
-    for prob, x in zip(row_probs, solutions, strict=True):
-        for i in x.members:
-            if i >= n:
-                raise ValueError("support solution does not fit the dimension")
-            t[i] += prob
-    return t

@@ -7,6 +7,11 @@ oracle for a fresh strategy, and stop when neither side can improve.  Every
 iteration yields a valid lower bound on the optimal maximum regret, namely
 the expected regret of the best response to the current scenario mixture,
 so even truncated runs are useful.
+
+Each best response is one oracle call at the costs of the other player's
+mixture, and mixture_costs builds both: a solution mixture is read as the
+mixture of its solutions' penalizing scenarios.  The ScenarioPool caches
+every scenario optimum, so it is also the memo behind max_regret.
 """
 
 from __future__ import annotations
@@ -21,9 +26,7 @@ from .core import (
     Scenario,
     SolutionIndicator,
     favoring_scenario,
-    marginals,
     penalizing_scenario,
-    val,
 )
 from .game import Equilibrium, solve_zero_sum
 
@@ -74,6 +77,8 @@ class ScenarioPool:
 
     The optimal value of a scenario does not depend on any branch
     restriction, so one oracle solve per scenario serves the whole search.
+    optimum solves a scenario without publishing it, so pricing a regret
+    adds no column to later games; ensure publishes, reusing that solve.
     """
 
     def __init__(self, instance: IntervalInstance, oracle: StandardOracle):
@@ -82,20 +87,28 @@ class ScenarioPool:
         self.descriptors: list[ScenarioDescriptor] = []
         self.opt_values: list[float] = []
         self._index: dict[ScenarioDescriptor, int] = {}
+        self._optima: dict[ScenarioDescriptor, float] = {}
 
     def __len__(self) -> int:
         return len(self.descriptors)
 
+    def optimum(self, desc: ScenarioDescriptor) -> float:
+        """The descriptor's unrestricted optimal value, solved on first sight."""
+        value = self._optima.get(desc)
+        if value is None:
+            _, value = self.oracle.solve(desc.expand(self.instance).costs, None)
+            value = self._optima[desc] = float(value)
+        return value
+
     def ensure(self, desc: ScenarioDescriptor) -> int:
-        """Index of the descriptor, solving for its optimum on first sight."""
+        """Index of the descriptor, publishing it on first sight."""
         idx = self._index.get(desc)
         if idx is not None:
             return idx
-        dense = desc.expand(self.instance)
-        _, opt_value = self.oracle.solve(dense.costs, None)
+        opt_value = self.optimum(desc)
         idx = len(self.descriptors)
         self.descriptors.append(desc)
-        self.opt_values.append(float(opt_value))
+        self.opt_values.append(opt_value)
         self._index[desc] = idx
         return idx
 
@@ -195,18 +208,8 @@ class RestrictedGame:
 
     def mixture_costs(self, col_probs) -> np.ndarray:
         """Dense costs of the scenario mixture given by col_probs."""
-        factor = np.zeros(self.instance.n)
-        for q, pool_idx in self._drawn(col_probs):
-            desc = self.pool.descriptors[pool_idx]
-            if desc.kind == FAVORING:
-                factor += q
-                for i in desc.defining.members:
-                    factor[i] -= q
-            else:
-                for i in desc.defining.members:
-                    factor[i] += q
-        factor = factor.clip(0.0, 1.0)
-        return self.instance.lo + self.instance.width * factor
+        descriptors = self.pool.descriptors
+        return mixture_costs(self.instance, [(q, descriptors[pool_idx]) for q, pool_idx in self._drawn(col_probs)])
 
     def expected_regret(self, x: SolutionIndicator, col_probs) -> float:
         """Expected regret of x against the column mixture."""
@@ -247,32 +250,53 @@ class DoubleOracleResult:
     best_response: SolutionIndicator
 
 
+def mixture_costs(instance: IntervalInstance, weighted) -> np.ndarray:
+    """Dense costs of a scenario mixture: lo + width * clip(factor, 0, 1).
+
+    weighted holds (weight, descriptor) pairs; factor[i] is the total
+    weight of the drawn scenarios that put element i at hi, summed pair by
+    pair in the given order.  Raises ValueError for a descriptor whose
+    solution does not fit the instance.
+    """
+    factor = np.zeros(instance.n)
+    try:
+        for q, desc in weighted:
+            if desc.kind == FAVORING:
+                factor += q
+                for i in desc.defining.members:
+                    factor[i] -= q
+            else:
+                for i in desc.defining.members:
+                    factor[i] += q
+    except IndexError:
+        raise ValueError("solution does not fit the instance") from None
+    return instance.lo + instance.width * factor.clip(0.0, 1.0)
+
+
 def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solutions) -> ScenarioDescriptor:
     """Best scenario against a solution mixture, as a favoring descriptor.
 
-    The mixture draws solutions[k] with probability row_probs[k].  The worst
-    mixture-regret scenario is the one favoring the solution that minimizes
-    costs lo + width * marginals, where the marginal of element i is the
-    probability that a drawn solution uses i.
+    The mixture draws solutions[k] with probability row_probs[k]; lengths
+    must match.  The worst mixture-regret scenario favors the solution
+    that is cheapest under the mixture of the drawn solutions' penalizing
+    scenarios, whose cost of element i is lo + width * (the probability
+    that a drawn solution uses i).
     """
-    costs = instance.lo + instance.width * marginals(row_probs, solutions, instance.n).clip(0.0, 1.0)
-    z, _ = oracle.solve(costs, None)
+    drawn = [(q, ScenarioDescriptor(x, PENALIZING)) for q, x in zip(row_probs, solutions, strict=True)]
+    z, _ = oracle.solve(mixture_costs(instance, drawn), None)
     return ScenarioDescriptor(z, FAVORING)
 
 
 def max_regret(instance: IntervalInstance, oracle: StandardOracle, x: SolutionIndicator, pool: ScenarioPool | None = None) -> float:
     """Worst-case regret of x, attained at its penalizing scenario.
 
-    With a pool, that scenario's optimum is the pool's, solved into it on
-    first sight, so a game that starts from the scenario solves it no more.
+    That is x's cost at hi less the scenario's optimum, which the pool (a
+    fresh one by default) solves on first sight and does not publish.
     """
-    worst = penalizing_scenario(instance, x)
-    if pool is None:
-        _, opt_value = oracle.solve(worst.costs, None)
-    else:
-        opt_value = pool.opt_values[pool.ensure(ScenarioDescriptor(x, PENALIZING))]
+    pool = pool if pool is not None else ScenarioPool(instance, oracle)
+    opt_value = pool.optimum(ScenarioDescriptor(x, PENALIZING))
     # Nonnegative by definition; summation-order dust can dip below zero.
-    return max(val(x, worst) - float(opt_value), 0.0)
+    return max(float(sum(map(instance.hi.item, x.members))) - opt_value, 0.0)
 
 
 def run_double_oracle(

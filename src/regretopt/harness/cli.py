@@ -48,9 +48,12 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
 def _generator_spec(args) -> GeneratorSpec:
     if args.family is None or args.nodes is None:
         raise SystemExit("error: --family and --nodes are required without instance files")
-    return GeneratorSpec(
-        family=args.family, n=args.nodes, r=args.r, d=args.d, delta=args.delta, w=args.width, seed=args.seed
-    )
+    try:
+        return GeneratorSpec(
+            family=args.family, n=args.nodes, r=args.r, d=args.d, delta=args.delta, w=args.width, seed=args.seed
+        )
+    except ValueError as err:
+        raise SystemExit("error: %s" % err) from None
 
 
 def _sources(args) -> list[GeneratorSpec | str]:
@@ -62,7 +65,11 @@ def _cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for sub in _generator_spec(args).seeds(args.count):
         path = os.path.join(args.out, "%s-s%d.ri" % (sub.name, sub.seed))
-        write_native(gen_instance(sub), path)
+        try:
+            graph = gen_instance(sub)
+        except ValueError as err:
+            raise SystemExit("error: %s" % err) from None
+        write_native(graph, path)
         print(path)
     return 0
 
@@ -83,13 +90,13 @@ def _cmd_bb(args) -> int:
 
 
 def _cmd_dimacs(args) -> int:
-    with open(args.gr) as handle:
-        node_count, arcs = parse_dimacs(handle.read())
     source = args.source - 1 if args.source is not None else None
     target = args.target - 1 if args.target is not None else None
     try:
+        with open(args.gr) as handle:
+            node_count, arcs = parse_dimacs(handle.read())
         graph = perturb_intervals(node_count, arcs, args.seed, source, target)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise SystemExit("error: %s" % err) from None
     write_native(graph, args.out)
     print("%s: %d nodes, %d arcs, s=%d, t=%d" % (args.out, graph.node_count, graph.m, graph.source + 1, graph.target + 1))

@@ -1,10 +1,13 @@
 """Experiment drivers behind the command line tool.
 
-Both drivers take a list of instance sources, each a GeneratorSpec or
-the path of a native .ri file, solve each instance independently, and
-aggregate per-bound (or per-strategy) statistics.  Output is long-format
-CSV with three columns: bound, stat, value.  Instances parallelize across
-processes with jobs > 1; everything inside a single instance stays serial.
+Both experiments take a list of instance sources, each a GeneratorSpec or
+the path of a native .ri file, and run every instance through one worker
+with a per-instance driver: evaluate_bounds for the bound comparison, an
+exact solve per strategy for the search comparison.  One aggregate turns
+the records into per-bound (or per-strategy) statistics.  Output is
+long-format CSV with three columns: bound, stat, value.  Instances
+parallelize across processes with jobs > 1; everything inside a single
+instance stays serial.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from ..bounds import gap_metrics, lb_cg, lb_kz, lb_mgd
 from ..branch_bound import STRATEGIES, BBConfig, bb_solve
 from ..core import NoFeasibleSolution, SolutionIndicator
-from ..double_oracle import DoubleOracleConfig, max_regret, run_double_oracle
+from ..double_oracle import DoubleOracleConfig, ScenarioPool, max_regret, run_double_oracle
 from ..shortest_path import IntervalDigraph, sp_oracle
 from .generators import GeneratorSpec, gen_instance
 from .io import read_native
@@ -55,7 +58,8 @@ def evaluate_bounds(
     Every bound also reports the smallest max regret over the solutions
     its computation produced (the midpoint solution always counts), and
     the gap ratios against the midpoint regret, that minimum, and OPT
-    when exact solving is on.
+    when exact solving is on.  The other solutions' regrets are priced
+    through one pool, so each distinct one is solved once.
     """
     for name in bounds:
         if name not in BOUND_NAMES:
@@ -64,12 +68,6 @@ def evaluate_bounds(
     kz = lb_kz(graph, oracle)
     x_mid = kz.artifacts["path"].indicator()
     medsol_regret = kz.artifacts["midpoint_regret"]
-    regret_cache: dict[frozenset[int], float] = {x_mid.members: medsol_regret}
-
-    def regret_of(x: SolutionIndicator) -> float:
-        if x.members not in regret_cache:
-            regret_cache[x.members] = max_regret(graph.instance, oracle, x)
-        return regret_cache[x.members]
 
     opt = None
     opt_time_ms = None
@@ -79,6 +77,7 @@ def evaluate_bounds(
         opt_time_ms = (time.perf_counter() - begin) * 1e3
         opt = stats.opt
 
+    pool = ScenarioPool(graph.instance, oracle)
     record: dict = {"medsol_regret": medsol_regret, "opt": opt, "opt_time_ms": opt_time_ms, "bounds": {}}
     for name in bounds:
         extra: tuple[SolutionIndicator, ...] = ()
@@ -95,7 +94,7 @@ def evaluate_bounds(
             time_ms = (time.perf_counter() - begin) * 1e3
             value = result.lower_bound
             extra = tuple(result.solutions)
-        minsol_regret = min(regret_of(x) for x in dict.fromkeys((x_mid,) + extra))
+        minsol_regret = min([medsol_regret] + [max_regret(graph.instance, oracle, x, pool) for x in extra if x != x_mid])
         gaps = gap_metrics(value, medsol_regret, minsol_regret, opt)
         record["bounds"][name] = {
             "value": value,
@@ -108,30 +107,48 @@ def evaluate_bounds(
     return record
 
 
+def _compare_strategies(graph: IntervalDigraph, strategies: Sequence[str], config: BBConfig | None) -> dict:
+    """One exact solve of the instance per bounding strategy."""
+    record: dict = {"strategies": {}}
+    for strategy in strategies:
+        stats = bb_solve(graph, strategy, config)
+        record["strategies"][strategy] = {
+            "opt": stats.opt,
+            "nodes": stats.nodes_expanded,
+            "time_ms": stats.elapsed_ms,
+            "complete": stats.complete,
+        }
+    return record
+
+
 # What a bad instance can raise: it becomes an "error" row.  Anything else
 # is a bug in the program and propagates.
 INPUT_ERRORS = (ValueError, OSError, NoFeasibleSolution)
 
 
-def _lb_worker(args) -> dict:
-    source, bounds, exact, max_support = args
+def _worker(args) -> dict:
+    """driver(graph, *params) on the instance a source names, tagged with its name.
+
+    args is (driver, source, *params); an input error becomes an error record.
+    """
+    driver, source, *params = args
     try:
-        record = evaluate_bounds(load_instance(source), bounds, exact, max_support)
+        record = driver(load_instance(source), *params)
     except INPUT_ERRORS as err:
         return {"instance": instance_id(source), "error": "%s" % (err,)}
     record["instance"] = instance_id(source)
     return record
 
 
-def _run_workers(worker, arglist, jobs: int) -> list[dict]:
+def _run_workers(arglist, jobs: int) -> list[dict]:
     if jobs <= 1 or len(arglist) <= 1:
-        return [worker(a) for a in arglist]
+        return [_worker(a) for a in arglist]
     # Imported here: multiprocessing adds about 0.6 MB to every process
     # that imports the harness, and only a worker pool needs it.
     from multiprocessing import Pool
 
     with Pool(min(jobs, len(arglist))) as pool:
-        return list(pool.imap(worker, arglist))
+        return list(pool.imap(_worker, arglist))
 
 
 def run_lb_experiment(
@@ -146,9 +163,9 @@ def run_lb_experiment(
     Returns per-instance records (failed instances carry an "error" key)
     and the aggregate {bound: {stat: value}} table.
     """
-    arglist = [(s, tuple(bounds), exact, max_support) for s in sources]
-    records = _run_workers(_lb_worker, arglist, jobs)
-    return records, aggregate_lb(records, bounds)
+    records = _run_workers([(evaluate_bounds, s, tuple(bounds), exact, max_support) for s in sources], jobs)
+    ok = [r["bounds"] for r in records if "error" not in r]
+    return records, aggregate(ok, bounds, ("time_ms", "gap_medsol", "gap_minsol", "gap_opt"))
 
 
 def _column_stats(qty: str, column: Sequence[float]) -> dict[str, float]:
@@ -160,35 +177,21 @@ def _column_stats(qty: str, column: Sequence[float]) -> dict[str, float]:
     return {qty + suffix: float(v) for suffix, v in zip(("_mean", "_std", "_min", "_max"), stats)}
 
 
-def aggregate_lb(records: list[dict], bounds: Sequence[str]) -> dict[str, dict[str, float]]:
-    ok = [r for r in records if "error" not in r]
+def aggregate(records: list[dict], names: Sequence[str], quantities: Sequence[str]) -> dict[str, dict[str, float]]:
+    """{name: {qty_stat: value}} over per-instance {name: {qty: value}} records.
+
+    A quantity with no records, or recorded as None (OPT gaps without
+    exact solves), gets no statistics.
+    """
     table: dict[str, dict[str, float]] = {}
-    for name in bounds:
+    for name in names:
         row: dict[str, float] = {}
-        for qty in ("time_ms", "gap_medsol", "gap_minsol", "gap_opt"):
-            column = [r["bounds"][name][qty] for r in ok]
+        for qty in quantities:
+            column = [r[name][qty] for r in records]
             if column and column[0] is not None:
                 row.update(_column_stats(qty, column))
         table[name] = row
     return table
-
-
-def _bb_worker(args) -> dict:
-    source, strategies, bb_config = args
-    record: dict = {"instance": instance_id(source), "strategies": {}}
-    try:
-        graph = load_instance(source)
-        for strategy in strategies:
-            stats = bb_solve(graph, strategy, bb_config)
-            record["strategies"][strategy] = {
-                "opt": stats.opt,
-                "nodes": stats.nodes_expanded,
-                "time_ms": stats.elapsed_ms,
-                "complete": stats.complete,
-            }
-    except INPUT_ERRORS as err:
-        return {"instance": instance_id(source), "error": "%s" % (err,)}
-    return record
 
 
 def run_bb_experiment(
@@ -201,13 +204,13 @@ def run_bb_experiment(
 
     Any two strategies that both ran to completion on the same instance
     must agree on the optimum; a spread beyond 1e-6 is a correctness bug
-    and raises instead of being averaged away.
+    and raises instead of being averaged away.  Besides the statistics,
+    each strategy's row counts its incomplete solves.
     """
     for name in strategies:
         if name not in STRATEGIES:
             raise ValueError("unknown strategy %r" % name)
-    arglist = [(s, tuple(strategies), config) for s in sources]
-    records = _run_workers(_bb_worker, arglist, jobs)
+    records = _run_workers([(_compare_strategies, s, tuple(strategies), config) for s in sources], jobs)
     for record in records:
         if "error" in record:
             continue
@@ -217,20 +220,12 @@ def run_bb_experiment(
                 "strategies disagree on %s: %s"
                 % (record["instance"], {k: v["opt"] for k, v in record["strategies"].items()})
             )
-    return records, aggregate_bb(records, strategies)
-
-
-def aggregate_bb(records: list[dict], strategies: Sequence[str]) -> dict[str, dict[str, float]]:
-    ok = [r for r in records if "error" not in r]
-    table: dict[str, dict[str, float]] = {}
-    for name in strategies:
-        row: dict[str, float] = {}
-        if ok:
-            for qty in ("time_ms", "nodes", "opt"):
-                row.update(_column_stats(qty, [r["strategies"][name][qty] for r in ok]))
-            row["incomplete"] = float(sum(1 for r in ok if not r["strategies"][name]["complete"]))
-        table[name] = row
-    return table
+    ok = [r["strategies"] for r in records if "error" not in r]
+    table = aggregate(ok, strategies, ("time_ms", "nodes", "opt"))
+    if ok:
+        for name in strategies:
+            table[name]["incomplete"] = float(sum(1 for r in ok if not r[name]["complete"]))
+    return records, table
 
 
 def experiment_rows(table: dict[str, dict[str, float]], records: list[dict] | None = None) -> list[tuple[str, str, str]]:

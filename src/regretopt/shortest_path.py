@@ -65,9 +65,6 @@ class Path:
         c = np.asarray(costs, dtype=float)
         return float(sum(c[e] for e in self.edges))
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True, eq=False)
 class IntervalDigraph:

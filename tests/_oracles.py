@@ -11,6 +11,10 @@ feasible sets, the fake for a problem that is not a shortest path.
 
 full_sweep_fixed_arcs is root arc fixing as first written: two plain
 Dijkstras that settle every node, and a Python pass over every arc.
+
+reference_marginals and reference_mixture_costs are the two mixture-cost
+loops the solvers first had: one for the solution player's marginals, one
+per descriptor kind for the scenario mixture.
 """
 
 from __future__ import annotations
@@ -151,3 +155,31 @@ def full_sweep_fixed_arcs(graph, reference: SolutionIndicator, regret: float) ->
     limit = regret + 1e-9 * max(1.0, regret)
     through = full_sweep_through_costs(graph, scenario.costs)
     return frozenset(e for e, cost in enumerate(through) if cost - lo_q >= limit)
+
+
+def reference_marginals(row_probs, solutions, n: int) -> np.ndarray:
+    """Per-element probability that a solution drawn from the mixture uses the element."""
+    t = np.zeros(n)
+    for prob, x in zip(row_probs, solutions, strict=True):
+        for i in x.members:
+            if i >= n:
+                raise ValueError("support solution does not fit the dimension")
+            t[i] += prob
+    return t
+
+
+def reference_mixture_costs(instance, weighted) -> np.ndarray:
+    """Dense costs of a mixture of (weight, descriptor) pairs; zero weights are skipped."""
+    factor = np.zeros(instance.n)
+    for q, desc in weighted:
+        if q == 0.0:
+            continue
+        if desc.kind == "favoring":
+            factor += q
+            for i in desc.defining.members:
+                factor[i] -= q
+        else:
+            for i in desc.defining.members:
+                factor[i] += q
+    factor = factor.clip(0.0, 1.0)
+    return instance.lo + instance.width * factor

@@ -180,7 +180,6 @@ def test_every_strategy_solves_the_fixtures():
     for strategy in ("mgd", "cg", "do"):
         stats = bb_solve(six, strategy)
         assert stats.complete
-        assert stats.strategy == strategy
         assert stats.opt == 4.0
         assert stats.optimal_path.edges == (0, 2, 5, 7)
         assert stats.nodes_expanded == expected_nodes[strategy]
@@ -310,6 +309,25 @@ def test_solutions_are_priced_only_below_the_incumbent(monkeypatch, family, seed
     for strategy, warm_start in (("mgd", True), ("cg", True), ("do", True), ("do", False)):
         state.update(incumbent=float("inf"), open=True)
         assert bb_solve(graph, strategy, BBConfig(warm_start=warm_start)).complete
+
+
+@pytest.mark.parametrize("strategy, warm_start", (("mgd", True), ("cg", True), ("do", True), ("do", False)))
+def test_each_distinct_solution_is_priced_once(monkeypatch, strategy, warm_start):
+    """Every regret is priced through one pool per solve, and no solution is priced twice."""
+    priced = []
+    plain = branch_bound.max_regret
+
+    def pricing(instance, oracle, x, pool):
+        priced.append((x.members, pool))
+        return plain(instance, oracle, x, pool)
+
+    monkeypatch.setattr(branch_bound, "max_regret", pricing)
+    for family, seed in sorted(GOLDEN_SEARCHES):
+        priced.clear()
+        assert bb_solve(_golden_graph(family, seed), strategy, BBConfig(warm_start=warm_start)).complete
+        members = [m for m, _ in priced]
+        assert len(members) == len(set(members))
+        assert len({id(pool) for _, pool in priced}) == 1
 
 
 def test_a_node_bounded_just_below_the_incumbent_is_still_priced(monkeypatch):

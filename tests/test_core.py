@@ -9,16 +9,17 @@ from regretopt import (
     ScenarioDescriptor,
     ScenarioPool,
     SolutionIndicator,
+    br_c,
     favoring_scenario,
     midpoint_scenario,
     penalizing_scenario,
     sp_oracle,
     val,
 )
-from regretopt.core import marginals
-from regretopt.double_oracle import RestrictedGame
+from regretopt.double_oracle import PENALIZING, RestrictedGame, mixture_costs
 
 from _fixtures import five_element_instance, six_node_graph, two_arc_graph
+from _oracles import EnumeratedOracle
 
 
 def sol(*indices):
@@ -154,13 +155,19 @@ def test_mean_scenario_single_and_weighted():
 
 
 def test_marginals():
+    """A solution mixture's marginals are the weights at hi of its penalizing scenarios' mixture."""
+
+    def marginals(probs, solutions, n):
+        unit = IntervalInstance(lo=np.zeros(n), hi=np.ones(n))
+        return mixture_costs(unit, [(p, ScenarioDescriptor(x, PENALIZING)) for p, x in zip(probs, solutions)])
+
     np.testing.assert_array_equal(marginals(np.array([1.0]), [sol(0, 2)], 3), [1.0, 0.0, 1.0])
     np.testing.assert_array_equal(marginals(np.array([0.5, 0.5]), [sol(0), sol(1)], 2), [0.5, 0.5])
     np.testing.assert_allclose(marginals(np.array([0.7, 0.3]), [sol(0), sol(1)], 2), [0.7, 0.3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not fit"):
         marginals(np.array([1.0]), [sol(3)], 3)
-    with pytest.raises(ValueError):
-        marginals(np.array([0.5, 0.5]), [sol(0)], 2)
+    with pytest.raises(ValueError):  # br_c takes one probability per solution
+        br_c(IntervalInstance(lo=np.zeros(2), hi=np.ones(2)), EnumeratedOracle(2, [sol(0)]), np.array([0.5, 0.5]), [sol(0)])
 
 
 # ------------------------------------------------------------- property side

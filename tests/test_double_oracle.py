@@ -27,12 +27,13 @@ from regretopt import (
     sp_oracle,
     val,
 )
-from regretopt.double_oracle import PENALIZING, RestrictedGame
+from regretopt import shortest_path
+from regretopt.double_oracle import FAVORING, PENALIZING, RestrictedGame
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_lb_star
 
 from _fixtures import five_element_instance, six_node_graph, two_arc_graph
-from _oracles import EnumeratedOracle
+from _oracles import EnumeratedOracle, reference_marginals, reference_mixture_costs
 
 
 def sol(*indices):
@@ -293,8 +294,21 @@ def test_max_regret_examples():
     assert max_regret(inst6, oracle6, sol(0, 3, 6)) == 5.0
 
 
-def test_max_regret_through_a_pool_matches_a_plain_solve():
-    """Priced through a pool, x's regret is the plain one to the bit, and the pool holds the optimum a game starts from."""
+def test_max_regret_through_a_pool_matches_a_plain_solve(monkeypatch):
+    """Priced through a pool, x's regret is the plain one to the bit, and pricing publishes nothing.
+
+    The pool keeps the optimum it solved, so a game started from that pool
+    solves x's penalizing scenario, its first column, once less than a
+    game from a fresh pool.
+    """
+    searched = []
+    plain = shortest_path.dijkstra
+
+    def counting(g, costs, *args, **kwargs):
+        searched.append(np.array(costs, dtype=float))
+        return plain(g, costs, *args, **kwargs)
+
+    monkeypatch.setattr(shortest_path, "dijkstra", counting)
     for i in range(100):
         if i % 2:
             spec = GeneratorSpec(family="K", n=2 + 3 * (2 + i % 5), r=1000.0, d=(0.5, 1.0)[i % 4 // 2], w=3, seed=6100 + i)
@@ -304,18 +318,64 @@ def test_max_regret_through_a_pool_matches_a_plain_solve():
         inst, oracle = graph.instance, sp_oracle(graph)
         for costs in (inst.mid, inst.hi):
             x, _ = oracle.solve(costs)
+            worst = penalizing_scenario(inst, x).costs
             pool = ScenarioPool(inst, oracle)
             shared = max_regret(inst, oracle, x, pool)
             assert shared.hex() == max_regret(inst, oracle, x).hex()
-            assert pool.descriptors == [ScenarioDescriptor(x, PENALIZING)]
-            # A second pricing reads the pool, and a game from it starts as from a fresh one.
-            assert max_regret(inst, oracle, x, pool).hex() == shared.hex() and len(pool) == 1
+            assert len(pool) == 0
+            # A second pricing reads the pool and solves nothing.
+            searched.clear()
+            assert max_regret(inst, oracle, x, pool).hex() == shared.hex() and len(pool) == 0
+            assert not searched
             if i % 10 == 0:
                 config = DoubleOracleConfig(max_iterations=3)
                 ours = run_double_oracle(inst, oracle, [x], config=config, pool=pool)
+                ours_solves = sum(np.array_equal(c, worst) for c in searched)
+                searched.clear()
                 fresh = run_double_oracle(inst, oracle, [x], config=config)
+                assert ours_solves == sum(np.array_equal(c, worst) for c in searched) - 1
                 assert [v.hex() for v in ours.trace] == [v.hex() for v in fresh.trace]
                 assert (ours.solutions, ours.scenarios) == (fresh.solutions, fresh.scenarios)
+                assert pool.descriptors[0] == ScenarioDescriptor(x, PENALIZING)
+
+
+def test_mixture_costs_match_the_reference_loops_bit_for_bit():
+    """Both players' mixture costs come from one routine, to the bit of the loops each first had."""
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n = int(rng.integers(1, 14))
+        lo = rng.uniform(0.0, 1000.0, n)
+        inst = IntervalInstance(lo=lo, hi=lo + rng.uniform(0.0, 500.0, n) * (rng.random(n) < 0.8))
+
+        def draw():
+            return sol(*rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+
+        def weights(k):
+            w = rng.dirichlet(np.ones(k))
+            w[rng.random(k) < 0.3] = 0.0
+            return w
+
+        solutions = [draw() for _ in range(int(rng.integers(1, 8)))]
+        row_probs = weights(len(solutions))
+        handed = []
+
+        class Recording:
+            def solve(self, costs, restriction=None):
+                handed.append(costs)
+                return solutions[0], 0.0
+
+        br_c(inst, Recording(), row_probs, solutions)
+        expected = inst.lo + inst.width * reference_marginals(row_probs, solutions, n).clip(0.0, 1.0)
+        assert handed[0].tobytes() == expected.tobytes()
+
+        game = RestrictedGame(inst, ScenarioPool(inst, EnumeratedOracle(n, solutions)))
+        for _ in range(int(rng.integers(1, 10))):
+            desc = ScenarioDescriptor(draw(), (PENALIZING, FAVORING)[int(rng.integers(2))])
+            if not game.has_scenario(desc):
+                game.add_scenario(desc, [])
+        col_probs = weights(len(game.scenarios)).tolist()
+        expected = reference_mixture_costs(inst, zip(col_probs, game.scenarios))
+        assert game.mixture_costs(col_probs).tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------------- generation

@@ -271,20 +271,39 @@ def test_degenerate_family_reports_perfect_gaps():
         assert table[name]["gap_opt_mean"] == 1.0
 
 
-def test_failed_instances_become_error_rows():
-    records = [
-        {"instance": "R-6-50-0.5-0.8#20", "bounds": {"kz": {
-            "value": 1.0, "time_ms": 0.1, "minsol_regret": 2.0,
-            "gap_medsol": 2.0, "gap_minsol": 2.0, "gap_opt": None,
-        }}, "medsol_regret": 2.0, "opt": None, "opt_time_ms": None},
-        {"instance": "R-6-50-0.5-0.8#21", "error": "no connected instance"},
-    ]
-    from regretopt.harness.experiments import aggregate_lb
+def test_failed_instances_become_error_rows(monkeypatch):
+    good = {"bounds": {"kz": {
+        "value": 1.0, "time_ms": 0.1, "minsol_regret": 2.0,
+        "gap_medsol": 2.0, "gap_minsol": 2.0, "gap_opt": None,
+    }}, "medsol_regret": 2.0, "opt": None, "opt_time_ms": None}
 
-    table = aggregate_lb(records, ("kz",))
+    def driver(graph, bounds, exact, max_support):
+        if graph is None:
+            raise ValueError("no connected instance")
+        return dict(good)
+
+    monkeypatch.setattr(experiments, "load_instance", lambda source: None if source.endswith("#21") else source)
+    monkeypatch.setattr(experiments, "evaluate_bounds", driver)
+    records, table = run_lb_experiment(["R-6-50-0.5-0.8#20", "R-6-50-0.5-0.8#21"], ("kz",))
+    assert records[1] == {"instance": "R-6-50-0.5-0.8#21", "error": "no connected instance"}
     assert table["kz"]["gap_medsol_mean"] == 2.0  # error record excluded
+    assert "gap_opt_mean" not in table["kz"]  # no exact solves
     rows = experiment_rows(table, records)
     assert rows[-1] == ("error", "R-6-50-0.5-0.8#21", "no connected instance")
+
+
+def test_experiment_rows_keep_their_order():
+    """One aggregate gives each experiment's statistics in their quantities' order."""
+    sources = GeneratorSpec(family="R", n=6, r=50.0, d=0.5, delta=0.8, seed=20).seeds(3)
+    suffixes = ("_mean", "_std", "_min", "_max")
+    records, table = run_lb_experiment(sources, ("kz", "do5"), exact=True)
+    keys = [(bound, stat) for bound, stat, _ in experiment_rows(table, records)]
+    qtys = ("time_ms", "gap_medsol", "gap_minsol", "gap_opt")
+    assert keys == [(b, q + x) for b in ("kz", "do5") for q in qtys for x in suffixes]
+    records, table = run_bb_experiment(sources, ("cg", "do"))
+    keys = [(strategy, stat) for strategy, stat, _ in experiment_rows(table, records)]
+    stats = [q + x for q in ("time_ms", "nodes", "opt") for x in suffixes] + ["incomplete"]
+    assert keys == [(s, stat) for s in ("cg", "do") for stat in stats]
 
 
 # Each catch site, with a generated and with a file input; the lb file
@@ -298,15 +317,18 @@ def _catch_site(site, tmp_path):
     path = str(tmp_path / "one.ri")
     write_native(gen_instance(spec), path)
 
+    def worker(*args):
+        return experiments._worker(args)
+
     def lb_files():
         out = str(tmp_path / "lb.csv")
         assert main(["lb", path, "--lb", "kz", "--out", out]) == 0
         return "\nerror,%s," % path in open(out).read()
 
     return {
-        "lb_worker": ("evaluate_bounds", lambda: "error" in experiments._lb_worker((spec, ("kz",), False, 50))),
-        "bb_worker": ("bb_solve", lambda: "error" in experiments._bb_worker((spec, ("mgd",), None))),
-        "bb_worker_file": ("bb_solve", lambda: "error" in experiments._bb_worker((path, ("mgd",), None))),
+        "lb_worker": ("evaluate_bounds", lambda: "error" in worker(experiments.evaluate_bounds, spec, ("kz",), False, 50)),
+        "bb_worker": ("bb_solve", lambda: "error" in worker(experiments._compare_strategies, spec, ("mgd",), None)),
+        "bb_worker_file": ("bb_solve", lambda: "error" in worker(experiments._compare_strategies, path, ("mgd",), None)),
         "lb_files": ("evaluate_bounds", lb_files),
     }[site]
 
@@ -390,7 +412,7 @@ def test_strategy_disagreement_is_a_hard_failure(monkeypatch, tmp_path, kind):
         counter["calls"] += 1
         return branch_bound.BBStats(
             opt=float(counter["calls"]), optimal_path=None, nodes_expanded=1,
-            fixed_arcs=0, elapsed_ms=0.0, complete=True, strategy=strategy,
+            fixed_arcs=0, elapsed_ms=0.0, complete=True,
         )
 
     monkeypatch.setattr(experiments, "bb_solve", rigged)
@@ -475,6 +497,17 @@ def test_dimacs_terminals_come_both_or_neither(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, message", ((None, "No such file"), ("p sp 3 2\na 1 2 10\n", "arc count mismatch")), ids=("missing", "malformed"))
+def test_cli_dimacs_reports_a_bad_gr_file_as_an_error_line(tmp_path, content, message):
+    gr = tmp_path / "in.gr"
+    if content is not None:
+        gr.write_text(content)
+    out = tmp_path / "out.ri"
+    with pytest.raises(SystemExit, match="^error: .*%s" % message):
+        main(["dimacs", "--gr", str(gr), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_cli_dimacs_conversion(tmp_path):
     gr = tmp_path / "toy.gr"
     gr.write_text("c toy\np sp 3 3\na 1 2 100\na 2 3 100\na 1 3 100\n")
@@ -505,6 +538,23 @@ def test_cli_verify_reports_a_malformed_file_and_goes_on(tmp_path, capsys):
     assert lines[0] == "ERROR %s line 1: unrecognized line type '2'" % bad
     assert [line.split()[0] for line in lines[1:]] == ["PASS"] * 6 + ["1"]
     assert lines[-1] == "1 check(s) failed"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["gen", "--family", "R", "--nodes", "2", "--delta", "0.5"], "need at least three nodes"),
+        (["gen", "--family", "R", "--nodes", "30", "--delta", "0.001"], "no connected instance"),
+        (["lb", "--family", "K", "--nodes", "10", "--width", "3"], "divisible by the layer width"),
+        (["bb", "--family", "R", "--nodes", "2", "--delta", "0.5"], "need at least three nodes"),
+        (["verify", "--family", "K", "--nodes", "10", "--width", "3"], "divisible by the layer width"),
+    ),
+    ids=("gen", "gen-unconnected", "lb", "bb", "verify"),
+)
+def test_cli_invalid_generator_flags_exit_with_an_error_line(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match="^error: .*%s" % message):
+        main(argv)
 
 
 def test_cli_requires_family_or_files():

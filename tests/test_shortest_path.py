@@ -86,7 +86,6 @@ def test_derived_graph_fields_are_not_init_parameters():
 def test_path_helpers():
     g = six_node_graph()
     p = Path((0, 3, 6))
-    assert len(p) == 3
     assert p.value(g.lo) == 5.0
     assert p.indicator().members == {0, 3, 6}
 
