@@ -11,8 +11,7 @@ constraint is empty.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +22,10 @@ from .shortest_path import IntervalDigraph, PathConstraint, constrained_sp, dijk
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound value with its wall time and whatever the bound built."""
+    """A bound value and its artifacts: the path it found, and for kz the midpoint regret."""
 
-    name: str
     value: float
-    elapsed_ms: float
-    artifacts: dict = field(default_factory=dict)
+    artifacts: dict
 
 
 def lb_kz(graph: IntervalDigraph, oracle=None) -> BoundReport:
@@ -37,17 +34,10 @@ def lb_kz(graph: IntervalDigraph, oracle=None) -> BoundReport:
     The midpoint path's regret is at most twice the optimum, which makes
     half of it a valid lower bound and the path itself a 2-approximation.
     """
-    start = time.perf_counter()
     oracle = oracle or sp_oracle(graph)
     path, _ = oracle.solve_path(graph.instance.mid)
     regret = max_regret(graph.instance, oracle, path.indicator())
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return BoundReport(
-        name="kz",
-        value=max(regret / 2.0, 0.0),
-        elapsed_ms=elapsed,
-        artifacts={"path": path, "midpoint_regret": regret},
-    )
+    return BoundReport(max(regret / 2.0, 0.0), {"path": path, "midpoint_regret": regret})
 
 
 def lb_cg(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> BoundReport:
@@ -59,7 +49,6 @@ def lb_cg(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> B
     shortest path, minus half the cheapest two-unit routing in which a
     second use of an arc costs its remaining interval endpoint.
     """
-    start = time.perf_counter()
     constraint = constraint or PathConstraint(graph)
     mid = graph.instance.mid
     found = constrained_sp(graph, mid, constraint)
@@ -67,17 +56,10 @@ def lb_cg(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> B
         raise NoFeasibleSolution("constraint admits no path")
     path, mid_value = found
     pinned = float(sum(graph.hi[e] - mid[e] for e in constraint.in_chain))
-    pair_value = two_unit_min_flow(graph, graph.lo, graph.hi, constraint)
+    pair_value = two_unit_min_flow(graph, constraint)
     if pair_value is None:
         raise NoFeasibleSolution("constraint admits no path")
-    value = pinned + mid_value - pair_value / 2.0
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return BoundReport(
-        name="cg",
-        value=max(value, 0.0),
-        elapsed_ms=elapsed,
-        artifacts={"path": path, "mid_value": mid_value, "pair_value": pair_value},
-    )
+    return BoundReport(max(pinned + mid_value - pair_value / 2.0, 0.0), {"path": path})
 
 
 def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> BoundReport:
@@ -87,7 +69,6 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
     may still use forbidden arcs, pricing forbidden arcs at lo.  Zero
     under an empty constraint by construction.
     """
-    start = time.perf_counter()
     constraint = constraint or PathConstraint(graph)
     found = constrained_sp(graph, graph.hi, constraint)
     if found is None:
@@ -97,20 +78,13 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
     forbidden = constraint.out_index
     relaxed[forbidden] = graph.lo[forbidden]
     unrestricted = dijkstra(graph, relaxed)
-    value = constrained_value - unrestricted[1]
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return BoundReport(
-        name="mgd",
-        value=max(value, 0.0),
-        elapsed_ms=elapsed,
-        artifacts={"path": path, "constrained_value": constrained_value},
-    )
+    return BoundReport(max(constrained_value - unrestricted[1], 0.0), {"path": path})
 
 
 @dataclass(frozen=True)
 class GapMetrics:
     gap_medsol: float
-    gap_minsol: float | None
+    gap_minsol: float
     gap_opt: float | None
 
 
@@ -127,7 +101,7 @@ def _gap(numerator: float, lb: float) -> float:
     return numerator / lb
 
 
-def gap_metrics(lb: float, midpoint_regret: float, minsol_regret: float | None = None, opt: float | None = None) -> GapMetrics:
+def gap_metrics(lb: float, midpoint_regret: float, minsol_regret: float, opt: float | None = None) -> GapMetrics:
     """Quality ratios of a lower bound against reference regrets.
 
     A zero bound against a zero regret counts as a perfect gap of one; a
@@ -138,6 +112,6 @@ def gap_metrics(lb: float, midpoint_regret: float, minsol_regret: float | None =
     lb = max(lb, 0.0)
     return GapMetrics(
         gap_medsol=_gap(midpoint_regret, lb),
-        gap_minsol=None if minsol_regret is None else _gap(minsol_regret, lb),
+        gap_minsol=_gap(minsol_regret, lb),
         gap_opt=None if opt is None else _gap(opt, lb),
     )

@@ -48,10 +48,18 @@ _CUTOFF_FACTOR = 1.0 + 1e-12
 
 @dataclass(frozen=True)
 class BBConfig:
-    max_support_x: int = 50
+    """Search budgets (None means unlimited) and whether node games share work."""
+
     node_limit: int | None = None
     time_limit_ms: float | None = None
     warm_start: bool = True
+
+    def __post_init__(self):
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node_limit must be nonnegative")
+        # NaN fails the comparison, so it is rejected too.
+        if self.time_limit_ms is not None and not self.time_limit_ms >= 0.0:
+            raise ValueError("time_limit_ms must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,6 @@ def node_lower_bound(
     oracle=None,
     pool: ScenarioPool | None = None,
     inherited=(),
-    max_support_x: int = 50,
     stop_value: float | None = None,
 ) -> NodeBound:
     """Bound one node and report the response to branch along.
@@ -159,7 +166,7 @@ def node_lower_bound(
     if not init_x:
         seed, _ = oracle.solve(instance.mid, restriction)
         init_x = [seed]
-    config = DoubleOracleConfig(max_support_x=max_support_x, stop_value=stop_value)
+    config = DoubleOracleConfig(stop_value=stop_value)
     result = run_double_oracle(instance, oracle, init_x, config=config, restriction=restriction, pool=pool)
     # The starting solutions are distinct and enter the game first.
     generated = result.solutions[len(init_x):]
@@ -219,7 +226,6 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
                 oracle=oracle,
                 pool=pool,
                 inherited=inherited,
-                max_support_x=config.max_support_x,
                 stop_value=best_regret - _PRUNE_TOL,
             )
         except SolverFailure:

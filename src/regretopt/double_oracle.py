@@ -36,6 +36,9 @@ FAVORING = "favoring"
 # The loop stops once both best responses are within this of the game value.
 _CONVERGENCE_TOL = 1e-9
 
+# A game adds no solution past this many rows; its scenarios still grow.
+_MAX_SOLUTIONS = 50
+
 
 class StandardOracle(Protocol):
     """Minimizer of linear costs over a fixed feasible set of subsets.
@@ -223,7 +226,6 @@ class RestrictedGame:
 @dataclass(frozen=True)
 class DoubleOracleConfig:
     max_iterations: int = 10_000
-    max_support_x: int = 50
     stop_value: float | None = None
 
 
@@ -370,7 +372,7 @@ def run_double_oracle(
         if not c_present:
             game.add_scenario(c_new, column)
             grew = True
-        if not x_present and len(game.solutions) < config.max_support_x:
+        if not x_present and len(game.solutions) < _MAX_SOLUTIONS:
             game.add_solution(x_new)
             grew = True
         if not grew:

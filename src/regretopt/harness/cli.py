@@ -48,6 +48,8 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
 def _generator_spec(args) -> GeneratorSpec:
     if args.family is None or args.nodes is None:
         raise SystemExit("error: --family and --nodes are required without instance files")
+    if args.count < 1:
+        raise SystemExit("error: --count must be at least 1")
     try:
         return GeneratorSpec(
             family=args.family, n=args.nodes, r=args.r, d=args.d, delta=args.delta, w=args.width, seed=args.seed
@@ -62,8 +64,9 @@ def _sources(args) -> list[GeneratorSpec | str]:
 
 
 def _cmd_gen(args) -> int:
+    specs = _generator_spec(args).seeds(args.count)
     os.makedirs(args.out, exist_ok=True)
-    for sub in _generator_spec(args).seeds(args.count):
+    for sub in specs:
         path = os.path.join(args.out, "%s-s%d.ri" % (sub.name, sub.seed))
         try:
             graph = gen_instance(sub)
@@ -76,14 +79,17 @@ def _cmd_gen(args) -> int:
 
 def _cmd_lb(args) -> int:
     bounds = BOUND_NAMES if args.lb == "all" else (args.lb,)
-    records, table = run_lb_experiment(_sources(args), bounds, args.exact, args.max_support, args.jobs)
+    records, table = run_lb_experiment(_sources(args), bounds, args.exact, args.jobs)
     write_csv(experiment_rows(table, records), args.out or sys.stdout)
     return 0
 
 
 def _cmd_bb(args) -> int:
     strategies = STRATEGIES if args.bb == "all" else (args.bb,)
-    config = BBConfig(max_support_x=args.max_support, node_limit=args.node_limit, time_limit_ms=args.time_limit_ms)
+    try:
+        config = BBConfig(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms)
+    except ValueError as err:
+        raise SystemExit("error: %s" % err) from None
     records, table = run_bb_experiment(_sources(args), strategies, config, args.jobs)
     write_csv(experiment_rows(table, records), args.out or sys.stdout)
     return 0
@@ -173,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("files", nargs="*", help="native .ri files (instead of generator flags)")
     p_lb.add_argument("--lb", choices=BOUND_NAMES + ("all",), default="all", help="bound to run (default all)")
     p_lb.add_argument("--exact", action="store_true", help="also solve exactly for the Gap-Opt column")
-    p_lb.add_argument("--max-support", type=int, default=50, help="solution support cap (default 50)")
     p_lb.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default 1)")
     p_lb.add_argument("--out", help="CSV path (default stdout)")
     p_lb.set_defaults(func=_cmd_lb)
@@ -182,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_flags(p_bb)
     p_bb.add_argument("files", nargs="*", help="native .ri files (instead of generator flags)")
     p_bb.add_argument("--bb", choices=STRATEGIES + ("all",), default="all", help="bounding strategy (default all)")
-    p_bb.add_argument("--max-support", type=int, default=50, help="solution support cap (default 50)")
     p_bb.add_argument("--node-limit", type=int, help="stop after expanding this many nodes")
     p_bb.add_argument("--time-limit-ms", type=float, help="stop after this much wall time")
     p_bb.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default 1)")

@@ -22,8 +22,9 @@ Searches toward the target are goal-directed (A*).  Every cost vector the
 solvers build lies in [lo, hi], so each node's lo-cost distance to the
 target, shrunk by a hair, is a consistent potential for all of them; the
 graph computes it once, on first use.  Costs below lo anywhere fall back
-to a zero potential, which is plain Dijkstra.  The two-unit flow stops its
-first pass at the target and prices its second with the first pass's
+to a zero potential, which is plain Dijkstra.  The two-unit flow prices
+the graph's own intervals, so it always has the goal potential; it stops
+its first pass at the target and prices its second with the first pass's
 labels, capped at the target's label less the potential.  The walk through
 each arc may be cut off at a cost: both of its searches then expand only
 the nodes whose key stays below it, so arc fixing at the root of branch and
@@ -458,22 +459,19 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
     return Path(constraint.in_chain + _walk_back(graph, pred, start, graph.target)), chain_value + dist[graph.target]
 
 
-def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: PathConstraint | None = None):
+def two_unit_min_flow(graph: IntervalDigraph, constraint: PathConstraint | None = None):
     """Cheapest way to route two units from source to target, priced per use.
 
-    A free arc costs lo on first use and hi on the second; arcs forced by
-    the constraint cost hi on both uses, forbidden arcs lo on both.  Solved
-    as two successive shortest path augmentations, so the second pass may
-    cancel the first.  The first is A* stopped at the target; the second is
-    Dijkstra on costs reduced by min(label, target label - potential), which
-    is A* wherever the first pass did not settle.  Returns the total cost,
-    or None when the target is unreachable.
+    The graph's own intervals price each use: a free arc costs lo on first
+    use and hi on the second, arcs forced by the constraint cost hi on both
+    uses, forbidden arcs lo on both.  Solved as two successive shortest
+    path augmentations, so the second pass may cancel the first.  The first
+    is A* stopped at the target; the second is Dijkstra on costs reduced by
+    min(label, target label - potential), which is A* wherever the first
+    pass did not settle.  Returns the total cost, or None when the target
+    is unreachable.
     """
-    lo, above_lo = _check_costs(graph, lo_costs)
-    hi, _ = _check_costs(graph, hi_costs)
-    # The graph's own pair was checked when the graph was built.
-    if not (lo is graph.lo and hi is graph.hi) and (hi < lo).any():
-        raise ValueError("per-arc second-use cost below first-use cost")
+    lo, hi = graph.lo, graph.hi
     costs = array("d", lo.tobytes())
     out = frozenset()
     if constraint is not None:
@@ -484,7 +482,7 @@ def two_unit_min_flow(graph: IntervalDigraph, lo_costs, hi_costs, constraint: Pa
         out = constraint.out_set
 
     s, t = graph.source, graph.target
-    h = _potential(graph, above_lo)
+    h = graph.goal_potential
     dist, pred = _settle_all(graph, costs, s, (), t, h)
     dt = dist[t]
     if dt == math.inf:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regretopt import NoFeasibleSolution, PathConstraint, lb_cg, lb_kz, lb_mgd, sp_oracle
+from regretopt import NoFeasibleSolution, PathConstraint, constrained_sp, lb_cg, lb_kz, lb_mgd, sp_oracle, two_unit_min_flow
 from regretopt.bounds import GapMetrics, gap_metrics
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt, enumerate_paths
@@ -16,11 +16,9 @@ from _fixtures import six_node_graph, two_arc_graph
 
 def test_midpoint_half_regret_on_the_fixtures():
     report = lb_kz(six_node_graph())
-    assert report.name == "kz"
     assert report.value == 2.5
     assert report.artifacts["midpoint_regret"] == 5.0
     assert report.artifacts["path"].edges == (0, 3, 6)
-    assert report.elapsed_ms >= 0.0
 
     report = lb_kz(two_arc_graph())
     assert report.value == 1.5
@@ -32,17 +30,21 @@ def test_midpoint_bound_accepts_a_prebuilt_oracle():
     assert lb_kz(graph, sp_oracle(graph)).value == 2.5
 
 
-def test_scenario_pair_bound_on_the_fixtures():
-    report = lb_cg(six_node_graph())
-    assert report.name == "cg"
-    assert report.value == 2.5
-    assert report.artifacts["mid_value"] == 8.0
-    assert report.artifacts["pair_value"] == 11.0
+def _cg_parts(graph, constraint):
+    """The constrained midpoint path value and the two-unit flow value lb_cg combines."""
+    return constrained_sp(graph, graph.instance.mid, constraint)[1], two_unit_min_flow(graph, constraint)
 
-    report = lb_cg(two_arc_graph())
-    assert report.value == 1.5
-    assert report.artifacts["mid_value"] == 7.5
-    assert report.artifacts["pair_value"] == 12.0
+
+def test_scenario_pair_bound_on_the_fixtures():
+    graph = six_node_graph()
+    report = lb_cg(graph)
+    assert report.value == 2.5
+    assert report.artifacts["path"].edges == (0, 3, 6)
+    assert _cg_parts(graph, PathConstraint(graph)) == (8.0, 11.0)
+
+    graph = two_arc_graph()
+    assert lb_cg(graph).value == 1.5
+    assert _cg_parts(graph, PathConstraint(graph)) == (7.5, 12.0)
 
 
 def test_detour_bound_is_zero_at_the_root():
@@ -56,22 +58,21 @@ def test_detour_bound_is_zero_at_the_root():
 def test_detour_bound_prices_a_forbidden_arc():
     # Banning the cheap source arc forces the all-hi path from 9 up to 10.
     graph = six_node_graph()
-    report = lb_mgd(graph, PathConstraint(graph, out_set=frozenset({0})))
+    node = PathConstraint(graph, out_set=frozenset({0}))
+    report = lb_mgd(graph, node)
     assert report.value == 1.0
-    assert report.artifacts["constrained_value"] == 10.0
+    assert constrained_sp(graph, graph.hi, node) == (report.artifacts["path"], 10.0)
 
 
 def test_constrained_pair_bound_goldens():
     graph = six_node_graph()
-    report = lb_cg(graph, PathConstraint(graph, in_chain=(0,)))
-    assert report.value == 2.5
-    assert report.artifacts["pair_value"] == 13.0
+    node = PathConstraint(graph, in_chain=(0,))
+    assert lb_cg(graph, node).value == 2.5
+    assert two_unit_min_flow(graph, node) == 13.0
 
     node = PathConstraint(graph, in_chain=(1,), out_set=frozenset({7}))
-    report = lb_cg(graph, node)
-    assert report.value == 3.5
-    assert report.artifacts["mid_value"] == 9.0
-    assert report.artifacts["pair_value"] == 13.0
+    assert lb_cg(graph, node).value == 3.5
+    assert _cg_parts(graph, node) == (9.0, 13.0)
     assert lb_mgd(graph, node).value == 2.0
 
 
@@ -155,27 +156,38 @@ def test_gap_metrics_plain_ratio():
 
 
 def test_gap_metrics_optional_references_stay_none():
-    metrics = gap_metrics(lb=2.0, midpoint_regret=5.0)
-    assert metrics.gap_minsol is None
-    assert metrics.gap_opt is None
+    # OPT is the one optional reference: without exact solves it stays None.
+    metrics = gap_metrics(lb=2.0, midpoint_regret=5.0, minsol_regret=4.0)
+    assert metrics == GapMetrics(gap_medsol=2.5, gap_minsol=2.0, gap_opt=None)
+    with pytest.raises(TypeError):
+        gap_metrics(lb=2.0, midpoint_regret=5.0)
+
+
+def _medsol_gap(lb, midpoint_regret):
+    # The midpoint solution is the only one seen: both ratios read the same regret.
+    metrics = gap_metrics(lb=lb, midpoint_regret=midpoint_regret, minsol_regret=midpoint_regret)
+    assert metrics.gap_minsol == metrics.gap_medsol
+    return metrics.gap_medsol
 
 
 def test_gap_metrics_degenerate_conventions():
     # Zero against zero is a perfect gap; zero against positive is infinite.
-    assert gap_metrics(lb=0.0, midpoint_regret=0.0).gap_medsol == 1.0
-    assert gap_metrics(lb=0.0, midpoint_regret=3.0).gap_medsol == math.inf
+    assert _medsol_gap(0.0, 0.0) == 1.0
+    assert _medsol_gap(0.0, 3.0) == math.inf
 
 
 def test_gap_metrics_snaps_cancellation_dust():
     # Residues below 1e-9 of the scale count as zero on both sides.
-    assert gap_metrics(lb=5e-10, midpoint_regret=5e-10).gap_medsol == 1.0
-    assert gap_metrics(lb=1e-12, midpoint_regret=3.0).gap_medsol == math.inf
-    assert gap_metrics(lb=1e5, midpoint_regret=-1e-6).gap_medsol == 0.0
-    assert gap_metrics(lb=-1e-12, midpoint_regret=0.0).gap_medsol == 1.0
+    assert _medsol_gap(5e-10, 5e-10) == 1.0
+    assert _medsol_gap(1e-12, 3.0) == math.inf
+    assert _medsol_gap(1e5, -1e-6) == 0.0
+    assert _medsol_gap(-1e-12, 0.0) == 1.0
 
 
 def test_gap_metrics_rejects_genuinely_negative_inputs():
     with pytest.raises(ValueError):
-        gap_metrics(lb=-0.5, midpoint_regret=3.0)
+        _medsol_gap(-0.5, 3.0)
     with pytest.raises(ValueError):
-        gap_metrics(lb=2.0, midpoint_regret=-1.0)
+        _medsol_gap(2.0, -1.0)
+    with pytest.raises(ValueError):
+        gap_metrics(lb=2.0, midpoint_regret=3.0, minsol_regret=-1.0)

@@ -389,6 +389,27 @@ def test_time_limit_truncates_before_expanding():
     assert stats.opt == 5.0
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    (
+        ({"node_limit": -3}, "node_limit"),
+        ({"node_limit": -1, "time_limit_ms": 10.0}, "node_limit"),
+        ({"time_limit_ms": -0.5}, "time_limit_ms"),
+        ({"time_limit_ms": float("nan")}, "time_limit_ms"),
+    ),
+    ids=("nodes", "nodes-with-time", "time", "time-nan"),
+)
+def test_negative_or_nan_budgets_are_rejected(fields, message):
+    # Such a budget used to stop the search silently before its first node.
+    with pytest.raises(ValueError, match="^%s must be nonnegative$" % message):
+        BBConfig(**fields)
+
+
+def test_zero_and_infinite_budgets_are_accepted():
+    assert not bb_solve(six_node_graph(), "cg", BBConfig(node_limit=0)).complete
+    assert bb_solve(six_node_graph(), "cg", BBConfig(time_limit_ms=float("inf"))).complete
+
+
 def test_cold_start_matches_warm_start():
     graph = six_node_graph()
     warm = bb_solve(graph, "do")

@@ -27,7 +27,7 @@ from regretopt import (
     sp_oracle,
     val,
 )
-from regretopt import shortest_path
+from regretopt import double_oracle, shortest_path
 from regretopt.double_oracle import FAVORING, PENALIZING, RestrictedGame
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_lb_star
@@ -485,10 +485,10 @@ def test_stop_value_short_circuits():
     assert result.lower_bound == pytest.approx(2.1, abs=1e-9)
 
 
-def test_solution_support_cap_keeps_the_bound_sound():
+def test_solution_support_cap_keeps_the_bound_sound(monkeypatch):
     graph, inst, oracle = six_node_setup()
-    config = DoubleOracleConfig(max_support_x=1)
-    result = run_double_oracle(inst, oracle, *root_start(inst, oracle), config)
+    monkeypatch.setattr(double_oracle, "_MAX_SOLUTIONS", 1)
+    result = run_double_oracle(inst, oracle, *root_start(inst, oracle))
     assert len(result.solutions) == 1
     assert not result.converged
     # Stalled at the root: still a valid (here trivial) lower bound.

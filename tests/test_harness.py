@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -277,7 +280,7 @@ def test_failed_instances_become_error_rows(monkeypatch):
         "gap_medsol": 2.0, "gap_minsol": 2.0, "gap_opt": None,
     }}, "medsol_regret": 2.0, "opt": None, "opt_time_ms": None}
 
-    def driver(graph, bounds, exact, max_support):
+    def driver(graph, bounds, exact):
         if graph is None:
             raise ValueError("no connected instance")
         return dict(good)
@@ -326,7 +329,7 @@ def _catch_site(site, tmp_path):
         return "\nerror,%s," % path in open(out).read()
 
     return {
-        "lb_worker": ("evaluate_bounds", lambda: "error" in worker(experiments.evaluate_bounds, spec, ("kz",), False, 50)),
+        "lb_worker": ("evaluate_bounds", lambda: "error" in worker(experiments.evaluate_bounds, spec, ("kz",), False)),
         "bb_worker": ("bb_solve", lambda: "error" in worker(experiments._compare_strategies, spec, ("mgd",), None)),
         "bb_worker_file": ("bb_solve", lambda: "error" in worker(experiments._compare_strategies, path, ("mgd",), None)),
         "lb_files": ("evaluate_bounds", lb_files),
@@ -540,6 +543,10 @@ def test_cli_verify_reports_a_malformed_file_and_goes_on(tmp_path, capsys):
     assert lines[-1] == "1 check(s) failed"
 
 
+# Generator flags that name a valid family, for the cases that break another flag.
+_R6 = ["--family", "R", "--nodes", "6", "--delta", "0.8"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     (
@@ -548,13 +555,33 @@ def test_cli_verify_reports_a_malformed_file_and_goes_on(tmp_path, capsys):
         (["lb", "--family", "K", "--nodes", "10", "--width", "3"], "divisible by the layer width"),
         (["bb", "--family", "R", "--nodes", "2", "--delta", "0.5"], "need at least three nodes"),
         (["verify", "--family", "K", "--nodes", "10", "--width", "3"], "divisible by the layer width"),
+        (["gen", *_R6, "--count", "-1"], "--count must be at least 1"),
+        (["lb", *_R6, "--count", "0"], "--count must be at least 1"),
+        (["bb", *_R6, "--count", "0"], "--count must be at least 1"),
+        (["verify", *_R6, "--count", "-1"], "--count must be at least 1"),
+        (["bb", *_R6, "--node-limit", "-3"], "node_limit must be nonnegative"),
+        (["bb", *_R6, "--time-limit-ms", "nan"], "time_limit_ms must be nonnegative"),
     ),
-    ids=("gen", "gen-unconnected", "lb", "bb", "verify"),
+    ids=("gen", "gen-unconnected", "lb", "bb", "verify", "gen-count", "lb-count", "bb-count", "verify-count", "bb-node-limit", "bb-time-limit"),
 )
 def test_cli_invalid_generator_flags_exit_with_an_error_line(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match="^error: .*%s" % message):
         main(argv)
+    # An input error writes no file.
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_count_error_exits_nonzero(tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-m", "regretopt.harness.cli", "gen", *_R6, "--count", "-1", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert run.returncode != 0
+    assert run.stdout == "" and run.stderr == "error: --count must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_requires_family_or_files():

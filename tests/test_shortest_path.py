@@ -134,7 +134,7 @@ def test_a_constraint_serves_only_its_own_graph():
     for foreign in (PathConstraint(twin), PathConstraint(twin, in_chain=(0,), out_set=frozenset({4}))):
         calls = (
             lambda: constrained_sp(g, g.hi, foreign),
-            lambda: two_unit_min_flow(g, g.lo, g.hi, foreign),
+            lambda: two_unit_min_flow(g, foreign),
             lambda: oracle.solve(g.lo, foreign),
             lambda: lb_cg(g, foreign),
             lambda: lb_mgd(g, foreign),
@@ -178,6 +178,7 @@ def test_dijkstra_rejects_bad_costs():
 def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
     # lo and hi of a graph are checked once, when it is built, and stay read-only;
     # every other cost vector, a copy of either included, is checked on every call.
+    # The two-unit flow prices the graph's own intervals and takes no costs.
     g = two_arc_graph()
     assert not g.lo.flags.writeable and not g.hi.flags.writeable
     assert shortest_path._check_costs(g, g.lo) == (g.lo, True)
@@ -189,18 +190,7 @@ def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
             constrained_sp(g, bad, PathConstraint(g))
         with pytest.raises(ValueError):
             constrained_sp(g, bad, PathConstraint(g, out_set=frozenset({1})))
-        with pytest.raises(ValueError):
-            two_unit_min_flow(g, bad, g.hi)
-        with pytest.raises(ValueError):
-            two_unit_min_flow(g, g.lo, bad)
-    # A second use that costs less than the first, on arcs of positive width.
-    assert (g.hi > g.lo).all()
-    for lo, hi in ((g.hi, g.lo), (np.array(g.hi), g.lo), (g.lo, g.lo / 2.0)):
-        with pytest.raises(ValueError):
-            two_unit_min_flow(g, lo, hi)
-        with pytest.raises(ValueError):
-            two_unit_min_flow(g, lo, hi, PathConstraint(g, in_chain=(0,)))
-    assert two_unit_min_flow(g, g.lo, g.hi) == two_unit_min_flow(g, np.array(g.lo), np.array(g.hi)) == 12.0
+    assert two_unit_min_flow(g) == 12.0
 
 
 def test_the_midpoint_array_searches_like_a_checked_copy():
@@ -229,7 +219,7 @@ def test_the_midpoint_array_searches_like_a_checked_copy():
             # lb_cg reads instance.mid; rebuild its value from the copy.
             report = lb_cg(g, constraint)
             pinned = float(sum(g.hi[e] - copy[e] for e in constraint.in_chain))
-            value = pinned + expected[1] - two_unit_min_flow(g, g.lo, g.hi, constraint) / 2.0
+            value = pinned + expected[1] - two_unit_min_flow(g, constraint) / 2.0
             assert (report.artifacts["path"].edges, report.value.hex()) == (expected[0].edges, max(value, 0.0).hex())
             checked += 1
     assert checked >= 80
@@ -239,7 +229,8 @@ def test_negative_zero_is_a_valid_cost():
     g = two_arc_graph()
     path, value = dijkstra(g, [3.0, -0.0])
     assert path.edges == (1,) and value == 0.0
-    assert two_unit_min_flow(g, [-0.0, 0.0], [1.0, 2.0]) == 0.0
+    signed = IntervalDigraph.from_edges(2, [(0, 1, -0.0, 1.0), (0, 1, 0.0, 2.0)], 0, 1)
+    assert two_unit_min_flow(signed) == 0.0
 
 
 def test_zero_cost_cycle_does_not_trap_the_search():
@@ -397,7 +388,6 @@ def test_indexed_marking_matches_loop_marking():
                 relaxed[e] = g.lo[e]
             report = lb_mgd(g, constraint)
             assert report.artifacts["path"].edges == found[0]
-            assert report.artifacts["constrained_value"] == found[1]
             assert report.value == max(found[1] - dijkstra(g, relaxed)[1], 0.0)
     assert forbidden >= 280 and searches >= 200
 
@@ -429,19 +419,26 @@ def pair_cost(edges_a, edges_b, constraint, lo, hi):
     return total
 
 
-def brute_pair_minimum(graph, constraint, lo=None, hi=None):
+def brute_pair_minimum(graph, constraint):
     # The constraint only reprices arcs; both units may route anywhere.
-    lo = graph.lo if lo is None else lo
-    hi = graph.hi if hi is None else hi
     paths = enumerate_paths(graph)
-    return min(pair_cost(a.edges, b.edges, constraint, lo, hi) for a in paths for b in paths)
+    return min(pair_cost(a.edges, b.edges, constraint, graph.lo, graph.hi) for a in paths for b in paths)
+
+
+def with_lo(graph, lo):
+    """The same arcs and hi costs with the given lo costs, each in [0, hi]."""
+    return IntervalDigraph(graph.node_count, graph.tails, graph.heads, lo, graph.hi, graph.source, graph.target)
+
+
+def on(graph, constraint):
+    """The constraint's prefix and forbidden arcs, built for another graph with the same arcs."""
+    return PathConstraint(graph, constraint.in_chain, constraint.out_set)
 
 
 def test_two_unit_flow_on_fixtures():
     g = six_node_graph()
-    assert two_unit_min_flow(g, g.lo, g.hi) == pytest.approx(11.0)
-    g2 = two_arc_graph()
-    assert two_unit_min_flow(g2, g2.lo, g2.hi) == pytest.approx(12.0)
+    assert two_unit_min_flow(g) == pytest.approx(11.0)
+    assert two_unit_min_flow(two_arc_graph()) == pytest.approx(12.0)
 
 
 def test_two_unit_flow_matches_pair_enumeration():
@@ -450,7 +447,7 @@ def test_two_unit_flow_matches_pair_enumeration():
         g = random_graph(i)
         if g.node_count > 7:
             continue
-        flow = two_unit_min_flow(g, g.lo, g.hi)
+        flow = two_unit_min_flow(g)
         ref = brute_pair_minimum(g, PathConstraint(g))
         assert flow == pytest.approx(ref, abs=1e-9)
         checked += 1
@@ -459,7 +456,7 @@ def test_two_unit_flow_matches_pair_enumeration():
         if len(path.edges) >= 2:
             constraint = PathConstraint(g, in_chain=path.edges[:1], out_set=frozenset({path.edges[-1]}))
             ref = brute_pair_minimum(g, constraint)
-            flow = two_unit_min_flow(g, g.lo, g.hi, constraint)
+            flow = two_unit_min_flow(g, constraint)
             assert flow == pytest.approx(ref, abs=1e-9)
     assert checked >= 50
 
@@ -467,7 +464,7 @@ def test_two_unit_flow_matches_pair_enumeration():
 def test_two_unit_flow_requires_two_units_smallest_graph():
     # One arc into the target forces both units across it.
     g = IntervalDigraph.from_edges(3, [(0, 1, 1.0, 2.0), (1, 2, 3.0, 5.0)], 0, 2)
-    assert two_unit_min_flow(g, g.lo, g.hi) == pytest.approx((1.0 + 2.0) + (3.0 + 5.0))
+    assert two_unit_min_flow(g) == pytest.approx((1.0 + 2.0) + (3.0 + 5.0))
 
 
 def with_dead_ends(graph, rng):
@@ -481,14 +478,15 @@ def with_dead_ends(graph, rng):
     return IntervalDigraph.from_edges(n + extra, rows, graph.source, graph.target)
 
 
-def full_settle_pair_flow(graph, lo, hi, constraint):
-    """Two successive shortest paths, written out plainly.
+def full_settle_pair_flow(graph, constraint):
+    """Two successive shortest paths on the graph's intervals, written out plainly.
 
     The first pass runs Dijkstra over every node the source reaches; the
     second runs Dijkstra on the residual graph with those labels as
     potentials, reduced costs clamped at zero.
     """
     tails, heads = graph.tails.tolist(), graph.heads.tolist()
+    lo, hi = graph.lo, graph.hi
     first = [float(x) for x in lo]
     for e in constraint.in_chain:
         first[e] = float(hi[e])
@@ -537,8 +535,8 @@ def full_settle_pair_flow(graph, lo, hi, constraint):
 
 def test_two_unit_flow_potentials_match_pair_enumeration():
     # The second pass prices nodes with the truncated potential: forced and
-    # forbidden arcs, the zero potential of costs below lo, and nodes the
-    # goal potential marks as unable to reach the target.
+    # forbidden arcs, graphs whose lo costs are cut down at random, and nodes
+    # the goal potential marks as unable to reach the target.
     rng = np.random.default_rng(2005)
     checked = 0
     for i in range(120):
@@ -547,17 +545,17 @@ def test_two_unit_flow_potentials_match_pair_enumeration():
             continue
         constraint = random_constraint(rng, g)
         ref = brute_pair_minimum(g, constraint)
-        assert two_unit_min_flow(g, g.lo, g.hi, constraint) == pytest.approx(ref, rel=1e-12)
+        assert two_unit_min_flow(g, constraint) == pytest.approx(ref, rel=1e-12)
 
-        below = g.lo * rng.random(g.m)
-        ref = brute_pair_minimum(g, constraint, below, g.hi)
-        assert two_unit_min_flow(g, below, g.hi, constraint) == pytest.approx(ref, rel=1e-12)
+        wide = with_lo(g, g.lo * rng.random(g.m))
+        ref = brute_pair_minimum(wide, on(wide, constraint))
+        assert two_unit_min_flow(wide, on(wide, constraint)) == pytest.approx(ref, rel=1e-12)
 
         dead = with_dead_ends(g, rng)
         assert all(math.isinf(h) for h in dead.goal_potential[g.node_count:])
         constraint = random_constraint(rng, dead)
         ref = brute_pair_minimum(dead, constraint)
-        assert two_unit_min_flow(dead, dead.lo, dead.hi, constraint) == pytest.approx(ref, rel=1e-12)
+        assert two_unit_min_flow(dead, constraint) == pytest.approx(ref, rel=1e-12)
         checked += 1
     assert checked >= 50
 
@@ -566,10 +564,10 @@ def test_two_unit_flow_matches_a_full_settle_reference():
     rng = np.random.default_rng(1993)
     for seed in range(4):
         g = gen_instance(GeneratorSpec(family="R", n=200, r=1000.0, d=1.0, delta=0.03, seed=seed))
-        for costs in (g.lo, g.lo * rng.random(g.m)):
-            for constraint in (PathConstraint(g), random_constraint(rng, g), random_constraint(rng, g)):
-                ref = full_settle_pair_flow(g, costs, g.hi, constraint)
-                assert two_unit_min_flow(g, costs, g.hi, constraint) == pytest.approx(ref, rel=1e-12)
+        for graph in (g, with_lo(g, g.lo * rng.random(g.m))):
+            for constraint in (PathConstraint(graph), random_constraint(rng, graph), random_constraint(rng, graph)):
+                ref = full_settle_pair_flow(graph, constraint)
+                assert two_unit_min_flow(graph, constraint) == pytest.approx(ref, rel=1e-12)
 
 
 def test_two_unit_flow_settles_a_narrow_band(monkeypatch):
@@ -585,7 +583,7 @@ def test_two_unit_flow_settles_a_narrow_band(monkeypatch):
 
     shim = types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
     monkeypatch.setattr(shortest_path, "heapq", shim)
-    assert two_unit_min_flow(g, g.lo, g.hi) is not None
+    assert two_unit_min_flow(g) is not None
     assert len(pops) <= g.node_count // 4
 
 
@@ -698,7 +696,7 @@ def test_tie_break_contract_on_tie_heavy_graphs():
             assert found[1] == min(p.value(costs) for p in feasible)
             constrained += 1
 
-        assert two_unit_min_flow(g, g.lo, g.hi, constraint) == brute_pair_minimum(g, constraint)
+        assert two_unit_min_flow(g, constraint) == brute_pair_minimum(g, constraint)
     assert constrained >= 200
 
 
