@@ -92,10 +92,12 @@ class NodeBound:
     solutions: tuple[SolutionIndicator, ...] = ()
 
 
-def select_branch_edge(constraint: PathConstraint, response: SolutionIndicator) -> int | None:
-    """The response's arc out of the forced prefix's end node; None at a leaf.
+def select_branch_edge(constraint: PathConstraint, response: SolutionIndicator) -> int:
+    """The response's arc out of the forced prefix's end node.
 
-    The response is a simple path, so it leaves that node at most once.
+    The response is a simple path, so it leaves that node at most once.  A
+    node's prefix never ends at the target, so an s-t response through the
+    prefix always leaves its end; a response that does not is an error.
     """
     if not response.members.issuperset(constraint.in_chain):
         raise ValueError("response does not contain the forced prefix")
@@ -103,7 +105,7 @@ def select_branch_edge(constraint: PathConstraint, response: SolutionIndicator) 
     for e in response.members:
         if tails.item(e) == end:
             return e
-    return None
+    raise ValueError("response does not leave the prefix's end")
 
 
 def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: float) -> PathConstraint:
@@ -265,9 +267,6 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         if lb >= best_regret - _PRUNE_TOL:
             break  # best-first: every remaining node is bounded at least as high
         k = select_branch_edge(constraint, node.response)
-        if k is None:
-            absorb(node.response)
-            continue
         take, skip = constraint.split(k)
         take_inherit, skip_inherit = _split_inherited(node.solutions if config.warm_start else (), k)
         for child_constraint, child_inherit in ((take, take_inherit), (skip, skip_inherit)):

@@ -11,7 +11,9 @@ so even truncated runs are useful.
 Each best response is one oracle call at the costs of the other player's
 mixture, and mixture_costs builds both: a solution mixture is read as the
 mixture of its solutions' penalizing scenarios.  The ScenarioPool caches
-every scenario optimum, so it is also the memo behind max_regret.
+every scenario optimum, so it is also the memo behind max_regret.  A
+RestrictedGame owns its columns, one map from descriptor to optimum that
+starts as a copy of the scenarios the pool has published.
 """
 
 from __future__ import annotations
@@ -76,24 +78,24 @@ class ScenarioDescriptor:
 
 
 class ScenarioPool:
-    """Every scenario generated so far, with its cached unrestricted optimum.
+    """Every scenario published so far, with its cached unrestricted optimum.
 
     The optimal value of a scenario does not depend on any branch
     restriction, so one oracle solve per scenario serves the whole search.
-    optimum solves a scenario without publishing it, so pricing a regret
-    adds no column to later games; ensure publishes, reusing that solve.
+    published maps each published descriptor to its optimum, in publishing
+    order.  optimum solves a scenario without publishing it, so pricing a
+    regret adds no column to later games; ensure publishes, reusing that
+    solve.
     """
 
     def __init__(self, instance: IntervalInstance, oracle: StandardOracle):
         self.instance = instance
         self.oracle = oracle
-        self.descriptors: list[ScenarioDescriptor] = []
-        self.opt_values: list[float] = []
-        self._index: dict[ScenarioDescriptor, int] = {}
+        self.published: dict[ScenarioDescriptor, float] = {}
         self._optima: dict[ScenarioDescriptor, float] = {}
 
     def __len__(self) -> int:
-        return len(self.descriptors)
+        return len(self.published)
 
     def optimum(self, desc: ScenarioDescriptor) -> float:
         """The descriptor's unrestricted optimal value, solved on first sight."""
@@ -103,40 +105,34 @@ class ScenarioPool:
             value = self._optima[desc] = float(value)
         return value
 
-    def ensure(self, desc: ScenarioDescriptor) -> int:
-        """Index of the descriptor, publishing it on first sight."""
-        idx = self._index.get(desc)
-        if idx is not None:
-            return idx
-        opt_value = self.optimum(desc)
-        idx = len(self.descriptors)
-        self.descriptors.append(desc)
-        self.opt_values.append(opt_value)
-        self._index[desc] = idx
-        return idx
+    def ensure(self, desc: ScenarioDescriptor) -> float:
+        """The descriptor's optimum, publishing it on first sight."""
+        value = self.published.get(desc)
+        if value is None:
+            value = self.published[desc] = self.optimum(desc)
+        return value
 
 
 class RestrictedGame:
     """The regret game restricted to finite strategy sets of both players.
 
     Rows are solutions, columns are scenario descriptors, entries are
-    regrets val(x, c) - opt(c), each priced once by _regret from the
-    solution's interval sums and one set intersection, never from dense
-    cost vectors.  A new game has no rows and one column per scenario the
-    pool already holds, in pool order.  add_scenario(desc, column) takes
-    the column already priced: the regrets of the current rows against
-    desc, as column_values returns them, or an empty list while there are
-    no rows.
+    regrets val(x, c) - opt(c), each priced by _regret from the solution's
+    interval sums, one set intersection and the column's optimum, never
+    from dense cost vectors.  The game owns its columns, a map from
+    descriptor to optimum; a new game has no rows and a copy of the pool's
+    published map, which later publishing leaves alone.  add_scenario(desc,
+    column) takes the column already priced: the regrets of the current
+    rows against desc, as column_values returns them, or an empty list
+    while there are no rows.
     """
 
     def __init__(self, instance: IntervalInstance, pool: ScenarioPool):
         self.instance = instance
         self.pool = pool
         self.solutions: list[SolutionIndicator] = []
-        # A pooled descriptor's pool index is its position in pool.descriptors.
-        self.scenario_ids: list[int] = list(range(len(pool)))
         self._solution_keys: set[frozenset] = set()
-        self._columns: dict[ScenarioDescriptor, int] = {desc: j for j, desc in enumerate(pool.descriptors)}
+        self._columns: dict[ScenarioDescriptor, float] = dict(pool.published)
         self._sums: list[tuple[float, float]] = []
         self._rows: list[list[float]] = []
         # Entries sum a few interval values at a time, read with ndarray.item:
@@ -147,7 +143,7 @@ class RestrictedGame:
 
     @property
     def scenarios(self) -> list[ScenarioDescriptor]:
-        return [self.pool.descriptors[i] for i in self.scenario_ids]
+        return list(self._columns)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -163,19 +159,18 @@ class RestrictedGame:
         """The solution's cost at all-lo and at all-hi."""
         return float(sum(map(self._lo, members))), float(sum(map(self._hi, members)))
 
-    def _regret(self, members: frozenset, sums: tuple[float, float], pool_idx: int) -> float:
-        """Regret of the solution with these members and interval sums against a pooled descriptor."""
-        desc = self.pool.descriptors[pool_idx]
+    def _regret(self, members: frozenset, sums: tuple[float, float], desc: ScenarioDescriptor, opt: float) -> float:
+        """Regret of the solution with these members and interval sums against a descriptor with this optimum."""
         overlap = float(sum(map(self._width, members & desc.defining.members)))
         if desc.kind == PENALIZING:
             value = sums[0] + overlap
         else:
             value = sums[1] - overlap
-        return value - self.pool.opt_values[pool_idx]
+        return value - opt
 
-    def _drawn(self, col_probs) -> list[tuple[float, int]]:
-        """(weight, pool index) of every column the mixture draws with nonzero weight."""
-        return [(q, pool_idx) for q, pool_idx in zip(col_probs, self.scenario_ids) if q != 0.0]
+    def _drawn(self, col_probs) -> list[tuple[float, ScenarioDescriptor, float]]:
+        """(weight, descriptor, optimum) of every column the mixture draws with nonzero weight."""
+        return [(q, desc, opt) for q, (desc, opt) in zip(col_probs, self._columns.items()) if q != 0.0]
 
     def add_solution(self, x: SolutionIndicator) -> None:
         if self.has_solution(x):
@@ -184,42 +179,38 @@ class RestrictedGame:
         self.solutions.append(x)
         self._solution_keys.add(x.members)
         self._sums.append(sums)
-        self._rows.append([self._regret(x.members, sums, idx) for idx in self.scenario_ids])
+        self._rows.append([self._regret(x.members, sums, desc, opt) for desc, opt in self._columns.items()])
 
     def add_scenario(self, desc: ScenarioDescriptor, column: list[float]) -> None:
         if self.has_scenario(desc):
             raise ValueError("scenario already in the game")
         if len(column) != len(self._rows):
             raise ValueError("one regret per solution required")
-        pool_idx = self.pool.ensure(desc)
-        self._columns[desc] = len(self.scenario_ids)
-        self.scenario_ids.append(pool_idx)
+        self._columns[desc] = self.pool.ensure(desc)
         for row, value in zip(self._rows, column):
             row.append(value)
 
     def column_values(self, desc: ScenarioDescriptor) -> list[float]:
         """Regret of every current solution against one descriptor.
 
-        A column already in the game is read from the stored rows; any
-        other descriptor is priced without being committed.
+        A descriptor outside the game is published to the pool for its
+        optimum but not added to the game.
         """
-        col = self._columns.get(desc)
-        if col is not None:
-            return [row[col] for row in self._rows]
-        pool_idx = self.pool.ensure(desc)
-        return [self._regret(x.members, sums, pool_idx) for x, sums in zip(self.solutions, self._sums)]
+        opt = self._columns.get(desc)
+        if opt is None:
+            opt = self.pool.ensure(desc)
+        return [self._regret(x.members, sums, desc, opt) for x, sums in zip(self.solutions, self._sums)]
 
     def mixture_costs(self, col_probs) -> np.ndarray:
         """Dense costs of the scenario mixture given by col_probs."""
-        descriptors = self.pool.descriptors
-        return mixture_costs(self.instance, [(q, descriptors[pool_idx]) for q, pool_idx in self._drawn(col_probs)])
+        return mixture_costs(self.instance, [(q, desc) for q, desc, _ in self._drawn(col_probs)])
 
     def expected_regret(self, x: SolutionIndicator, col_probs) -> float:
         """Expected regret of x against the column mixture."""
         sums = self._interval_sums(x.members)
         total = 0.0
-        for q, pool_idx in self._drawn(col_probs):
-            total += q * self._regret(x.members, sums, pool_idx)
+        for q, desc, opt in self._drawn(col_probs):
+            total += q * self._regret(x.members, sums, desc, opt)
         return total
 
 
@@ -313,8 +304,8 @@ def run_double_oracle(
     """Grow the restricted regret game until both best responses are stale.
 
     The game's rows start as init_x, a nonempty list of solutions, and its
-    columns as the pool's scenarios followed by init_c, a list of
-    descriptors; new scenarios are published back to the pool (a fresh
+    columns as the pool's published scenarios followed by init_c, a list
+    of descriptors; new scenarios are published back to the pool (a fresh
     one by default).  With no pooled scenario and no init_c, the first
     column is init_x[0]'s penalizing scenario, where its regret peaks.
     The restriction only narrows the solution player; scenario best
@@ -327,7 +318,7 @@ def run_double_oracle(
         raise ValueError("need at least one initial solution")
     pool = pool if pool is not None else ScenarioPool(instance, oracle)
     game = RestrictedGame(instance, pool)
-    if not init_c and not game.scenario_ids:
+    if not init_c and not game.scenarios:
         init_c = [ScenarioDescriptor(init_x[0], PENALIZING)]
     # Columns go in first, so they enter with no rows to price.
     for desc in init_c:
@@ -378,7 +369,7 @@ def run_double_oracle(
         if not grew:
             break
 
-    if equilibrium.row_probs.size != len(game.solutions) or equilibrium.col_probs.size != len(game.scenario_ids):
+    if equilibrium.row_probs.size != len(game.solutions) or equilibrium.col_probs.size != len(game.scenarios):
         # The budget ran out right after the game grew: the grown game's
         # equilibrium certifies a bound of its own.
         equilibrium = solve_zero_sum(game.matrix)

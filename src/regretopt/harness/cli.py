@@ -45,11 +45,15 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--count", type=int, default=1, help="number of seeds (default 1)")
 
 
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise SystemExit("error: %s must be at least 1" % flag)
+
+
 def _generator_spec(args) -> GeneratorSpec:
     if args.family is None or args.nodes is None:
         raise SystemExit("error: --family and --nodes are required without instance files")
-    if args.count < 1:
-        raise SystemExit("error: --count must be at least 1")
+    _require_positive(args.count, "--count")
     try:
         return GeneratorSpec(
             family=args.family, n=args.nodes, r=args.r, d=args.d, delta=args.delta, w=args.width, seed=args.seed
@@ -78,6 +82,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_lb(args) -> int:
+    _require_positive(args.jobs, "--jobs")
     bounds = BOUND_NAMES if args.lb == "all" else (args.lb,)
     records, table = run_lb_experiment(_sources(args), bounds, args.exact, args.jobs)
     write_csv(experiment_rows(table, records), args.out or sys.stdout)
@@ -85,6 +90,7 @@ def _cmd_lb(args) -> int:
 
 
 def _cmd_bb(args) -> int:
+    _require_positive(args.jobs, "--jobs")
     strategies = STRATEGIES if args.bb == "all" else (args.bb,)
     try:
         config = BBConfig(node_limit=args.node_limit, time_limit_ms=args.time_limit_ms)
@@ -148,6 +154,7 @@ def verify_instance(graph, path_limit: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify(args) -> int:
+    _require_positive(args.path_limit, "--path-limit")
     failures = 0
     for source in _sources(args):
         try:

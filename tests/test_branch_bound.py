@@ -55,7 +55,8 @@ def test_select_branch_edge_walks_the_response():
     assert response.members == {0, 3, 6}
     assert select_branch_edge(PathConstraint(graph), response) == 0
     assert select_branch_edge(PathConstraint(graph, in_chain=(0,)), response) == 3
-    assert select_branch_edge(PathConstraint(graph, in_chain=(0, 3, 6)), response) is None
+    with pytest.raises(ValueError, match="response does not leave the prefix's end"):
+        select_branch_edge(PathConstraint(graph, in_chain=(0, 3, 6)), response)
     with pytest.raises(ValueError):
         select_branch_edge(PathConstraint(graph, in_chain=(1,)), response)
 
@@ -241,10 +242,8 @@ def test_mgd_take_child_keeps_its_parents_bound(family, seed):
     for _ in range(6):
         constraint = PathConstraint(graph)
         node = node_lower_bound(graph, constraint, "mgd")
-        while True:
+        while constraint.end != graph.target:
             k = select_branch_edge(constraint, node.response)
-            if k is None:
-                break
             take, skip = constraint.split(k)
             assert node.response.members.issuperset(take.in_chain)
             assert node.response.members.isdisjoint(take.out_set)

@@ -124,10 +124,10 @@ def test_pool_caches_one_optimum_per_descriptor():
     inst, oracle = two_arc_setup()
     pool = ScenarioPool(inst, oracle)
     desc = ScenarioDescriptor(sol(0), "penalizing")
-    idx = pool.ensure(desc)
-    assert pool.ensure(desc) == idx
+    assert pool.ensure(desc) == 7.0  # opt under (10, 7)
+    assert pool.ensure(desc) == 7.0
     assert len(pool) == 1
-    assert pool.opt_values[idx] == 7.0  # opt under (10, 7)
+    assert pool.published == {desc: 7.0}
 
 
 def test_restricted_game_matches_dense_recomputation():
@@ -194,15 +194,15 @@ def test_restricted_game_rejects_duplicates():
 
 
 def test_run_prices_each_game_entry_once(monkeypatch):
-    """Every entry of the final game is priced once; expected regrets are not entries."""
+    """On the two-arc run every entry of the final game is priced once; expected regrets are not entries."""
     priced = []
     in_expected_regret = []
     regret, expected_regret = RestrictedGame._regret, RestrictedGame.expected_regret
 
-    def counting(self, members, sums, pool_idx):
+    def counting(self, members, sums, desc, opt):
         if not in_expected_regret:
-            priced.append((members, pool_idx))
-        return regret(self, members, sums, pool_idx)
+            priced.append((members, desc))
+        return regret(self, members, sums, desc, opt)
 
     def flagged(self, x, col_probs):
         in_expected_regret.append(True)
@@ -336,7 +336,7 @@ def test_max_regret_through_a_pool_matches_a_plain_solve(monkeypatch):
                 assert ours_solves == sum(np.array_equal(c, worst) for c in searched) - 1
                 assert [v.hex() for v in ours.trace] == [v.hex() for v in fresh.trace]
                 assert (ours.solutions, ours.scenarios) == (fresh.solutions, fresh.scenarios)
-                assert pool.descriptors[0] == ScenarioDescriptor(x, PENALIZING)
+                assert next(iter(pool.published)) == ScenarioDescriptor(x, PENALIZING)
 
 
 def test_mixture_costs_match_the_reference_loops_bit_for_bit():
@@ -457,7 +457,7 @@ def test_pooled_scenarios_seed_a_game_without_pool_lookups(monkeypatch):
     graph, inst, oracle = six_node_setup()
     pool = ScenarioPool(inst, oracle)
     run_double_oracle(inst, oracle, *root_start(inst, oracle), pool=pool)
-    pooled = list(pool.descriptors)
+    pooled = list(pool.published)
     assert len(pooled) == 3
     asked = []
     ensure = ScenarioPool.ensure
@@ -469,11 +469,37 @@ def test_pooled_scenarios_seed_a_game_without_pool_lookups(monkeypatch):
     monkeypatch.setattr(ScenarioPool, "ensure", recording)
     game = RestrictedGame(inst, pool)
     assert game.scenarios == pooled
-    assert game.scenario_ids == [0, 1, 2]
-    # A run from another start reads the pooled columns by position too.
+    # A run from another start reads the pooled optima from its own copy too.
     second = run_double_oracle(inst, oracle, [sol(1, 4, 6)], [ScenarioDescriptor(sol(1, 4, 6), "favoring")], pool=pool)
     assert list(second.scenarios[:3]) == pooled
     assert not set(asked) & set(pooled)
+
+
+def test_a_game_owns_a_copy_of_the_pools_published_columns():
+    """A new game's columns are the pool's published map, in publishing order, with
+    each optimum a fresh oracle solve's to the bit; later publishing leaves the game alone."""
+    specs = [GeneratorSpec(family="R", n=12, r=1000.0, d=1.0, delta=0.4, seed=s) for s in range(3)]
+    specs += [GeneratorSpec(family="K", n=14, r=1000.0, d=1.0, w=3, seed=s) for s in range(3)]
+    for spec in specs:
+        graph = gen_instance(spec)
+        inst, oracle = graph.instance, sp_oracle(graph)
+        pool = ScenarioPool(inst, oracle)
+        for x in root_start(inst, oracle)[0] + [oracle.solve(inst.hi)[0]]:
+            run_double_oracle(inst, oracle, [x], pool=pool)
+        published = list(pool.published)
+        assert len(published) >= 2
+        game = RestrictedGame(inst, pool)
+        assert game._columns == pool.published and game._columns is not pool.published
+        assert list(game._columns.items()) == list(pool.published.items())
+        fresh = sp_oracle(graph)
+        for desc, opt in game._columns.items():
+            assert opt.hex() == float(fresh.solve(desc.expand(inst).costs)[1]).hex()
+        columns = dict(game._columns)
+        # Every published scenario is defined by a path; this one is defined by every arc.
+        late = ScenarioDescriptor(sol(*range(inst.n)), FAVORING)
+        pool.ensure(late)
+        assert late in pool.published and not game.has_scenario(late)
+        assert game._columns == columns and game.scenarios == published
 
 
 def test_stop_value_short_circuits():
@@ -591,7 +617,7 @@ def test_run_without_columns_starts_from_the_first_solutions_penalizing_scenario
         pool = ScenarioPool(inst, oracle)
         pooled = run_double_oracle(inst, oracle, init_x, config=config, pool=pool)
         assert pooled.scenarios == seeded.scenarios
-        assert pool.descriptors[0] == init_c[0]
+        assert next(iter(pool.published)) == init_c[0]
 
 
 def test_run_from_a_pool_adds_no_penalizing_column():
@@ -602,7 +628,7 @@ def test_run_from_a_pool_adds_no_penalizing_column():
     result = run_double_oracle(inst, oracle, [x], pool=pool)
     assert result.scenarios[0] == ScenarioDescriptor(sol(1, 4, 6), "favoring")
     assert ScenarioDescriptor(x, PENALIZING) not in result.scenarios
-    assert all(d.kind != PENALIZING for d in pool.descriptors)
+    assert all(d.kind != PENALIZING for d in pool.published)
 
 
 def test_lb_star_n_is_the_best_bound_within_the_budget():

@@ -561,8 +561,14 @@ _R6 = ["--family", "R", "--nodes", "6", "--delta", "0.8"]
         (["verify", *_R6, "--count", "-1"], "--count must be at least 1"),
         (["bb", *_R6, "--node-limit", "-3"], "node_limit must be nonnegative"),
         (["bb", *_R6, "--time-limit-ms", "nan"], "time_limit_ms must be nonnegative"),
+        (["verify", *_R6, "--path-limit", "0"], "--path-limit must be at least 1"),
+        (["lb", *_R6, "--lb", "kz", "--jobs", "-2"], "--jobs must be at least 1"),
+        (["bb", *_R6, "--bb", "mgd", "--jobs", "0"], "--jobs must be at least 1"),
     ),
-    ids=("gen", "gen-unconnected", "lb", "bb", "verify", "gen-count", "lb-count", "bb-count", "verify-count", "bb-node-limit", "bb-time-limit"),
+    ids=(
+        "gen", "gen-unconnected", "lb", "bb", "verify", "gen-count", "lb-count", "bb-count", "verify-count",
+        "bb-node-limit", "bb-time-limit", "verify-path-limit", "lb-jobs", "bb-jobs",
+    ),
 )
 def test_cli_invalid_generator_flags_exit_with_an_error_line(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
