@@ -67,7 +67,8 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
 
     Compares the constrained shortest path against the shortest path that
     may still use forbidden arcs, pricing forbidden arcs at lo.  Zero
-    under an empty constraint by construction.
+    under an empty constraint by construction.  The constrained path uses
+    no forbidden arc, so its value bounds the relaxed search.
     """
     constraint = constraint or PathConstraint(graph)
     found = constrained_sp(graph, graph.hi, constraint)
@@ -77,7 +78,7 @@ def lb_mgd(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> 
     relaxed = np.array(graph.hi)
     forbidden = constraint.out_index
     relaxed[forbidden] = graph.lo[forbidden]
-    unrestricted = dijkstra(graph, relaxed)
+    unrestricted = dijkstra(graph, relaxed, constrained_value)
     return BoundReport(max(constrained_value - unrestricted[1], 0.0), {"path": path})
 
 

@@ -9,6 +9,7 @@ branch and bound) is built from the handful of operations defined here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,7 @@ class SolutionIndicator:
     members: frozenset[int]
 
     def __post_init__(self):
-        members = frozenset(map(int, self.members))
+        members = frozenset(map(operator.index, self.members))
         if members and min(members) < 0:
             raise ValueError("element indices must be nonnegative")
         object.__setattr__(self, "members", members)

@@ -10,7 +10,8 @@ so even truncated runs are useful.
 
 Each best response is one oracle call at the costs of the other player's
 mixture, and mixture_costs builds both: a solution mixture is read as the
-mixture of its solutions' penalizing scenarios.  The ScenarioPool caches
+mixture of its solutions' penalizing scenarios.  Every such call is bounded
+by the cost of a solution already in hand, which lets the oracle prune.  The ScenarioPool caches
 every scenario optimum, so it is also the memo behind max_regret.  A
 RestrictedGame owns its columns, one map from descriptor to optimum that
 starts as a copy of the scenarios the pool has published.
@@ -18,6 +19,7 @@ starts as a copy of the scenarios the pool has published.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -48,11 +50,14 @@ class StandardOracle(Protocol):
     n is the ground set size.  solve must return an optimal solution and
     its value, deterministically for identical inputs; restriction is an
     oracle-specific handle narrowing the feasible set (None means none).
+    bound is the cost under the same costs of a solution the caller holds
+    that the restriction admits, so no optimum lies above it; an oracle
+    may use it to prune its search, but the answer must not depend on it.
     """
 
     n: int
 
-    def solve(self, costs, restriction=None) -> tuple[SolutionIndicator, float]: ...
+    def solve(self, costs, restriction=None, bound: float = math.inf) -> tuple[SolutionIndicator, float]: ...
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,16 @@ class ScenarioPool:
         return len(self.published)
 
     def optimum(self, desc: ScenarioDescriptor) -> float:
-        """The descriptor's unrestricted optimal value, solved on first sight."""
+        """The descriptor's unrestricted optimal value, solved on first sight.
+
+        The search is bounded by the defining solution's own cost under the
+        scenario: hi on its members for a penalizing one, lo for a favoring one.
+        """
         value = self._optima.get(desc)
         if value is None:
-            _, value = self.oracle.solve(desc.expand(self.instance).costs, None)
+            held = self.instance.hi if desc.kind == PENALIZING else self.instance.lo
+            bound = float(sum(map(held.item, desc.defining.members)))
+            _, value = self.oracle.solve(desc.expand(self.instance).costs, None, bound)
             value = self._optima[desc] = float(value)
         return value
 
@@ -266,6 +277,12 @@ def mixture_costs(instance: IntervalInstance, weighted) -> np.ndarray:
     return instance.lo + instance.width * factor.clip(0.0, 1.0)
 
 
+def _least_cost(costs: np.ndarray, solutions) -> float:
+    """The least cost of the given solutions under costs; inf when there are none."""
+    value = costs.item
+    return min((float(sum(map(value, x.members))) for x in solutions), default=math.inf)
+
+
 def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solutions) -> ScenarioDescriptor:
     """Best scenario against a solution mixture, as a favoring descriptor.
 
@@ -273,10 +290,12 @@ def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solution
     must match.  The worst mixture-regret scenario favors the solution
     that is cheapest under the mixture of the drawn solutions' penalizing
     scenarios, whose cost of element i is lo + width * (the probability
-    that a drawn solution uses i).
+    that a drawn solution uses i).  The solutions are feasible, so the
+    least of their costs under that mixture bounds the search.
     """
     drawn = [(q, ScenarioDescriptor(x, PENALIZING)) for q, x in zip(row_probs, solutions, strict=True)]
-    z, _ = oracle.solve(mixture_costs(instance, drawn), None)
+    costs = mixture_costs(instance, drawn)
+    z, _ = oracle.solve(costs, None, _least_cost(costs, solutions))
     return ScenarioDescriptor(z, FAVORING)
 
 
@@ -309,7 +328,11 @@ def run_double_oracle(
     one by default).  With no pooled scenario and no init_c, the first
     column is init_x[0]'s penalizing scenario, where its regret peaks.
     The restriction only narrows the solution player; scenario best
-    responses and scenario optima always search the full problem.
+    responses and scenario optima always search the full problem.  Each
+    solution best response is bounded by the least cost of the game's rows
+    under the column mixture.  Rows that break the restriction can make
+    that bound too low, which costs the oracle a second search but never
+    changes an answer.
     """
     config = config or DoubleOracleConfig()
     if config.max_iterations < 1:
@@ -331,7 +354,8 @@ def run_double_oracle(
     def best_response(equilibrium: Equilibrium) -> tuple[SolutionIndicator, float]:
         """The solution player's answer to the column mixture, and the anytime bound it certifies."""
         col_probs = equilibrium.col_probs.tolist()
-        x, _ = oracle.solve(game.mixture_costs(col_probs), restriction)
+        costs = game.mixture_costs(col_probs)
+        x, _ = oracle.solve(costs, restriction, _least_cost(costs, game.solutions))
         return x, game.expected_regret(x, col_probs)
 
     trace: list[float] = []

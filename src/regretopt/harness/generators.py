@@ -71,7 +71,9 @@ def _gen_r(spec: GeneratorSpec, seed: int) -> IntervalDigraph:
     rng = np.random.default_rng(seed)
     mask = rng.random((spec.n, spec.n)) < spec.delta
     np.fill_diagonal(mask, False)
-    tails, heads = np.nonzero(mask)
+    # Row-major positions of the set flags split into (row, column): the
+    # arcs np.nonzero gives, in its order, from one pass over the mask.
+    tails, heads = np.divmod(np.flatnonzero(mask), spec.n)
     lo, hi = _draw_costs(rng, tails.size, spec.r, spec.d)
     return IntervalDigraph(spec.n, tails, heads, lo, hi, 0, spec.n - 1)
 

@@ -22,7 +22,9 @@ Searches toward the target are goal-directed (A*).  Every cost vector the
 solvers build lies in [lo, hi], so each node's lo-cost distance to the
 target, shrunk by a hair, is a consistent potential for all of them; the
 graph computes it once, on first use.  Costs below lo anywhere fall back
-to a zero potential, which is plain Dijkstra.  The two-unit flow prices
+to a zero potential, which is plain Dijkstra.  A caller that holds a path
+may pass its cost as a bound: nodes whose key cannot beat it are labelled
+but never pushed, which leaves the answer as it was.  The two-unit flow prices
 the graph's own intervals, so it always has the goal potential; it stops
 its first pass at the target and prices its second with the first pass's
 labels, capped at the target's label less the potential.  The walk through
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -44,8 +47,12 @@ import numpy as np
 from .core import IntervalInstance, NoFeasibleSolution, SolutionIndicator
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
+def _frozen_ids(values) -> np.ndarray:
+    """A read-only int64 copy of node ids; values of any non-integer type are rejected, not truncated."""
+    given = np.asarray(values)
+    if given.size and given.dtype.kind not in "biu":
+        raise TypeError("node ids must be integers")
+    out = np.array(given, dtype=np.int64, copy=True)
     out.setflags(write=False)
     return out
 
@@ -57,7 +64,7 @@ class Path:
     edges: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(map(int, self.edges)))
+        object.__setattr__(self, "edges", tuple(map(operator.index, self.edges)))
 
     def indicator(self) -> SolutionIndicator:
         return SolutionIndicator(frozenset(self.edges))
@@ -92,9 +99,9 @@ class IntervalDigraph:
     _goal_potential: array = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        n = int(self.node_count)
-        tails = _frozen(self.tails, np.int64)
-        heads = _frozen(self.heads, np.int64)
+        n = operator.index(self.node_count)
+        tails = _frozen_ids(self.tails)
+        heads = _frozen_ids(self.heads)
         instance = IntervalInstance(self.lo, self.hi)
         if n < 2:
             raise ValueError("graph needs at least two nodes")
@@ -105,7 +112,7 @@ class IntervalDigraph:
         for arr in (tails, heads):
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 raise ValueError("arc endpoint out of range")
-        s, t = int(self.source), int(self.target)
+        s, t = operator.index(self.source), operator.index(self.target)
         if not (0 <= s < n and 0 <= t < n):
             raise ValueError("terminal out of range")
         if s == t:
@@ -199,8 +206,8 @@ class PathConstraint:
 
     def __post_init__(self):
         graph = self.graph
-        chain = tuple(map(int, self.in_chain))
-        out = frozenset(map(int, self.out_set))
+        chain = tuple(map(operator.index, self.in_chain))
+        out = frozenset(map(operator.index, self.out_set))
         forced = set(chain)
         if not out.isdisjoint(forced):
             raise ValueError("an arc cannot be both forced and forbidden")
@@ -245,7 +252,7 @@ class PathConstraint:
 
     def split(self, k: int) -> tuple["PathConstraint", "PathConstraint"]:
         """The two children on arc k, an arc out of end: k appended to the forced prefix, and k forbidden."""
-        k = int(k)
+        k = operator.index(k)
         graph = self.graph
         if not 0 <= k < graph.m:
             raise ValueError("branch arc id out of range")
@@ -429,19 +436,48 @@ def _walk_back(graph, pred, src, dst) -> tuple[int, ...]:
     return tuple(edges)
 
 
-def dijkstra(graph: IntervalDigraph, costs):
-    """Shortest source-target path under the given arc costs, as (path, value)."""
+def _search_to_target(graph, costs: array, start, banned_nodes, h, cutoff):
+    """_settle_all from start to the target, pushing no node whose key reaches cutoff.
+
+    A cutoff above the cheapest completion leaves every pushed node to pop
+    as without it, so labels and predecessors come out the same bit for
+    bit.  The target's potential is zero, so it is settled exactly when its
+    label lies below the cutoff; when it is not, the cutoff was too low,
+    and the search runs again without one.
+    """
+    t = graph.target
+    dist, pred = _settle_all(graph, costs, start, banned_nodes, t, h, cutoff)
+    if dist[t] >= cutoff and cutoff < math.inf:
+        dist, pred = _settle_all(graph, costs, start, banned_nodes, t, h)
+    return dist, pred
+
+
+def _cutoff(bound: float) -> float:
+    """Strictly above bound, also at 0, by more than the rounding of any sum of path costs near it."""
+    return bound + 1e-9 * max(1.0, bound)
+
+
+def dijkstra(graph: IntervalDigraph, costs, bound: float = math.inf):
+    """Shortest source-target path under the given arc costs, as (path, value).
+
+    bound is the cost, under these costs, of an s-t path the caller holds:
+    the search pushes no node that cannot beat it (see _search_to_target).
+    Any bound gives the same answer; a lower one only costs a second search.
+    """
     c, above_lo = _check_costs(graph, costs)
     s, t = graph.source, graph.target
-    dist, pred = _settle_all(graph, array("d", c.tobytes()), s, (), t, _potential(graph, above_lo))
+    h = _potential(graph, above_lo)
+    dist, pred = _search_to_target(graph, array("d", c.tobytes()), s, (), h, _cutoff(bound))
     return Path(_walk_back(graph, pred, s, t)), dist[t]
 
 
-def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
+def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint, bound: float = math.inf):
     """Cheapest s-t path honoring the forced prefix and the forbidden arcs.
 
     The completion search starts at the end of the prefix and may not
     revisit any earlier prefix node.  Returns None when no such path exists.
+    bound is the cost of a path the caller holds that honors the
+    constraint, prefix included, and prunes the search as in dijkstra.
     """
     if constraint.graph is not graph:
         raise ValueError("constraint belongs to another graph")
@@ -453,7 +489,8 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint):
         return Path(constraint.in_chain), chain_value
     # The forbidden ids were checked against this graph, so the store stays in bounds.
     np.frombuffer(c)[constraint.out_index] = math.inf
-    dist, pred = _settle_all(graph, c, start, banned_nodes, graph.target, _potential(graph, above_lo))
+    h = _potential(graph, above_lo)
+    dist, pred = _search_to_target(graph, c, start, banned_nodes, h, _cutoff(bound) - chain_value)
     if dist[graph.target] == math.inf:
         return None
     return Path(constraint.in_chain + _walk_back(graph, pred, start, graph.target)), chain_value + dist[graph.target]
@@ -558,24 +595,26 @@ class ShortestPathOracle:
 
     Satisfies the oracle contract used by the game engine: n is the arc
     count and solve returns an optimal path for any nonnegative costs,
-    deterministically under ties.
+    deterministically under ties.  A bound, the cost of a path the caller
+    holds that meets the restriction, prunes the search and never changes
+    the answer (see dijkstra).
     """
 
     def __init__(self, graph: IntervalDigraph):
         self.graph = graph
         self.n = graph.m
 
-    def solve_path(self, costs, restriction: PathConstraint | None = None) -> tuple[Path, float]:
+    def solve_path(self, costs, restriction: PathConstraint | None = None, bound: float = math.inf) -> tuple[Path, float]:
         if restriction is None:
-            found = dijkstra(self.graph, costs)
+            found = dijkstra(self.graph, costs, bound)
         else:
-            found = constrained_sp(self.graph, costs, restriction)
+            found = constrained_sp(self.graph, costs, restriction, bound)
         if found is None:
             raise NoFeasibleSolution("no path satisfies the restriction")
         return found
 
-    def solve(self, costs, restriction: PathConstraint | None = None) -> tuple[SolutionIndicator, float]:
-        path, value = self.solve_path(costs, restriction)
+    def solve(self, costs, restriction: PathConstraint | None = None, bound: float = math.inf) -> tuple[SolutionIndicator, float]:
+        path, value = self.solve_path(costs, restriction, bound)
         return path.indicator(), value
 
 

@@ -7,7 +7,9 @@ strategies are nonnegative and whose best-response certificates hold.
 Nothing is shared with the production solver beyond numpy.
 
 EnumeratedOracle is a standard-problem oracle over an explicit list of
-feasible sets, the fake for a problem that is not a shortest path.
+feasible sets, the fake for a problem that is not a shortest path.  It
+also checks its callers: a bound it is handed must be the cost of a
+feasible solution, so never below the enumerated optimum.
 
 full_sweep_fixed_arcs is root arc fixing as first written: two plain
 Dijkstras that settle every node, and a Python pass over every arc.
@@ -45,7 +47,7 @@ class EnumeratedOracle:
             raise ValueError("oracle needs at least one feasible solution")
         self.solutions = tuple(normalized)
 
-    def solve(self, costs, restriction=None) -> tuple[SolutionIndicator, float]:
+    def solve(self, costs, restriction=None, bound=math.inf) -> tuple[SolutionIndicator, float]:
         c = np.asarray(costs, dtype=float)
         if c.shape != (self.n,):
             raise ValueError("one cost per element required")
@@ -59,6 +61,9 @@ class EnumeratedOracle:
                 best, best_value = x, value
         if best is None:
             raise NoFeasibleSolution("restriction rejects every listed solution")
+        # The caller sums the same costs in another order: allow that rounding, no more.
+        if bound < best_value - 1e-12 * max(1.0, best_value):
+            raise AssertionError("bound %r lies below the optimum %r" % (bound, best_value))
         return best, best_value
 
 

@@ -29,6 +29,15 @@ def sol(*indices):
 # ---------------------------------------------------------------- validation
 
 
+def test_solution_indices_must_be_integers():
+    # A fractional index is an error, not an element it truncates to.
+    for members in ([1.5, 2.9], [np.float64(2.0)], ["1"]):
+        with pytest.raises(TypeError):
+            SolutionIndicator(members)
+    x = SolutionIndicator([np.int64(3), np.int32(1), 2])
+    assert x.members == {1, 2, 3} and all(type(i) is int for i in x.members)
+
+
 def test_instance_rejects_inverted_interval():
     with pytest.raises(ValueError):
         IntervalInstance(lo=np.array([2.0]), hi=np.array([1.0]))

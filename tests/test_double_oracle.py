@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretopt import (
+    BBConfig,
     DoubleOracleConfig,
     IntervalDigraph,
     IntervalInstance,
@@ -14,11 +16,13 @@ from regretopt import (
     ScenarioDescriptor,
     ScenarioPool,
     SolutionIndicator,
+    bb_solve,
     br_c,
     dijkstra,
     favoring_scenario,
     lb_cg,
     lb_kz,
+    lb_mgd,
     max_regret,
     midpoint_scenario,
     penalizing_scenario,
@@ -27,7 +31,7 @@ from regretopt import (
     sp_oracle,
     val,
 )
-from regretopt import double_oracle, shortest_path
+from regretopt import bounds, double_oracle, shortest_path
 from regretopt.double_oracle import FAVORING, PENALIZING, RestrictedGame
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_lb_star
@@ -360,7 +364,7 @@ def test_mixture_costs_match_the_reference_loops_bit_for_bit():
         handed = []
 
         class Recording:
-            def solve(self, costs, restriction=None):
+            def solve(self, costs, restriction=None, bound=math.inf):
                 handed.append(costs)
                 return solutions[0], 0.0
 
@@ -368,9 +372,10 @@ def test_mixture_costs_match_the_reference_loops_bit_for_bit():
         expected = inst.lo + inst.width * reference_marginals(row_probs, solutions, n).clip(0.0, 1.0)
         assert handed[0].tobytes() == expected.tobytes()
 
-        game = RestrictedGame(inst, ScenarioPool(inst, EnumeratedOracle(n, solutions)))
-        for _ in range(int(rng.integers(1, 10))):
-            desc = ScenarioDescriptor(draw(), (PENALIZING, FAVORING)[int(rng.integers(2))])
+        descs = [ScenarioDescriptor(draw(), (PENALIZING, FAVORING)[int(rng.integers(2))]) for _ in range(int(rng.integers(1, 10)))]
+        # As in a real game, every defining solution is feasible for the pool's oracle.
+        game = RestrictedGame(inst, ScenarioPool(inst, EnumeratedOracle(n, solutions + [d.defining for d in descs])))
+        for desc in descs:
             if not game.has_scenario(desc):
                 game.add_scenario(desc, [])
         col_probs = weights(len(game.scenarios)).tolist()
@@ -716,3 +721,43 @@ def test_neither_player_improves_on_a_converged_equilibrium(inst):
         for p, x in zip(result.equilibrium.row_probs, result.solutions)
     )
     assert best_col <= value + 1e-7
+
+
+def test_every_bound_a_search_receives_holds_a_path_that_cheap(monkeypatch):
+    """The pool, br_c, the game's best responses and lb_mgd bound their searches by a path they hold.
+
+    On real graphs, through every strategy of branch and bound and the
+    root bounds, no bound lies below the search's own optimum by more than
+    the rounding of a sum taken in another order.
+    """
+    received = []
+    plain_dijkstra, plain_constrained = shortest_path.dijkstra, shortest_path.constrained_sp
+
+    def note(name, bound, found):
+        if found is not None and bound < math.inf:
+            received.append((name, bound, found[1]))
+        return found
+
+    def checked_dijkstra(graph, costs, bound=math.inf):
+        return note("dijkstra", bound, plain_dijkstra(graph, costs, bound))
+
+    def checked_constrained(graph, costs, constraint, bound=math.inf):
+        return note("constrained_sp", bound, plain_constrained(graph, costs, constraint, bound))
+
+    for module in (shortest_path, bounds):
+        monkeypatch.setattr(module, "dijkstra", checked_dijkstra)
+        monkeypatch.setattr(module, "constrained_sp", checked_constrained)
+    for i in range(24):
+        if i % 2:
+            spec = GeneratorSpec(family="K", n=2 + 3 * (2 + i % 4), r=1000.0, d=1.0, w=3, seed=7300 + i)
+        else:
+            spec = GeneratorSpec(family="R", n=6 + i % 10, r=1000.0, d=(0.5, 1.0)[i % 4 // 2], delta=0.35, seed=7300 + i)
+        graph = gen_instance(spec)
+        for strategy in ("mgd", "cg", "do"):
+            bb_solve(graph, strategy, BBConfig(warm_start=i % 3 != 0))
+        lb_kz(graph)
+        lb_mgd(graph)
+    kinds = {name for name, _, _ in received}
+    assert kinds == {"dijkstra", "constrained_sp"}
+    for name, bound, value in received:
+        assert bound >= value - 1e-12 * max(1.0, value), (name, bound, value)

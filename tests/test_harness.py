@@ -97,6 +97,33 @@ def test_generator_is_deterministic_per_spec():
     assert first.getvalue() == second.getvalue()
 
 
+def test_r_graphs_match_the_nonzero_reference():
+    """R arcs come from flatnonzero and divmod: np.nonzero's arcs in its order, array for array."""
+    from regretopt.harness.generators import _CONNECT_RETRIES, _draw_costs
+
+    def reference(spec):
+        for attempt in range(_CONNECT_RETRIES):
+            rng = np.random.default_rng(spec.seed + attempt)
+            mask = rng.random((spec.n, spec.n)) < spec.delta
+            np.fill_diagonal(mask, False)
+            tails, heads = np.nonzero(mask)
+            lo, hi = _draw_costs(rng, tails.size, spec.r, spec.d)
+            try:
+                IntervalDigraph(spec.n, tails, heads, lo, hi, 0, spec.n - 1)
+            except ValueError:
+                continue
+            return tails, heads, lo, hi
+
+    for i in range(40):
+        spec = GeneratorSpec(family="R", n=3 + 7 * (i % 6), r=1000.0, d=(0.0, 0.5, 1.0)[i % 3], delta=(0.05, 0.2, 0.6, 1.0)[i % 4], seed=i)
+        graph = gen_instance(spec)
+        tails, heads, lo, hi = reference(spec)
+        assert np.array_equal(graph.tails, tails) and np.array_equal(graph.heads, heads)
+        assert graph.lo.tobytes() == lo.tobytes() and graph.hi.tobytes() == hi.tobytes()
+    big = GeneratorSpec(family="R", n=1000, r=1000.0, d=1.0, delta=0.006, seed=0)
+    assert all(np.array_equal(a, b) for a, b in zip((gen_instance(big).tails, gen_instance(big).heads), reference(big)))
+
+
 def test_generator_gives_up_on_hopeless_density():
     spec = GeneratorSpec(family="R", n=3, r=10.0, d=0.5, delta=1e-15, seed=0)
     with pytest.raises(ValueError, match="no connected instance"):

@@ -19,6 +19,7 @@ from regretopt import (
     lb_cg,
     lb_mgd,
     midpoint_scenario,
+    run_double_oracle,
     solve_zero_sum,
     sp_oracle,
     two_unit_min_flow,
@@ -111,6 +112,48 @@ def test_constraint_validation():
         with pytest.raises(ValueError) as caught:
             PathConstraint(graph, chain, frozenset(out))
         assert str(caught.value) == message
+
+
+def test_path_arc_ids_must_be_integers():
+    with pytest.raises(TypeError):
+        Path((0.7, 3.2))
+    with pytest.raises(TypeError):
+        Path((np.float64(1.0),))
+    p = Path((np.int64(0), np.int32(3), 6))
+    assert p.edges == (0, 3, 6) and all(type(e) is int for e in p.edges)
+
+
+def test_graph_node_ids_must_be_integers():
+    args = dict(node_count=3, tails=[0, 1, 0], heads=[1, 2, 2], lo=[1.0] * 3, hi=[2.0] * 3, source=0, target=2)
+    fractional = [
+        dict(tails=[0.5, 1.7, 0]),
+        dict(heads=np.array([1.0, 2.0, 2.0])),
+        dict(node_count=3.5),
+        dict(source=0.2),
+        dict(target=2.9),
+    ]
+    for bad in fractional:
+        with pytest.raises(TypeError):
+            IntervalDigraph(**{**args, **bad})
+    g = IntervalDigraph(
+        **{**args, "node_count": np.int64(3), "tails": np.array([0, 1, 0], np.int32), "heads": np.array([1, 2, 2], np.uint8), "target": np.int64(2)}
+    )
+    assert (g.node_count, g.source, g.target, g.out_edges) == (3, 0, 2, ((0, 2), (1,), ()))
+    assert type(g.node_count) is int and type(g.target) is int
+    assert g.tails.dtype == g.heads.dtype == np.int64
+
+
+def test_constraint_arc_ids_must_be_integers():
+    g = six_node_graph()
+    for chain, out in (((0.9,), ()), ((), (2.5,)), ((np.float64(0.0),), ())):
+        with pytest.raises(TypeError):
+            PathConstraint(g, in_chain=chain, out_set=out)
+    constraint = PathConstraint(g, in_chain=(np.int64(0),), out_set=(np.int32(5),))
+    assert constraint.in_chain == (0,) and constraint.out_set == {5}
+    with pytest.raises(TypeError):
+        constraint.split(2.5)
+    take, skip = constraint.split(np.int64(2))
+    assert take.in_chain == (0, 2) and skip.out_set == {2, 5}
 
 
 def test_chain_nodes_checks_what_validate_checks():
@@ -782,3 +825,103 @@ def test_key_rounding_cannot_reorder_an_equal_label_tie():
     )
     path, value = dijkstra(g, g.hi)
     assert (path.edges, value) == ((0, 2, 4), 537.5429213692206) == reference_search(g, g.hi, g.source)
+
+
+# --------------------------------------------------------- bounded searches
+
+
+def bounded_cases(rng):
+    """(graph, costs) pairs on R, K, tie-heavy, integer-cost and zero-optimum graphs."""
+    for i in range(40):
+        g = random_graph(i)
+        costs = g.lo + rng.random(g.m) * g.instance.width
+        yield g, costs
+        yield g, np.ceil(costs)  # integer costs, many of them tied
+        zero = np.array(costs)
+        zero[list(dijkstra(g, g.lo)[0].edges)] = 0.0  # a free route: the optimum is 0
+        yield g, zero
+    for i in range(20):
+        g = gen_instance(GeneratorSpec(family="K", n=2 + 3 * (2 + i % 4), r=1000.0, d=1.0, w=3, seed=i))
+        yield g, g.hi
+        yield g, g.instance.mid
+    for _ in range(120):
+        g = tie_heavy_graph(rng)
+        yield g, rng.integers(0, 3, size=g.m).astype(float)
+
+
+def bounds_around(path, costs, value):
+    """Bounds at the optimum, within rounding of it and loose, then bounds below it."""
+    other_order = float(sum(costs[e] for e in sorted(path.edges, reverse=True)))
+    valid = [value, other_order, math.nextafter(value, math.inf), math.nextafter(value, -math.inf), 2.0 * value + 1.0, math.inf]
+    below = [value - 1e-6 * max(1.0, value), value / 2.0 - 1.0, -1.0]
+    return valid, below
+
+
+def test_a_bound_changes_no_search_answer(monkeypatch):
+    """Bounded dijkstra and constrained_sp give the unbounded path and value, as float hex.
+
+    A bound at, within rounding of, or above the optimum prunes one search;
+    a bound below it costs a second search and still gives the same answer.
+    """
+    settle = shortest_path._settle_all
+    searches = []
+
+    def counting(*args):
+        searches.append(None)
+        return settle(*args)
+
+    monkeypatch.setattr(shortest_path, "_settle_all", counting)
+    rng = np.random.default_rng(1806)
+    constrained = 0
+    for g, costs in bounded_cases(rng):
+        constraint = random_constraint(rng, g)
+        runs = [(lambda bound: dijkstra(g, costs, bound), dijkstra(g, costs))]
+        found = constrained_sp(g, costs, constraint)
+        if found is None:
+            for bound in (0.0, 1.0, math.inf):
+                assert constrained_sp(g, costs, constraint, bound) is None
+        else:
+            runs.append((lambda bound: constrained_sp(g, costs, constraint, bound), found))
+            constrained += 1
+        for run, (path, value) in runs:
+            expected = (path.edges, value.hex())
+            valid, below = bounds_around(path, costs, value)
+            for bound, count in [(b, 1) for b in valid] + [(b, 2) for b in below]:
+                searches.clear()
+                got, got_value = run(bound)
+                assert (got.edges, got_value.hex()) == expected
+                # Chains that end at the target take no search at all.
+                assert len(searches) in (0, count)
+    assert constrained >= 150
+
+
+def test_bounded_game_searches_pop_the_same_nodes_and_push_fewer(monkeypatch):
+    """On one R-200 game, bounding every search leaves heap pops as they were and cuts pushes."""
+    g = gen_instance(GeneratorSpec(family="R", n=200, r=1000.0, d=1.0, delta=0.03, seed=0))
+    g.goal_potential  # computed once per graph by a search of its own
+    counts = {"push": 0, "pop": 0}
+
+    def push(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
+
+    def pop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    class Unbounded(shortest_path.ShortestPathOracle):
+        def solve(self, costs, restriction=None, bound=math.inf):
+            return super().solve(costs, restriction)
+
+    monkeypatch.setattr(shortest_path, "heapq", types.SimpleNamespace(heappush=push, heappop=pop))
+    x, _ = sp_oracle(g).solve(g.instance.mid)
+    runs = []
+    for oracle in (sp_oracle(g), Unbounded(g)):
+        counts.update(push=0, pop=0)
+        result = run_double_oracle(g.instance, oracle, [x])
+        answer = (result.lower_bound.hex(), result.iterations, result.solutions, result.scenarios, result.equilibrium.col_probs.tobytes())
+        runs.append((answer, dict(counts)))
+    (bounded, bounded_counts), (plain, plain_counts) = runs
+    assert bounded == plain
+    assert bounded_counts["pop"] == plain_counts["pop"] > 0
+    assert bounded_counts["push"] * 2 < plain_counts["push"]
