@@ -16,7 +16,9 @@ every strategy inherits those arcs.  The bounds read forbidden arcs as
 "paths avoiding these arcs", and only such paths can beat the incumbent,
 so each bound stays valid: mgd and cg price the fixed arcs at lo, the
 game's solution player skips them, and scenario optima still search the
-whole graph.
+whole graph.  When fixing leaves free only the incumbent's own arcs, every
+other path uses a fixed arc, so the incumbent is optimal and the search
+ends before bounding its root.
 
 No node work is repeated that cannot change the answer: with the mgd bound
 the child that takes the branch arc inherits its parent's bound and
@@ -32,7 +34,7 @@ import time
 from dataclasses import dataclass
 
 from .bounds import lb_cg, lb_mgd
-from .core import NoFeasibleSolution, SolutionIndicator, favoring_scenario, val
+from .core import NoFeasibleSolution, SolutionIndicator
 from .double_oracle import DoubleOracleConfig, ScenarioPool, max_regret, run_double_oracle
 from .game import SolverFailure
 from .shortest_path import IntervalDigraph, Path, PathConstraint, order_path_edges, sp_oracle, through_arc_costs
@@ -48,7 +50,12 @@ _CUTOFF_FACTOR = 1.0 + 1e-12
 
 @dataclass(frozen=True)
 class BBConfig:
-    """Search budgets (None means unlimited) and whether node games share work."""
+    """Search budgets (None means unlimited) and whether node games share work.
+
+    The budgets count expanded nodes and elapsed time.  A root that fixing
+    closes leaves no node to expand, so it completes under any budget, 0
+    included.
+    """
 
     node_limit: int | None = None
     time_limit_ms: float | None = None
@@ -67,6 +74,9 @@ class BBStats:
     """Search outcome; opt is only proven optimal when complete is true.
 
     fixed_arcs counts the arcs the root forbade before any branching.
+    nodes_expanded is 0 when fixing left free only the incumbent's arcs:
+    the incumbent was proven optimal before any node was bounded, and
+    complete is true whatever the budgets.
     """
 
     opt: float
@@ -116,7 +126,9 @@ def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: flo
     scenario evaluated at Q.  An arc is fixed when the cheapest walk
     through it under c, less lo(Q), reaches regret + 1e-9 * max(1, regret).
     The margin keeps the reference's own arcs, which score zero up to
-    rounding, free.
+    rounding, free.  So when every free arc lies on the reference, every
+    other path uses a fixed arc and its regret reaches the limit, above
+    the given regret: bb_solve then stops at the root.
 
     The walks are searched only up to (lo(Q) + that limit) * (1 + 1e-12):
     an arc past that cutoff, or within rounding of it, reads inf, and every
@@ -124,11 +136,12 @@ def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: flo
     the rounding of the sums, so every arc that reads inf reaches the limit
     under full searches too, and the fixed set is the same.  The scores
     are one flag per arc, so the constraint is built from them unchecked.
+    through_arc_costs builds c from the graph's own intervals, so no
+    scenario is made and no cost is checked again.
     """
-    scenario = favoring_scenario(graph.instance, reference)
-    lo_q = val(reference, scenario)
+    lo_q = float(sum(map(graph.lo.item, reference.members)))
     limit = regret + 1e-9 * max(1.0, regret)
-    through = through_arc_costs(graph, scenario.costs, (lo_q + limit) * _CUTOFF_FACTOR)
+    through = through_arc_costs(graph, reference, (lo_q + limit) * _CUTOFF_FACTOR)
     return PathConstraint.forbidding(graph, through - lo_q >= limit)
 
 
@@ -182,7 +195,11 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     insertion order.  The incumbent starts at the midpoint-optimal path and
     absorbs every solution generated by a node bounded below it.  The root
     forbids the arcs fixed_arcs finds against that first incumbent, once;
-    the midpoint path's own arcs stay free, so the root is feasible.  Each
+    the midpoint path's own arcs stay free, so the root is feasible.  When
+    they are the only free arcs, the incumbent is optimal: the root is not
+    bounded and the heap starts empty, so the search bounds, pushes and
+    prices no node and ends with nodes_expanded 0 and complete true, under
+    any budget.  Each
     distinct solution is priced once, through the root game's pool, which
     publishes nothing: with the game bound, the root game's first column,
     the incumbent's penalizing scenario, reuses the solve that priced the
@@ -244,9 +261,14 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         return found
 
     counter = itertools.count()
-    # The midpoint path seeds the root's game, solved once for the incumbent.
-    root = bound_node(root_constraint, (best,), root_pool)
-    heap: list = [(root.value, 0, next(counter), root_constraint, root)]
+    heap: list = []
+    out = root_constraint.out_set
+    # When every free arc lies on the incumbent, every other path uses a
+    # fixed arc: the incumbent is optimal, and the root is not bounded.
+    if graph.m - len(out) != len(best.members - out):
+        # The midpoint path seeds the root's game, solved once for the incumbent.
+        root = bound_node(root_constraint, (best,), root_pool)
+        heap.append((root.value, 0, next(counter), root_constraint, root))
 
     expanded = 0
     complete = True
@@ -293,7 +315,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         opt=best_regret,
         optimal_path=optimal_path,
         nodes_expanded=expanded,
-        fixed_arcs=len(root_constraint.out_set),
+        fixed_arcs=len(out),
         elapsed_ms=elapsed,
         complete=complete,
     )

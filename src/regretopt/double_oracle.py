@@ -31,6 +31,7 @@ from .core import (
     SolutionIndicator,
     favoring_scenario,
     penalizing_scenario,
+    val,
 )
 from .game import Equilibrium, solve_zero_sum
 
@@ -110,9 +111,8 @@ class ScenarioPool:
         """
         value = self._optima.get(desc)
         if value is None:
-            held = self.instance.hi if desc.kind == PENALIZING else self.instance.lo
-            bound = float(sum(map(held.item, desc.defining.members)))
-            _, value = self.oracle.solve(desc.expand(self.instance).costs, None, bound)
+            scenario = desc.expand(self.instance)
+            _, value = self.oracle.solve(scenario.costs, None, val(desc.defining, scenario))
             value = self._optima[desc] = float(value)
         return value
 

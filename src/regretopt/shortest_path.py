@@ -15,8 +15,10 @@ the search itself.  Work over all arcs stays in numpy: a constraint keeps
 its forbidden arcs as an index array, marked at inf with one store, and
 the walk through each arc is scored in one expression.  The graph's own
 lo, hi and midpoint costs (instance.mid) were checked when it was built
-and are read-only, so a search handed any of them checks nothing again;
-every other cost vector is checked on every call.
+and are read-only, so a search handed any of them checks nothing again,
+and neither does the walk through each arc, which builds a path's
+favoring scenario from them; every other cost vector is checked on every
+call.
 
 Searches toward the target are goal-directed (A*).  Every cost vector the
 solvers build lies in [lo, hi], so each node's lo-cost distance to the
@@ -29,8 +31,9 @@ the graph's own intervals, so it always has the goal potential; it stops
 its first pass at the target and prices its second with the first pass's
 labels, capped at the target's label less the potential.  The walk through
 each arc may be cut off at a cost: both of its searches then expand only
-the nodes whose key stays below it, so arc fixing at the root of branch and
-bound settles the few nodes near a cheap route instead of the whole graph.
+the nodes whose key stays below it, and the reverse one reads its arcs off
+the nodes the forward one settled, so arc fixing at the root of branch and
+bound touches the few nodes near a cheap route instead of the whole graph.
 """
 
 from __future__ import annotations
@@ -354,75 +357,98 @@ def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.i
     return dist, pred
 
 
-def _distances_to_target(graph, costs: np.ndarray, arcs=None, h=None, cutoff=math.inf) -> list[float]:
-    """Each node's least cost to the target, by one search over the reversed arcs.
+def _distances_to_target(graph, costs: np.ndarray) -> list[float]:
+    """Each node's least cost to the target, by one Dijkstra over the reversed arcs.
 
-    With arcs, a boolean mask, only those arcs are searched.  With h, a
-    potential consistent for the reversed arcs such as labels from the
-    source, the heap orders nodes by label + h, and nodes whose key reaches
-    cutoff are labelled but not expanded.  A node popped at a stale label
-    is skipped and one relabelled after its pop is expanded again, so every
-    label below the cutoff is final however h rounds.  The reversed
-    adjacency is built for the call and dropped with it.
+    The reversed adjacency is built for the call and dropped with it.
     """
     n = graph.node_count
-    tails, heads, w = graph.tails, graph.heads, costs
-    if arcs is not None:
-        tails, heads, w = tails[arcs], heads[arcs], w[arcs]
     into: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, c in zip(tails.tolist(), heads.tolist(), w.tolist()):
+    for u, v, c in zip(graph.tails.tolist(), graph.heads.tolist(), costs.tolist()):
         into[v].append((u, c))
-    h = [0.0] * n if h is None else h
     dist = [math.inf] * n
     t = graph.target
     dist[t] = 0.0
-    heap = [(h[t], 0.0, t)]
+    heap = [(0.0, t)]
     push, pop = heapq.heappush, heapq.heappop
     while heap:
-        _, d, v = pop(heap)
+        d, v = pop(heap)
         if d > dist[v]:
             continue
         for u, c in into[v]:
             nd = d + c
             if nd < dist[u]:
                 dist[u] = nd
-                key = nd + h[u]
-                if key < cutoff:
-                    push(heap, (key, nd, u))
+                push(heap, (nd, u))
     return dist
 
 
-def through_arc_costs(graph: IntervalDigraph, costs, cutoff: float = math.inf) -> np.ndarray:
+def through_arc_costs(graph: IntervalDigraph, reference: SolutionIndicator, cutoff: float = math.inf) -> np.ndarray:
     """Per arc (u, v): d_s(u) + c_uv + d_t(v), the cheapest s-t walk through it.
 
-    d_s and d_t are the least costs from the source and to the target
-    under the given costs.  No s-t path through the arc costs less; the
-    value is inf when no s-t walk uses the arc, or when it reaches cutoff.
+    c is the reference's favoring scenario, lo on its arcs and hi
+    elsewhere, written straight into the search's array from the graph's
+    own intervals, so nothing is checked again.  d_s and d_t are the least
+    costs from the source and to the target under c.  No s-t path through
+    the arc costs less; the value is inf when no s-t walk uses the arc, or
+    when it reaches cutoff.
 
     Both searches stop short of the cutoff.  The forward one is A* from the
     source under the goal potential, which never exceeds d_t, and expands
-    only nodes whose key d_s + potential lies below the cutoff.  So an arc
-    whose walk costs less than the cutoff has both ends settled, at final
-    labels.  The reverse search runs over the arcs between settled nodes,
-    with the forward labels as its potential, and expands only nodes whose
+    only nodes whose key d_s + potential lies below the cutoff: the settled
+    region, read off the forward labels.  So an arc whose walk costs less
+    than the cutoff has both ends in the region, at final labels.  The
+    reverse search runs over the arcs between region nodes with the
+    forward labels as its potential, and expands only nodes whose
     d_s + d_t lies below the cutoff; every node on the cheapest route from
-    such a node to the target meets the same test.  The arcs below the
-    cutoff therefore read the same sums as with full searches, and the
-    rest read inf.  The keys are summed in another order than the walks,
-    so an arc within rounding of the cutoff may read inf either way.
+    such a node to the target meets the same test.  A node popped at a
+    stale label is skipped and one relabelled after its pop is expanded
+    again, so its last expansion is at its final label, and that expansion
+    prices the walks through the arcs into it.  A node never expanded has
+    d_s + d_t at or above the cutoff, and so has every walk into it.  So
+    the arcs below the cutoff read the same sums as with full searches,
+    and the rest read inf.  The keys are summed in another order than the
+    walks, so an arc within rounding of the cutoff may read inf either way.
     """
-    c, above_lo = _check_costs(graph, costs)
-    h = _potential(graph, above_lo)
-    d_s, _ = _settle_all(graph, array("d", c.tobytes()), graph.source, (), None, h, cutoff)
-    d_s = np.array(d_s)
-    # Labels of nodes left unsettled may not be final: read them as inf.
-    settled = d_s + np.asarray(h) < cutoff
-    d_s[~settled] = math.inf
-    tails, heads = graph.tails, graph.heads
-    d_t = np.array(_distances_to_target(graph, c, settled[tails] & settled[heads], d_s.tolist(), cutoff))
-    through = d_s[tails] + c + d_t[heads]
-    through[through >= cutoff] = math.inf
-    return through
+    n, lo = graph.node_count, graph.lo
+    c = array("d", graph.hi.tobytes())
+    for e in reference.members:
+        c[e] = lo.item(e)
+    h = graph.goal_potential
+    d_s, _ = _settle_all(graph, c, graph.source, (), None, h, cutoff)
+    # Labels of nodes left unsettled may not be final: they stay out.
+    region = [u for u, d in enumerate(d_s) if d + h[u] < cutoff]
+    inside = [False] * n
+    for u in region:
+        inside[u] = True
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out_edges, out_heads = graph.out_edges, graph._out_heads
+    for u in region:
+        for e, v in zip(out_edges[u], out_heads[u]):
+            if inside[v]:
+                into[v].append((e, u))
+    through = array("d", [math.inf]) * graph.m
+    d_t = [math.inf] * n
+    t = graph.target
+    d_t[t] = 0.0
+    heap = [(d_s[t], 0.0, t)]
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        _, d, v = pop(heap)
+        if d > d_t[v]:
+            continue
+        for e, u in into[v]:
+            du, ce = d_s[u], c[e]
+            walk = du + ce + d
+            if walk < cutoff:
+                through[e] = walk
+            nd = d + ce
+            if nd < d_t[u]:
+                d_t[u] = nd
+                key = nd + du
+                if key < cutoff:
+                    push(heap, (key, nd, u))
+    return np.frombuffer(through)
 
 
 def _walk_back(graph, pred, src, dst) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regretopt import IntervalDigraph, NoFeasibleSolution, PathConstraint, SolverFailure, branch_bound, double_oracle, lb_mgd, midpoint_scenario, penalizing_scenario, shortest_path
-from regretopt.branch_bound import BBConfig, NodeBound, bb_solve, fixed_arcs, node_lower_bound, select_branch_edge
+from regretopt.branch_bound import STRATEGIES, BBConfig, NodeBound, bb_solve, fixed_arcs, node_lower_bound, select_branch_edge
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt, enumerate_paths
 from regretopt.shortest_path import order_path_edges, sp_oracle
@@ -189,7 +189,8 @@ def test_every_strategy_solves_the_fixtures():
         assert stats.complete
         assert stats.opt == 3.0
         assert stats.optimal_path.edges == (0,)
-        assert stats.nodes_expanded == 1
+        # Fixing forbids arc 1, which leaves the incumbent's arc alone free.
+        assert stats.nodes_expanded == 0
 
 
 # (family, generator seed) -> (opt.hex(), optimal path, nodes expanded by
@@ -203,12 +204,12 @@ GOLDEN_SEARCHES = {
     ("R", 3): ("0x1.d1dead4d15729p+8", (4, 220, 36, 120, 79, 49, 94, 210, 61), (9, 16, 3, 3)),
     ("R", 4): ("0x1.cb6ccfadf9028p+8", (2, 136, 149, 262, 38, 218), (6, 9, 4, 4)),
     ("R", 5): ("0x1.72606f090c1a4p+7", (4, 196), (1, 4, 1, 1)),
-    ("R", 6): ("0x1.b562d0f971a48p+6", (0, 71, 104, 243), (1, 4, 1, 1)),
+    ("R", 6): ("0x1.b562d0f971a48p+6", (0, 71, 104, 243), (0, 0, 0, 0)),
     ("R", 7): ("0x1.23227214e1a98p+8", (2, 199), (1, 2, 1, 1)),
     ("K", 0): ("0x1.945834c657a84p+9", (3, 16, 20, 36, 53, 69), (33, 22, 5, 5)),
     ("K", 1): ("0x1.6ca24b84de21cp+9", (2, 14, 28, 36, 54, 70), (21, 12, 5, 6)),
     ("K", 2): ("0x1.32f4c65d8cebdp+10", (3, 17, 26, 47, 64, 68), (53, 43, 1, 1)),
-    ("K", 3): ("0x1.2d07fc273dec4p+8", (0, 4, 20, 39, 67, 71), (1, 5, 1, 1)),
+    ("K", 3): ("0x1.2d07fc273dec4p+8", (0, 4, 20, 39, 67, 71), (0, 0, 0, 0)),
 }
 
 
@@ -368,7 +369,82 @@ def test_zero_width_instances_close_at_the_root():
     stats = bb_solve(graph, "do")
     assert stats.complete
     assert stats.opt == 0.0
-    assert stats.nodes_expanded == 1
+    assert stats.nodes_expanded == 0
+
+
+def _small_root_graph(i):
+    d = (0.5, 1.0)[(i // 2) % 2]
+    if i % 2:
+        return gen_instance(GeneratorSpec(family="K", n=2 + 3 * (2 + i % 3), r=100.0, d=d, w=3, seed=4100 + i))
+    return gen_instance(GeneratorSpec(family="R", n=5 + i % 5, r=100.0, d=d, delta=0.3 + 0.1 * (i % 5), seed=4100 + i))
+
+
+def test_a_root_that_fixing_solves_closes_without_a_bound(monkeypatch):
+    """When every arc the root leaves free lies on the incumbent, the incumbent is optimal and nothing is bounded.
+
+    Every other path uses a fixed arc, so fixing's margin puts its regret
+    above the incumbent's.  A root with one more free arc, found as such or
+    made by freeing one fixed arc, is bounded as before.
+    """
+    bounded = []
+    plain_bound = branch_bound.node_lower_bound
+
+    def counting(*args, **kwargs):
+        bounded.append(args[1])
+        return plain_bound(*args, **kwargs)
+
+    monkeypatch.setattr(branch_bound, "node_lower_bound", counting)
+    runs = (("mgd", True), ("cg", True), ("do", True), ("do", False))
+    closed = one_more = 0
+    for i in range(240):
+        graph = _small_root_graph(i)
+        oracle = sp_oracle(graph)
+        mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
+        incumbent = double_oracle.max_regret(graph.instance, oracle, mid)
+        root = fixed_arcs(graph, mid, incumbent)
+        extra = set(range(graph.m)) - root.out_set - mid.members
+        _, opt, regrets = brute_force_opt(graph)
+        if len(extra) == 1:
+            one_more += 1
+            for strategy, warm_start in runs:
+                bounded.clear()
+                stats = bb_solve(graph, strategy, BBConfig(warm_start=warm_start))
+                assert stats.complete and stats.nodes_expanded >= 1 and bounded
+                assert stats.opt == pytest.approx(opt, rel=1e-9, abs=1e-9)
+        if extra:
+            continue
+        closed += 1
+        for path, regret in zip(enumerate_paths(graph), regrets, strict=True):
+            if set(path.edges) == mid.members:
+                assert regret == pytest.approx(incumbent, rel=1e-12, abs=1e-12)
+            else:
+                assert regret > incumbent
+        for strategy, warm_start in runs:
+            bounded.clear()
+            stats = bb_solve(graph, strategy, BBConfig(warm_start=warm_start))
+            assert (stats.complete, stats.nodes_expanded, stats.fixed_arcs) == (True, 0, len(root.out_set))
+            assert (stats.opt, stats.optimal_path.indicator().members) == (incumbent, mid.members)
+            assert not bounded
+        # Freeing any one fixed arc keeps the root valid, and leaves it to be bounded.
+        freed = PathConstraint(graph, out_set=root.out_set - {min(root.out_set)})
+        strategy, warm_start = runs[closed % 4]
+        bounded.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(branch_bound, "fixed_arcs", lambda *args: freed)
+            stats = bb_solve(graph, strategy, BBConfig(warm_start=warm_start))
+        assert stats.complete and stats.nodes_expanded >= 1 and bounded
+        assert (stats.opt, stats.optimal_path.indicator().members) == (incumbent, mid.members)
+    assert closed >= 150 and one_more >= 3, (closed, one_more)
+
+
+@pytest.mark.parametrize("config", (BBConfig(node_limit=0), BBConfig(time_limit_ms=0.0)), ids=("nodes", "time"))
+@pytest.mark.parametrize("graph", (two_arc_graph(), _golden_graph("R", 6)), ids=("two-arc", "R-6"))
+def test_a_root_closed_by_fixing_completes_under_any_budget(graph, config):
+    """Fixing leaves nothing to expand, so no budget cuts the search short."""
+    for strategy in STRATEGIES:
+        stats = bb_solve(graph, strategy, config)
+        assert (stats.complete, stats.nodes_expanded) == (True, 0)
+        assert stats.opt == bb_solve(graph, strategy).opt
 
 
 def test_node_limit_truncates_but_reports_honestly():

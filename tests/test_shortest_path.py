@@ -14,8 +14,10 @@ from regretopt import (
     Path,
     PathConstraint,
     Scenario,
+    SolutionIndicator,
     constrained_sp,
     dijkstra,
+    favoring_scenario,
     lb_cg,
     lb_mgd,
     midpoint_scenario,
@@ -330,19 +332,23 @@ def test_oracle_restriction_raises_when_infeasible():
 
 
 def test_through_arc_costs_below_a_cutoff_match_full_sweeps():
-    # Costs at or above lo search under the goal potential, costs below lo without one;
-    # the cutoffs include exact walk costs, the edge case.
+    # Each reference prices its favoring scenario: none (hi everywhere), the
+    # midpoint path and a random arc set, on every fourth graph with costs cut
+    # to a few integer levels so that walks tie; the cutoffs include exact walk
+    # costs, the edge case.
     rng = np.random.default_rng(3003)
     for i in range(90):
         g = random_graph(i)
-        width = g.hi - g.lo
-        for costs in (g.lo + rng.random(g.m) * width, g.hi, rng.random(g.m) * g.lo, np.floor(g.lo + rng.random(g.m) * width)):
-            full = np.array(full_sweep_through_costs(g, costs))
-            assert through_arc_costs(g, costs).tolist() == full.tolist()
+        if i % 4 == 3:
+            g = IntervalDigraph(g.node_count, g.tails, g.heads, np.floor(g.lo / 10.0), np.floor(g.hi / 10.0), g.source, g.target)
+        mid, _ = sp_oracle(g).solve(g.instance.mid)
+        for reference in (SolutionIndicator(frozenset()), mid, SolutionIndicator(np.flatnonzero(rng.random(g.m) < 0.5))):
+            full = np.array(full_sweep_through_costs(g, favoring_scenario(g.instance, reference).costs))
+            assert through_arc_costs(g, reference).tolist() == full.tolist()
             finite = np.sort(full[np.isfinite(full)])
             for cutoff in (finite[0], finite[len(finite) // 3], finite[-1], finite[-1] * 2.0, 0.0):
                 # Within rounding of the cutoff an arc may read either way.
-                got = through_arc_costs(g, costs, cutoff)
+                got = through_arc_costs(g, reference, cutoff)
                 assert ((got == full) | (got == math.inf)).all()
                 clear = full < cutoff * (1.0 - 1e-12)
                 assert got[clear].tolist() == full[clear].tolist()
