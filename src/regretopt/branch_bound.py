@@ -17,8 +17,9 @@ every strategy inherits those arcs.  The bounds read forbidden arcs as
 so each bound stays valid: mgd and cg price the fixed arcs at lo, the
 game's solution player skips them, and scenario optima still search the
 whole graph.  When fixing leaves free only the incumbent's own arcs, every
-other path uses a fixed arc, so the incumbent is optimal and the search
-ends before bounding its root.
+other path uses a fixed arc, so the incumbent is optimal: the mgd and cg
+searches end before bounding their root, and the game search plays its
+root game, which prunes the root at once.
 
 No node work is repeated that cannot change the answer: with the mgd bound
 the child that takes the branch arc inherits its parent's bound and
@@ -53,8 +54,8 @@ class BBConfig:
     """Search budgets (None means unlimited) and whether node games share work.
 
     The budgets count expanded nodes and elapsed time.  A root that fixing
-    closes leaves no node to expand, so it completes under any budget, 0
-    included.
+    closes leaves the mgd and cg searches no node to expand, so they
+    complete under any budget, 0 included.
     """
 
     node_limit: int | None = None
@@ -74,9 +75,9 @@ class BBStats:
     """Search outcome; opt is only proven optimal when complete is true.
 
     fixed_arcs counts the arcs the root forbade before any branching.
-    nodes_expanded is 0 when fixing left free only the incumbent's arcs:
-    the incumbent was proven optimal before any node was bounded, and
-    complete is true whatever the budgets.
+    nodes_expanded is 0 when fixing left free only the incumbent's arcs
+    and the bound is mgd or cg: the incumbent was proven optimal before
+    any node was bounded, and complete is true whatever the budgets.
     """
 
     opt: float
@@ -128,7 +129,7 @@ def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: flo
     The margin keeps the reference's own arcs, which score zero up to
     rounding, free.  So when every free arc lies on the reference, every
     other path uses a fixed arc and its regret reaches the limit, above
-    the given regret: bb_solve then stops at the root.
+    the given regret: bb_solve then closes the root.
 
     The walks are searched only up to (lo(Q) + that limit) * (1 + 1e-12):
     an arc past that cutoff, or within rounding of it, reads inf, and every
@@ -196,11 +197,13 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     absorbs every solution generated by a node bounded below it.  The root
     forbids the arcs fixed_arcs finds against that first incumbent, once;
     the midpoint path's own arcs stay free, so the root is feasible.  When
-    they are the only free arcs, the incumbent is optimal: the root is not
-    bounded and the heap starts empty, so the search bounds, pushes and
-    prices no node and ends with nodes_expanded 0 and complete true, under
-    any budget.  Each
-    distinct solution is priced once, through the root game's pool, which
+    they are the only free arcs, the incumbent is optimal.  The mgd and cg
+    searches then leave the root unbounded and the heap empty, so they
+    bound, push and price no node and end with nodes_expanded 0 and
+    complete true, under any budget.  The game search still plays its root
+    game, whose value is the incumbent's regret, and prunes the root on its
+    first pop, as with any root bounded at the incumbent.  Each distinct
+    solution is priced once, through the root game's pool, which
     publishes nothing: with the game bound, the root game's first column,
     the incumbent's penalizing scenario, reuses the solve that priced the
     incumbent.  A node whose game LP fails is bounded by the pair bound
@@ -264,8 +267,11 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     heap: list = []
     out = root_constraint.out_set
     # When every free arc lies on the incumbent, every other path uses a
-    # fixed arc: the incumbent is optimal, and the root is not bounded.
-    if graph.m - len(out) != len(best.members - out):
+    # fixed arc: the incumbent is optimal, and mgd and cg bound no root.
+    # The game search still plays its root game there: the benchmark's
+    # tracer self-test probes the game layer through bb_solve(..., "do")
+    # on a closed root (ROADMAP items 1 and 8).
+    if lb_strategy == "do" or graph.m - len(out) != len(best.members - out):
         # The midpoint path seeds the root's game, solved once for the incumbent.
         root = bound_node(root_constraint, (best,), root_pool)
         heap.append((root.value, 0, next(counter), root_constraint, root))

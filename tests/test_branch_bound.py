@@ -189,8 +189,9 @@ def test_every_strategy_solves_the_fixtures():
         assert stats.complete
         assert stats.opt == 3.0
         assert stats.optimal_path.edges == (0,)
-        # Fixing forbids arc 1, which leaves the incumbent's arc alone free.
-        assert stats.nodes_expanded == 0
+        # Fixing forbids arc 1, which leaves the incumbent's arc alone free:
+        # mgd and cg bound no root, and the game prunes its root on the first pop.
+        assert stats.nodes_expanded == (strategy == "do")
 
 
 # (family, generator seed) -> (opt.hex(), optimal path, nodes expanded by
@@ -204,12 +205,12 @@ GOLDEN_SEARCHES = {
     ("R", 3): ("0x1.d1dead4d15729p+8", (4, 220, 36, 120, 79, 49, 94, 210, 61), (9, 16, 3, 3)),
     ("R", 4): ("0x1.cb6ccfadf9028p+8", (2, 136, 149, 262, 38, 218), (6, 9, 4, 4)),
     ("R", 5): ("0x1.72606f090c1a4p+7", (4, 196), (1, 4, 1, 1)),
-    ("R", 6): ("0x1.b562d0f971a48p+6", (0, 71, 104, 243), (0, 0, 0, 0)),
+    ("R", 6): ("0x1.b562d0f971a48p+6", (0, 71, 104, 243), (0, 0, 1, 1)),
     ("R", 7): ("0x1.23227214e1a98p+8", (2, 199), (1, 2, 1, 1)),
     ("K", 0): ("0x1.945834c657a84p+9", (3, 16, 20, 36, 53, 69), (33, 22, 5, 5)),
     ("K", 1): ("0x1.6ca24b84de21cp+9", (2, 14, 28, 36, 54, 70), (21, 12, 5, 6)),
     ("K", 2): ("0x1.32f4c65d8cebdp+10", (3, 17, 26, 47, 64, 68), (53, 43, 1, 1)),
-    ("K", 3): ("0x1.2d07fc273dec4p+8", (0, 4, 20, 39, 67, 71), (0, 0, 0, 0)),
+    ("K", 3): ("0x1.2d07fc273dec4p+8", (0, 4, 20, 39, 67, 71), (0, 0, 1, 1)),
 }
 
 
@@ -369,7 +370,7 @@ def test_zero_width_instances_close_at_the_root():
     stats = bb_solve(graph, "do")
     assert stats.complete
     assert stats.opt == 0.0
-    assert stats.nodes_expanded == 0
+    assert stats.nodes_expanded == 1
 
 
 def _small_root_graph(i):
@@ -380,11 +381,12 @@ def _small_root_graph(i):
 
 
 def test_a_root_that_fixing_solves_closes_without_a_bound(monkeypatch):
-    """When every arc the root leaves free lies on the incumbent, the incumbent is optimal and nothing is bounded.
+    """When every arc the root leaves free lies on the incumbent, the incumbent is optimal and mgd and cg bound nothing.
 
     Every other path uses a fixed arc, so fixing's margin puts its regret
-    above the incumbent's.  A root with one more free arc, found as such or
-    made by freeing one fixed arc, is bounded as before.
+    above the incumbent's.  The game search bounds the root alone, and
+    prunes it on the first pop.  A root with one more free arc, found as
+    such or made by freeing one fixed arc, is bounded by every strategy.
     """
     bounded = []
     plain_bound = branch_bound.node_lower_bound
@@ -422,12 +424,14 @@ def test_a_root_that_fixing_solves_closes_without_a_bound(monkeypatch):
         for strategy, warm_start in runs:
             bounded.clear()
             stats = bb_solve(graph, strategy, BBConfig(warm_start=warm_start))
-            assert (stats.complete, stats.nodes_expanded, stats.fixed_arcs) == (True, 0, len(root.out_set))
+            games = int(strategy == "do")
+            assert (stats.complete, stats.nodes_expanded, stats.fixed_arcs) == (True, games, len(root.out_set))
             assert (stats.opt, stats.optimal_path.indicator().members) == (incumbent, mid.members)
-            assert not bounded
-        # Freeing any one fixed arc keeps the root valid, and leaves it to be bounded.
+            assert len(bounded) == games
+        # Freeing any one fixed arc keeps the root valid, and leaves it to be
+        # bounded by the strategies that skip a closed root.
         freed = PathConstraint(graph, out_set=root.out_set - {min(root.out_set)})
-        strategy, warm_start = runs[closed % 4]
+        strategy, warm_start = runs[closed % 2]
         bounded.clear()
         with monkeypatch.context() as patch:
             patch.setattr(branch_bound, "fixed_arcs", lambda *args: freed)
@@ -440,10 +444,14 @@ def test_a_root_that_fixing_solves_closes_without_a_bound(monkeypatch):
 @pytest.mark.parametrize("config", (BBConfig(node_limit=0), BBConfig(time_limit_ms=0.0)), ids=("nodes", "time"))
 @pytest.mark.parametrize("graph", (two_arc_graph(), _golden_graph("R", 6)), ids=("two-arc", "R-6"))
 def test_a_root_closed_by_fixing_completes_under_any_budget(graph, config):
-    """Fixing leaves nothing to expand, so no budget cuts the search short."""
+    """Fixing leaves mgd and cg nothing to expand, so no budget cuts them short.
+
+    The game search has its root to expand, and a zero budget stops it
+    before the first pop, with the same incumbent.
+    """
     for strategy in STRATEGIES:
         stats = bb_solve(graph, strategy, config)
-        assert (stats.complete, stats.nodes_expanded) == (True, 0)
+        assert (stats.complete, stats.nodes_expanded) == (strategy != "do", 0)
         assert stats.opt == bb_solve(graph, strategy).opt
 
 
