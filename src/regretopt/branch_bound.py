@@ -34,6 +34,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import lb_cg, lb_mgd
 from .core import NoFeasibleSolution, SolutionIndicator
 from .double_oracle import DoubleOracleConfig, ScenarioPool, max_regret, run_double_oracle
@@ -119,8 +121,8 @@ def select_branch_edge(constraint: PathConstraint, response: SolutionIndicator) 
     raise ValueError("response does not leave the prefix's end")
 
 
-def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: float) -> PathConstraint:
-    """The root constraint: it forbids the arcs on no s-t path whose maximum regret is below the given regret.
+def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: float) -> np.ndarray:
+    """One flag per arc, set on the arcs that no s-t path whose maximum regret is below the given regret uses.
 
     For any s-t paths P and Q, regret(P) >= c(P) - lo(Q), where c is Q's
     favoring scenario (lo on Q, hi elsewhere): this is P's penalizing
@@ -129,21 +131,22 @@ def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: flo
     The margin keeps the reference's own arcs, which score zero up to
     rounding, free.  So when every free arc lies on the reference, every
     other path uses a fixed arc and its regret reaches the limit, above
-    the given regret: bb_solve then closes the root.
+    the given regret: bb_solve then closes the root, read off the flags.
 
     The walks are searched only up to (lo(Q) + that limit) * (1 + 1e-12):
     an arc past that cutoff, or within rounding of it, reads inf, and every
     other arc reads the sum full searches give.  The factor lies far above
     the rounding of the sums, so every arc that reads inf reaches the limit
-    under full searches too, and the fixed set is the same.  The scores
-    are one flag per arc, so the constraint is built from them unchecked.
-    through_arc_costs builds c from the graph's own intervals, so no
-    scenario is made and no cost is checked again.
+    under full searches too, and the fixed set is the same.  The flags
+    build the root constraint unchecked (PathConstraint.forbidding), only
+    when bb_solve bounds the root.  through_arc_costs builds c from the
+    graph's own intervals, so no scenario is made and no cost is checked
+    again.
     """
     lo_q = float(sum(map(graph.lo.item, reference.members)))
     limit = regret + 1e-9 * max(1.0, regret)
     through = through_arc_costs(graph, reference, (lo_q + limit) * _CUTOFF_FACTOR)
-    return PathConstraint.forbidding(graph, through - lo_q >= limit)
+    return through - lo_q >= limit
 
 
 def _split_inherited(solutions, k: int) -> tuple[tuple[SolutionIndicator, ...], tuple[SolutionIndicator, ...]]:
@@ -224,7 +227,8 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
     best_regret = max_regret(instance, oracle, best, root_pool)
     # Paths through these arcs cannot beat the incumbent: the root forbids
     # them, so every node inherits them.
-    root_constraint = fixed_arcs(graph, best, best_regret)
+    fixed = fixed_arcs(graph, best, best_regret)
+    fixed_count = int(np.count_nonzero(fixed))
 
     def absorb(x: SolutionIndicator) -> None:
         nonlocal best, best_regret
@@ -265,13 +269,14 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
 
     counter = itertools.count()
     heap: list = []
-    out = root_constraint.out_set
     # When every free arc lies on the incumbent, every other path uses a
-    # fixed arc: the incumbent is optimal, and mgd and cg bound no root.
-    # The game search still plays its root game there: the benchmark's
-    # tracer self-test probes the game layer through bb_solve(..., "do")
-    # on a closed root (ROADMAP items 1 and 8).
-    if lb_strategy == "do" or graph.m - len(out) != len(best.members - out):
+    # fixed arc: the incumbent is optimal, and mgd and cg bound no root, so
+    # they build no root constraint either.  The game search still plays
+    # its root game there: the benchmark's tracer self-test probes the game
+    # layer through bb_solve(..., "do") on a closed root (ROADMAP items 1
+    # and 8).
+    if lb_strategy == "do" or graph.m - fixed_count != sum(not fixed.item(e) for e in best.members):
+        root_constraint = PathConstraint.forbidding(graph, fixed)
         # The midpoint path seeds the root's game, solved once for the incumbent.
         root = bound_node(root_constraint, (best,), root_pool)
         heap.append((root.value, 0, next(counter), root_constraint, root))
@@ -321,7 +326,7 @@ def bb_solve(graph: IntervalDigraph, lb_strategy: str = "do", config: BBConfig |
         opt=best_regret,
         optimal_path=optimal_path,
         nodes_expanded=expanded,
-        fixed_arcs=len(out),
+        fixed_arcs=fixed_count,
         elapsed_ms=elapsed,
         complete=complete,
     )

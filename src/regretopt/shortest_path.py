@@ -20,15 +20,19 @@ and neither does the walk through each arc, which builds a path's
 favoring scenario from them; every other cost vector is checked on every
 call.
 
-Searches toward the target are goal-directed (A*).  Every cost vector the
-solvers build lies in [lo, hi], so each node's lo-cost distance to the
-target, shrunk by a hair, is a consistent potential for all of them; the
-graph computes it once, on first use.  Costs below lo anywhere fall back
-to a zero potential, which is plain Dijkstra.  A caller that holds a path
-may pass its cost as a bound: nodes whose key cannot beat it are labelled
-but never pushed, which leaves the answer as it was.  The two-unit flow prices
-the graph's own intervals, so it always has the goal potential; it stops
-its first pass at the target and prices its second with the first pass's
+Searches toward the target are goal-directed (A*).  Each node's distance
+to the target under any floor at or below the costs, shrunk by a hair, is
+a consistent potential that leaves ties as plain Dijkstra resolves them
+(see IntervalDigraph.potential).  A search handed the graph's own lo,
+midpoint or hi costs uses that vector's own distances, exact before any
+arc is forbidden; every other cost vector the solvers build lies in
+[lo, hi] and uses the lo distances.  The graph computes each of the three
+on first use and keeps it.  Costs below lo anywhere fall back to a zero
+potential, which is plain Dijkstra.  A caller that holds a path may pass
+its cost as a bound: nodes whose key cannot beat it are labelled but never
+pushed, which leaves the answer as it was.  The two-unit flow prices the
+graph's own intervals, so it always has the lo potential; it stops its
+first pass at the target and prices its second with the first pass's
 labels, capped at the target's label less the potential.  The walk through
 each arc may be cut off at a cost: both of its searches then expand only
 the nodes whose key stays below it, and the reverse one reads its arcs off
@@ -98,8 +102,8 @@ class IntervalDigraph:
     instance: IntervalInstance = field(init=False)
     # The head of every arc in out_edges, position by position.
     _out_heads: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    # Filled on first use of goal_potential.
-    _goal_potential: array = field(default=None, init=False, repr=False)
+    # The potentials of the graph's own cost floors, filled on first use of potential.
+    _potentials: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = operator.index(self.node_count)
@@ -153,24 +157,31 @@ class IntervalDigraph:
     def m(self) -> int:
         return self.tails.size
 
-    @property
-    def goal_potential(self) -> array:
-        """Each node's lo-cost distance to the target times 1 - 2**-20; inf if it cannot get there.
+    def potential(self, floor: np.ndarray) -> array:
+        """The A* potential of every search toward the target whose costs are at least floor.
 
-        This is the A* potential of every search toward the target whose
-        costs are at least lo.  Shrinking the distances leaves every arc of
-        positive cost a margin that the rounding of the heap keys cannot
-        close: when such an arc ties its head's label, its tail is settled
-        before its head, as in plain Dijkstra, so the tie resolves the same
-        way.  Computed on first use by one Dijkstra over the reversed arcs,
-        then kept.
+        floor is one of the graph's own read-only cost vectors, passed by
+        identity: lo, hi or the midpoint costs instance.mid.  The potential
+        is each node's floor-cost distance to the target times 1 - 2**-20,
+        inf where the target cannot be reached.  Any floor at or below the
+        costs works: a floor distance drops by at most the arc's floor cost,
+        so after shrinking, every arc of positive cost c keeps a reduced
+        cost of at least c * 2**-20, a margin the rounding of the heap keys
+        cannot close.  When such an arc ties its head's label, its tail is
+        settled before its head, as in plain Dijkstra, so the tie resolves
+        the same way and paths and values come out bit for bit.  Computed
+        on first use by one Dijkstra over the reversed arcs, then kept as
+        doubles: 8 bytes a node for each floor used.
         """
-        if self._goal_potential is None:
+        # The graph holds each floor, so no other live array shares its id.
+        h = self._potentials.get(id(floor))
+        if h is None:
+            if not (floor is self.lo or floor is self.hi or floor is self.instance.mid):
+                raise ValueError("potentials are kept for the graph's own lo, hi and midpoint costs only")
             shrink = 1.0 - 2.0**-20
-            h = _distances_to_target(self, self.lo)
-            # Every graph keeps this, so it is stored as doubles: 8 bytes a node.
-            object.__setattr__(self, "_goal_potential", array("d", [x * shrink for x in h]))
-        return self._goal_potential
+            h = array("d", [x * shrink for x in _distances_to_target(self, floor)])
+            self._potentials[id(floor)] = h
+        return h
 
     def _reaches_target(self) -> bool:
         seen = [False] * self.node_count
@@ -282,29 +293,39 @@ class PathConstraint:
         return made
 
 
-def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, bool]:
-    """The costs as a float array, and whether none lies below its arc's lo.
+def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, np.ndarray | None]:
+    """The costs as a float array, and the floor whose potential a search under them uses.
 
-    The graph's own lo, hi and midpoint costs pass unchecked: all three
-    were checked when the graph was built and are read-only.  Costs at or
-    above lo are nonnegative already, so they need only the finiteness check.
+    The graph's own lo, hi and midpoint costs pass unchecked, each its own
+    floor: all three were checked when the graph was built and are
+    read-only.  Any other costs have lo as their floor when none lies below
+    it, and no floor (None) otherwise; a copy of the graph's own costs is
+    such another vector.  Costs at or above lo are nonnegative already, so
+    they need only the finiteness check.
     """
     instance = graph.instance
     if costs is instance.lo or costs is instance.hi or costs is instance.mid:
-        return costs, True
+        return costs, costs
     c = np.asarray(costs, dtype=float)
     if c.shape != (graph.m,):
         raise ValueError("one cost per arc required")
     # NaN fails every comparison, so these catch every bad value.
     above_lo = bool((c >= graph.lo).all())
     if (above_lo or c.min() >= 0.0) and c.max() < math.inf:
-        return c, above_lo
+        return c, instance.lo if above_lo else None
     raise ValueError("arc costs must be finite and nonnegative")
 
 
-def _potential(graph: IntervalDigraph, above_lo: bool):
-    """The graph's goal potential when no cost lies below lo, else the zero potential."""
-    return graph.goal_potential if above_lo else [0.0] * graph.node_count
+def _potential(graph: IntervalDigraph, floor: np.ndarray | None):
+    """The graph's potential of floor, or the zero potential when there is no floor.
+
+    Nearly every search reads a potential already kept, so that lookup
+    skips the accessor's call; the accessor computes the rest.
+    """
+    if floor is None:
+        return [0.0] * graph.node_count
+    h = graph._potentials.get(id(floor))
+    return graph.potential(floor) if h is None else h
 
 
 def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.inf):
@@ -394,7 +415,7 @@ def through_arc_costs(graph: IntervalDigraph, reference: SolutionIndicator, cuto
     when it reaches cutoff.
 
     Both searches stop short of the cutoff.  The forward one is A* from the
-    source under the goal potential, which never exceeds d_t, and expands
+    source under the lo potential, which never exceeds d_t, and expands
     only nodes whose key d_s + potential lies below the cutoff: the settled
     region, read off the forward labels.  So an arc whose walk costs less
     than the cutoff has both ends in the region, at final labels.  The
@@ -414,7 +435,7 @@ def through_arc_costs(graph: IntervalDigraph, reference: SolutionIndicator, cuto
     c = array("d", graph.hi.tobytes())
     for e in reference.members:
         c[e] = lo.item(e)
-    h = graph.goal_potential
+    h = graph.potential(graph.lo)
     d_s, _ = _settle_all(graph, c, graph.source, (), None, h, cutoff)
     # Labels of nodes left unsettled may not be final: they stay out.
     region = [u for u, d in enumerate(d_s) if d + h[u] < cutoff]
@@ -490,9 +511,9 @@ def dijkstra(graph: IntervalDigraph, costs, bound: float = math.inf):
     the search pushes no node that cannot beat it (see _search_to_target).
     Any bound gives the same answer; a lower one only costs a second search.
     """
-    c, above_lo = _check_costs(graph, costs)
+    c, floor = _check_costs(graph, costs)
     s, t = graph.source, graph.target
-    h = _potential(graph, above_lo)
+    h = _potential(graph, floor)
     dist, pred = _search_to_target(graph, array("d", c.tobytes()), s, (), h, _cutoff(bound))
     return Path(_walk_back(graph, pred, s, t)), dist[t]
 
@@ -507,7 +528,7 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint, bo
     """
     if constraint.graph is not graph:
         raise ValueError("constraint belongs to another graph")
-    c, above_lo = _check_costs(graph, costs)
+    c, floor = _check_costs(graph, costs)
     c = array("d", c.tobytes())
     *banned_nodes, start = constraint.nodes
     chain_value = float(sum(c[e] for e in constraint.in_chain))
@@ -515,7 +536,7 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint, bo
         return Path(constraint.in_chain), chain_value
     # The forbidden ids were checked against this graph, so the store stays in bounds.
     np.frombuffer(c)[constraint.out_index] = math.inf
-    h = _potential(graph, above_lo)
+    h = _potential(graph, floor)
     dist, pred = _search_to_target(graph, c, start, banned_nodes, h, _cutoff(bound) - chain_value)
     if dist[graph.target] == math.inf:
         return None
@@ -545,7 +566,7 @@ def two_unit_min_flow(graph: IntervalDigraph, constraint: PathConstraint | None 
         out = constraint.out_set
 
     s, t = graph.source, graph.target
-    h = graph.goal_potential
+    h = graph.potential(graph.lo)
     dist, pred = _settle_all(graph, costs, s, (), t, h)
     dt = dist[t]
     if dt == math.inf:

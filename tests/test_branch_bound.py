@@ -88,7 +88,7 @@ def test_fixed_arcs_carry_no_path_that_beats_the_incumbent():
         oracle = sp_oracle(graph)
         mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
         incumbent = double_oracle.max_regret(graph.instance, oracle, mid)
-        fixed = fixed_arcs(graph, mid, incumbent).out_set
+        fixed = PathConstraint.forbidding(graph, fixed_arcs(graph, mid, incumbent)).out_set
         assert fixed.isdisjoint(mid.members)
         # brute_force_opt lists every path's regret, by enumeration, in enumerate_paths order.
         _, _, regrets = brute_force_opt(graph)
@@ -120,8 +120,8 @@ def _integer_costs(graph):
 
 
 def _check_root(graph, reference, regret):
-    """fixed_arcs' root, built straight from its per-arc flags, against the checked constructor on the full sweep's set."""
-    root = fixed_arcs(graph, reference, regret)
+    """The root built straight from fixed_arcs' per-arc flags, against the checked constructor on the full sweep's set."""
+    root = PathConstraint.forbidding(graph, fixed_arcs(graph, reference, regret))
     checked = PathConstraint(graph, out_set=full_sweep_fixed_arcs(graph, reference, regret))
     assert root.graph is graph
     k = select_branch_edge(root, reference)
@@ -403,7 +403,8 @@ def test_a_root_that_fixing_solves_closes_without_a_bound(monkeypatch):
         oracle = sp_oracle(graph)
         mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
         incumbent = double_oracle.max_regret(graph.instance, oracle, mid)
-        root = fixed_arcs(graph, mid, incumbent)
+        fixed = fixed_arcs(graph, mid, incumbent)
+        root = PathConstraint.forbidding(graph, fixed)
         extra = set(range(graph.m)) - root.out_set - mid.members
         _, opt, regrets = brute_force_opt(graph)
         if len(extra) == 1:
@@ -430,7 +431,8 @@ def test_a_root_that_fixing_solves_closes_without_a_bound(monkeypatch):
             assert len(bounded) == games
         # Freeing any one fixed arc keeps the root valid, and leaves it to be
         # bounded by the strategies that skip a closed root.
-        freed = PathConstraint(graph, out_set=root.out_set - {min(root.out_set)})
+        freed = fixed.copy()
+        freed[min(root.out_set)] = False
         strategy, warm_start = runs[closed % 2]
         bounded.clear()
         with monkeypatch.context() as patch:

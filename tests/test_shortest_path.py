@@ -226,9 +226,9 @@ def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
     # The two-unit flow prices the graph's own intervals and takes no costs.
     g = two_arc_graph()
     assert not g.lo.flags.writeable and not g.hi.flags.writeable
-    assert shortest_path._check_costs(g, g.lo) == (g.lo, True)
+    assert shortest_path._check_costs(g, g.lo) == (g.lo, g.lo)
     assert shortest_path._check_costs(g, g.hi)[0] is g.hi
-    assert shortest_path._check_costs(g, g.instance.mid) == (g.instance.mid, True)
+    assert shortest_path._check_costs(g, g.instance.mid) == (g.instance.mid, g.instance.mid)
     bad_vectors = ([1.0], [1.0, 2.0, 3.0], [2.0, np.nan], [np.inf, 2.0], [-np.inf, 2.0], [-1.0, 2.0], [2.0, -1e-300])
     for bad in bad_vectors:
         with pytest.raises(ValueError):
@@ -385,8 +385,8 @@ def loop_marked_sp(graph, costs, constraint):
         return chain, chain_value
     for e in constraint.out_set:
         c[e] = math.inf
-    above_lo = bool((np.asarray(costs) >= graph.lo).all())
-    dist, pred = shortest_path._settle_all(graph, c, start, banned_nodes, graph.target, shortest_path._potential(graph, above_lo))
+    floor = graph.lo if (np.asarray(costs) >= graph.lo).all() else None
+    dist, pred = shortest_path._settle_all(graph, c, start, banned_nodes, graph.target, shortest_path._potential(graph, floor))
     if dist[graph.target] == math.inf:
         return None
     return chain + shortest_path._walk_back(graph, pred, start, graph.target), chain_value + dist[graph.target]
@@ -396,7 +396,7 @@ def root_sized_constraints(rng, graph):
     """Root fixing's forbidden set, then random branches off it, then random sets of most arcs."""
     oracle = sp_oracle(graph)
     mid, _ = oracle.solve(midpoint_scenario(graph.instance).costs)
-    constraint = fixed_arcs(graph, mid, max_regret(graph.instance, oracle, mid))
+    constraint = PathConstraint.forbidding(graph, fixed_arcs(graph, mid, max_regret(graph.instance, oracle, mid)))
     yield constraint
     for _ in range(8):
         end = constraint.end
@@ -585,7 +585,7 @@ def full_settle_pair_flow(graph, constraint):
 def test_two_unit_flow_potentials_match_pair_enumeration():
     # The second pass prices nodes with the truncated potential: forced and
     # forbidden arcs, graphs whose lo costs are cut down at random, and nodes
-    # the goal potential marks as unable to reach the target.
+    # the lo potential marks as unable to reach the target.
     rng = np.random.default_rng(2005)
     checked = 0
     for i in range(120):
@@ -601,7 +601,7 @@ def test_two_unit_flow_potentials_match_pair_enumeration():
         assert two_unit_min_flow(wide, on(wide, constraint)) == pytest.approx(ref, rel=1e-12)
 
         dead = with_dead_ends(g, rng)
-        assert all(math.isinf(h) for h in dead.goal_potential[g.node_count:])
+        assert all(math.isinf(h) for h in dead.potential(dead.lo)[g.node_count:])
         constraint = random_constraint(rng, dead)
         ref = brute_pair_minimum(dead, constraint)
         assert two_unit_min_flow(dead, constraint) == pytest.approx(ref, rel=1e-12)
@@ -623,7 +623,7 @@ def test_two_unit_flow_settles_a_narrow_band(monkeypatch):
     # Both passes are goal-directed, so the root call on a 200-node R graph
     # pops the heap far fewer times than there are nodes.
     g = gen_instance(GeneratorSpec(family="R", n=200, r=1000.0, d=1.0, delta=0.03, seed=0))
-    g.goal_potential  # computed once per graph by a search of its own
+    g.potential(g.lo)  # computed once per graph by a search of its own
     pops = []
 
     def counting_pop(heap):
@@ -788,7 +788,7 @@ def test_one_cost_below_lo_drops_the_potential():
     g = IntervalDigraph.from_edges(
         4, [(0, 1, 1.0, 5.0), (1, 3, 1.0, 5.0), (0, 2, 1.0, 5.0), (2, 3, 4.0, 5.0)], 0, 3
     )
-    assert g.goal_potential.tolist() == [x * (1.0 - 2.0**-20) for x in (2.0, 1.0, 4.0, 0.0)]
+    assert g.potential(g.lo).tolist() == [x * (1.0 - 2.0**-20) for x in (2.0, 1.0, 4.0, 0.0)]
     costs = [1.0, 1.0, 1.0, 0.5]
     path, value = dijkstra(g, costs)
     assert (path.edges, value) == ((2, 3), 1.5) == reference_search(g, costs, g.source)
@@ -831,6 +831,99 @@ def test_key_rounding_cannot_reorder_an_equal_label_tie():
     )
     path, value = dijkstra(g, g.hi)
     assert (path.edges, value) == ((0, 2, 4), 537.5429213692206) == reference_search(g, g.hi, g.source)
+
+
+def floor_potential_cases(rng):
+    """Tie-heavy, integer-cost, zero-width, R and K graphs."""
+    for _ in range(150):
+        yield tie_heavy_graph(rng)  # integer intervals, a third of them zero-width
+    for i in range(40):
+        g = random_graph(i)
+        yield g
+        yield with_lo(g, np.where(rng.random(g.m) < 0.5, g.hi, g.lo))  # half the arcs zero-width
+        yield IntervalDigraph(g.node_count, g.tails, g.heads, np.floor(g.lo / 10.0), np.floor(g.hi / 10.0), g.source, g.target)
+    for i in range(12):
+        yield gen_instance(GeneratorSpec(family="K", n=2 + 3 * (2 + i % 4), r=1000.0, d=(0.0, 0.5, 1.0)[i % 3], w=3, seed=i))
+
+
+def test_floor_potentials_change_no_answer():
+    """Searches on the graph's own mid and hi, under their own potentials, answer as plain Dijkstra.
+
+    The same costs as a copy take the lo potential, and the reference
+    scans every arc without one; paths and values agree as float hex.  The
+    potential each search uses is consistent with its floor, arc by arc.
+    """
+    rng = np.random.default_rng(2005)
+    constrained = 0
+    for g in floor_potential_cases(rng):
+        tails, heads = g.tails.tolist(), g.heads.tolist()
+        for own in (g.instance.mid, g.hi):
+            copy = np.array(own)
+            floor = shortest_path._check_costs(g, own)[1]
+            h = shortest_path._potential(g, floor)
+            assert floor is own and h is g.potential(own) and h is not g.potential(g.lo)
+            assert shortest_path._check_costs(g, copy)[1] is g.lo
+            assert all(h[u] <= c + h[v] for u, v, c in zip(tails, heads, own.tolist()))
+            path, value = dijkstra(g, own)
+            copy_path, copy_value = dijkstra(g, copy)
+            expected = reference_search(g, own, g.source)
+            assert (path.edges, value.hex()) == (copy_path.edges, copy_value.hex()) == (expected[0], expected[1].hex())
+            for constraint in (random_constraint(rng, g), random_constraint(rng, g)):
+                found = constrained_sp(g, own, constraint)
+                expected = reference_constrained(g, own, constraint)
+                assert (found is None) == (expected is None) == (constrained_sp(g, copy, constraint) is None)
+                if found is None:
+                    continue
+                copy_found = constrained_sp(g, copy, constraint)
+                assert (found[0].edges, found[1].hex()) == (copy_found[0].edges, copy_found[1].hex())
+                assert (found[0].edges, found[1].hex()) == (expected[0], expected[1].hex())
+                constrained += 1
+    assert constrained >= 400
+
+
+def test_floor_potentials_are_lazy_kept_and_cut_the_midpoint_search(monkeypatch):
+    """No potential at construction, each floor's once per graph, and a midpoint search under half the labels."""
+    reverse = shortest_path._distances_to_target
+    floors = []
+
+    def counting_reverse(graph, costs):
+        floors.append(costs)
+        return reverse(graph, costs)
+
+    settle = shortest_path._settle_all
+    labelled = []
+
+    def counting_settle(*args):
+        dist, pred = settle(*args)
+        labelled.append(sum(d < math.inf for d in dist))
+        return dist, pred
+
+    monkeypatch.setattr(shortest_path, "_distances_to_target", counting_reverse)
+    monkeypatch.setattr(shortest_path, "_settle_all", counting_settle)
+    rng = np.random.default_rng(2026)
+    for seed in range(3):
+        g = gen_instance(GeneratorSpec(family="R", n=1000, r=1000.0, d=1.0, delta=0.006, seed=seed))
+        assert floors == []
+        mid = g.instance.mid
+        labelled.clear()
+        own_path, own_value = dijkstra(g, mid)
+        copy_path, copy_value = dijkstra(g, np.array(mid))
+        assert (own_path.edges, own_value.hex()) == (copy_path.edges, copy_value.hex())
+        assert labelled[0] * 2 <= labelled[1]
+        assert [f is mid for f in floors] == [True, False] and floors[1] is g.lo
+        # Every further search, bound and flow reuses the kept potentials.
+        for _ in range(3):
+            constraint = random_constraint(rng, g)
+            for costs in (mid, g.hi, g.lo, np.array(g.hi)):
+                dijkstra(g, costs)
+                constrained_sp(g, costs, constraint)
+            lb_cg(g, constraint)
+            lb_mgd(g, constraint)
+            two_unit_min_flow(g, constraint)
+        assert len(floors) == 3 and floors[2] is g.hi
+        with pytest.raises(ValueError, match="own lo, hi and midpoint"):
+            g.potential(np.array(g.hi))
+        floors.clear()
 
 
 # --------------------------------------------------------- bounded searches
@@ -904,7 +997,7 @@ def test_a_bound_changes_no_search_answer(monkeypatch):
 def test_bounded_game_searches_pop_the_same_nodes_and_push_fewer(monkeypatch):
     """On one R-200 game, bounding every search leaves heap pops as they were and cuts pushes."""
     g = gen_instance(GeneratorSpec(family="R", n=200, r=1000.0, d=1.0, delta=0.03, seed=0))
-    g.goal_potential  # computed once per graph by a search of its own
+    g.potential(g.lo)  # computed once per graph by a search of its own
     counts = {"push": 0, "pop": 0}
 
     def push(heap, item):
