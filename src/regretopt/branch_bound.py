@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import lb_cg, lb_mgd
-from .core import NoFeasibleSolution, SolutionIndicator
+from .core import NoFeasibleSolution, SolutionIndicator, cost_of
 from .double_oracle import DoubleOracleConfig, ScenarioPool, max_regret, run_double_oracle
 from .game import SolverFailure
 from .shortest_path import IntervalDigraph, Path, PathConstraint, order_path_edges, sp_oracle, through_arc_costs
@@ -143,7 +143,7 @@ def fixed_arcs(graph: IntervalDigraph, reference: SolutionIndicator, regret: flo
     graph's own intervals, so no scenario is made and no cost is checked
     again.
     """
-    lo_q = float(sum(map(graph.lo.item, reference.members)))
+    lo_q = cost_of(reference.members, graph.lo)
     limit = regret + 1e-9 * max(1.0, regret)
     through = through_arc_costs(graph, reference, (lo_q + limit) * _CUTOFF_FACTOR)
     return through - lo_q >= limit

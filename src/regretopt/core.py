@@ -5,10 +5,13 @@ An uncertain instance assigns every element i of a ground set an interval
 subset of elements, and regret compares a solution against the best
 possible one under a given scenario.  Everything downstream (game bounds,
 branch and bound) is built from the handful of operations defined here.
+Every member set is priced by one rule, cost_of: the exactly rounded sum
+of its members' costs, which no member order or element numbering moves.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -116,11 +119,20 @@ class SolutionIndicator:
         object.__setattr__(self, "members", members)
 
 
+def cost_of(members, costs) -> float:
+    """costs[i] summed over the members i, exactly rounded by math.fsum, so the same in every member order.
+
+    members is a collection of element ids; costs is any sequence indexed by element (an ndarray, an array('d')).
+    """
+    values = operator.itemgetter(*members)(costs) if len(members) > 1 else [costs[i] for i in members]
+    return math.fsum(values)
+
+
 def val(x: SolutionIndicator, c: Scenario) -> float:
-    """Cost of solution x under scenario c."""
+    """Cost of solution x under scenario c, priced by cost_of."""
     if x.members and max(x.members) >= c.n:
         raise ValueError("solution uses an element the scenario does not price")
-    return float(sum(map(c.costs.item, x.members)))
+    return cost_of(x.members, c.costs)
 
 
 def _extreme(base: np.ndarray, swap: np.ndarray, x: SolutionIndicator) -> Scenario:

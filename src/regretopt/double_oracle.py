@@ -15,11 +15,16 @@ by the cost of a solution already in hand, which lets the oracle prune.  The Sce
 every scenario optimum, so it is also the memo behind max_regret.  A
 RestrictedGame owns its columns, one map from descriptor to optimum that
 starts as a copy of the scenarios the pool has published.
+
+One regret formula prices entries, expected regrets and max_regret:
+val(x, c) - opt(c), with every cost an exactly rounded core.cost_of and
+every optimum val of the oracle's solution, so the optimum's regret is 0.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -29,6 +34,7 @@ from .core import (
     IntervalInstance,
     Scenario,
     SolutionIndicator,
+    cost_of,
     favoring_scenario,
     penalizing_scenario,
     val,
@@ -88,23 +94,24 @@ class ScenarioPool:
 
     The optimal value of a scenario does not depend on any branch
     restriction, so one oracle solve per scenario serves the whole search.
-    published maps each published descriptor to its optimum, in publishing
-    order.  optimum solves a scenario without publishing it, so pricing a
-    regret adds no column to later games; ensure publishes, reusing that
-    solve.
+    published maps each published descriptor to its optimum, and costs to
+    its dense costs (an array('d')), both in publishing order.  optimum
+    solves a scenario without publishing it, so pricing a regret adds no
+    column to later games; ensure publishes, reusing that solve.
     """
 
     def __init__(self, instance: IntervalInstance, oracle: StandardOracle):
         self.instance = instance
         self.oracle = oracle
         self.published: dict[ScenarioDescriptor, float] = {}
+        self.costs: dict[ScenarioDescriptor, array] = {}
         self._optima: dict[ScenarioDescriptor, float] = {}
 
     def __len__(self) -> int:
         return len(self.published)
 
     def optimum(self, desc: ScenarioDescriptor) -> float:
-        """The descriptor's unrestricted optimal value, solved on first sight.
+        """The descriptor's unrestricted optimal value: val of the oracle's solution, solved on first sight.
 
         The search is bounded by the defining solution's own cost under the
         scenario: hi on its members for a penalizing one, lo for a favoring one.
@@ -112,15 +119,16 @@ class ScenarioPool:
         value = self._optima.get(desc)
         if value is None:
             scenario = desc.expand(self.instance)
-            _, value = self.oracle.solve(scenario.costs, None, val(desc.defining, scenario))
-            value = self._optima[desc] = float(value)
+            z, _ = self.oracle.solve(scenario.costs, None, val(desc.defining, scenario))
+            value = self._optima[desc] = val(z, scenario)
         return value
 
     def ensure(self, desc: ScenarioDescriptor) -> float:
-        """The descriptor's optimum, publishing it on first sight."""
+        """The descriptor's optimum, publishing it and its dense costs on first sight."""
         value = self.published.get(desc)
         if value is None:
             value = self.published[desc] = self.optimum(desc)
+            self.costs[desc] = array("d", desc.expand(self.instance).costs.tobytes())
         return value
 
 
@@ -128,11 +136,10 @@ class RestrictedGame:
     """The regret game restricted to finite strategy sets of both players.
 
     Rows are solutions, columns are scenario descriptors, entries are
-    regrets val(x, c) - opt(c), each priced by _regret from the solution's
-    interval sums, one set intersection and the column's optimum, never
-    from dense cost vectors.  The game owns its columns, a map from
-    descriptor to optimum; a new game has no rows and a copy of the pool's
-    published map, which later publishing leaves alone.  add_scenario(desc,
+    regrets val(x, c) - opt(c), each priced from the column's dense costs.
+    The game owns its columns, a map from descriptor to optimum and the
+    costs alongside; a new game has no rows and a copy of the pool's
+    published columns, which later publishing leaves alone.  add_scenario(desc,
     column) takes the column already priced: the regrets of the current
     rows against desc, as column_values returns them, or an empty list
     while there are no rows.
@@ -144,13 +151,8 @@ class RestrictedGame:
         self.solutions: list[SolutionIndicator] = []
         self._solution_keys: set[frozenset] = set()
         self._columns: dict[ScenarioDescriptor, float] = dict(pool.published)
-        self._sums: list[tuple[float, float]] = []
+        self._costs: list[array] = list(pool.costs.values())
         self._rows: list[list[float]] = []
-        # Entries sum a few interval values at a time, read with ndarray.item:
-        # Python floats add faster than numpy scalars, to the same sums.
-        self._lo = instance.lo.item
-        self._hi = instance.hi.item
-        self._width = instance.width.item
 
     @property
     def scenarios(self) -> list[ScenarioDescriptor]:
@@ -166,31 +168,12 @@ class RestrictedGame:
     def has_scenario(self, desc: ScenarioDescriptor) -> bool:
         return desc in self._columns
 
-    def _interval_sums(self, members: frozenset) -> tuple[float, float]:
-        """The solution's cost at all-lo and at all-hi."""
-        return float(sum(map(self._lo, members))), float(sum(map(self._hi, members)))
-
-    def _regret(self, members: frozenset, sums: tuple[float, float], desc: ScenarioDescriptor, opt: float) -> float:
-        """Regret of the solution with these members and interval sums against a descriptor with this optimum."""
-        overlap = float(sum(map(self._width, members & desc.defining.members)))
-        if desc.kind == PENALIZING:
-            value = sums[0] + overlap
-        else:
-            value = sums[1] - overlap
-        return value - opt
-
-    def _drawn(self, col_probs) -> list[tuple[float, ScenarioDescriptor, float]]:
-        """(weight, descriptor, optimum) of every column the mixture draws with nonzero weight."""
-        return [(q, desc, opt) for q, (desc, opt) in zip(col_probs, self._columns.items()) if q != 0.0]
-
     def add_solution(self, x: SolutionIndicator) -> None:
         if self.has_solution(x):
             raise ValueError("solution already in the game")
-        sums = self._interval_sums(x.members)
         self.solutions.append(x)
         self._solution_keys.add(x.members)
-        self._sums.append(sums)
-        self._rows.append([self._regret(x.members, sums, desc, opt) for desc, opt in self._columns.items()])
+        self._rows.append([cost_of(x.members, costs) - opt for costs, opt in zip(self._costs, self._columns.values())])
 
     def add_scenario(self, desc: ScenarioDescriptor, column: list[float]) -> None:
         if self.has_scenario(desc):
@@ -198,6 +181,7 @@ class RestrictedGame:
         if len(column) != len(self._rows):
             raise ValueError("one regret per solution required")
         self._columns[desc] = self.pool.ensure(desc)
+        self._costs.append(self.pool.costs[desc])
         for row, value in zip(self._rows, column):
             row.append(value)
 
@@ -210,18 +194,19 @@ class RestrictedGame:
         opt = self._columns.get(desc)
         if opt is None:
             opt = self.pool.ensure(desc)
-        return [self._regret(x.members, sums, desc, opt) for x, sums in zip(self.solutions, self._sums)]
+        costs = self.pool.costs[desc]
+        return [cost_of(x.members, costs) - opt for x in self.solutions]
 
     def mixture_costs(self, col_probs) -> np.ndarray:
         """Dense costs of the scenario mixture given by col_probs."""
-        return mixture_costs(self.instance, [(q, desc) for q, desc, _ in self._drawn(col_probs)])
+        return mixture_costs(self.instance, [(q, desc) for q, desc in zip(col_probs, self._columns) if q != 0.0])
 
     def expected_regret(self, x: SolutionIndicator, col_probs) -> float:
-        """Expected regret of x against the column mixture."""
-        sums = self._interval_sums(x.members)
+        """Expected regret of x against the column mixture, summed column by column."""
         total = 0.0
-        for q, desc, opt in self._drawn(col_probs):
-            total += q * self._regret(x.members, sums, desc, opt)
+        for q, costs, opt in zip(col_probs, self._costs, self._columns.values()):
+            if q != 0.0:
+                total += q * (cost_of(x.members, costs) - opt)
         return total
 
 
@@ -279,8 +264,8 @@ def mixture_costs(instance: IntervalInstance, weighted) -> np.ndarray:
 
 def _least_cost(costs: np.ndarray, solutions) -> float:
     """The least cost of the given solutions under costs; inf when there are none."""
-    value = costs.item
-    return min((float(sum(map(value, x.members))) for x in solutions), default=math.inf)
+    values = array("d", costs.tobytes())
+    return min((cost_of(x.members, values) for x in solutions), default=math.inf)
 
 
 def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solutions) -> ScenarioDescriptor:
@@ -302,13 +287,14 @@ def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solution
 def max_regret(instance: IntervalInstance, oracle: StandardOracle, x: SolutionIndicator, pool: ScenarioPool | None = None) -> float:
     """Worst-case regret of x, attained at its penalizing scenario.
 
-    That is x's cost at hi less the scenario's optimum, which the pool (a
-    fresh one by default) solves on first sight and does not publish.
+    That is val(x, c) - opt(c), x's cost at hi less the optimum of x's
+    penalizing scenario c, which the pool (a fresh one by default) solves
+    on first sight and does not publish.
     """
     pool = pool if pool is not None else ScenarioPool(instance, oracle)
     opt_value = pool.optimum(ScenarioDescriptor(x, PENALIZING))
-    # Nonnegative by definition; summation-order dust can dip below zero.
-    return max(float(sum(map(instance.hi.item, x.members))) - opt_value, 0.0)
+    # Nonnegative by definition; the oracle ranks paths by its own rounded labels, so x can price an ulp below.
+    return max(cost_of(x.members, instance.hi) - opt_value, 0.0)
 
 
 def run_double_oracle(

@@ -171,18 +171,19 @@ def solve_zero_sum(matrix) -> Equilibrium:
     """Solve the matrix game exactly and certify the result.
 
     The simplex stops on absolute tolerances in the shifted reciprocal LP,
-    which wide payoff ranges can defeat; a result that fails its
-    certificate is solved once more with the payoffs divided by the power
-    of two at or above their span.  Raises SolverFailure rather than
-    returning strategies that fail the equilibrium certificates.
+    which wide payoff ranges can defeat; a first solve that raises or fails
+    its certificate is rerun with the payoffs divided by the power of two
+    at or above their span.  Raises SolverFailure rather than returning
+    strategies that fail the equilibrium certificates.
     """
     a, low, high = _as_matrix(matrix)
     shift = low - 1.0
-    eq = _solve_shifted(a, shift, 1.0)
-    error = _certificate_error(a, eq)
-    if error is not None:
-        eq = _solve_shifted(a, shift, math.ldexp(1.0, math.frexp(high - low)[1]))
-        error = _certificate_error(a, eq)
-        if error is not None:
-            raise SolverFailure(error)
-    return eq
+    for divisor in (1.0, math.ldexp(1.0, math.frexp(high - low)[1])):
+        try:
+            eq = _solve_shifted(a, shift, divisor)
+            error = _certificate_error(a, eq)
+        except SolverFailure as failure:
+            error = str(failure)
+        if error is None:
+            return eq
+    raise SolverFailure(error)

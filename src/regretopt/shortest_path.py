@@ -74,7 +74,7 @@ class Path:
         object.__setattr__(self, "edges", tuple(map(operator.index, self.edges)))
 
     def indicator(self) -> SolutionIndicator:
-        return SolutionIndicator(frozenset(self.edges))
+        return SolutionIndicator(self.edges)
 
     def value(self, costs) -> float:
         c = np.asarray(costs, dtype=float)

