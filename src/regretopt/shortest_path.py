@@ -38,6 +38,10 @@ each arc may be cut off at a cost: both of its searches then expand only
 the nodes whose key stays below it, and the reverse one reads its arcs off
 the nodes the forward one settled, so arc fixing at the root of branch and
 bound touches the few nodes near a cheap route instead of the whole graph.
+
+On an acyclic graph dijkstra and constrained_sp use no heap: one pass over
+the nodes in the topological order the graph keeps (_search_to_target).
+The two-unit flow, the walk through each arc and the potentials keep theirs.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import IntervalInstance, NoFeasibleSolution, SolutionIndicator
+from .core import IntervalInstance, NoFeasibleSolution, SolutionIndicator, cost_of
+
+_UNSORTED = object()  # a graph's _order before its first search
 
 
 def _frozen_ids(values) -> np.ndarray:
@@ -77,8 +83,8 @@ class Path:
         return SolutionIndicator(self.edges)
 
     def value(self, costs) -> float:
-        c = np.asarray(costs, dtype=float)
-        return float(sum(c[e] for e in self.edges))
+        """The path's cost, priced by core.cost_of."""
+        return cost_of(self.edges, np.asarray(costs, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +110,8 @@ class IntervalDigraph:
     _out_heads: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     # The potentials of the graph's own cost floors, filled on first use of potential.
     _potentials: dict = field(default_factory=dict, init=False, repr=False)
+    # What acyclic_order returns, filled on its first call.
+    _order: tuple | None = field(default=_UNSORTED, init=False, repr=False)
 
     def __post_init__(self):
         n = operator.index(self.node_count)
@@ -182,6 +190,32 @@ class IntervalDigraph:
             h = array("d", [x * shrink for x in _distances_to_target(self, floor)])
             self._potentials[id(floor)] = h
         return h
+
+    def acyclic_order(self) -> tuple[list[int], list[int], list[tuple]] | None:
+        """The nodes in topological order, each node's place in it and its out-arcs as (arc, head) pairs.
+
+        None if the graph has a cycle.  Computed on first use by Kahn's
+        algorithm, then kept in a field, not in the instance dict, which
+        would slow every attribute read of the graph: two ints a node and a
+        pair an arc.  The pass over the order iterates the pairs faster
+        than it would zip out_edges with the heads.
+        """
+        if self._order is not _UNSORTED:
+            return self._order
+        indegree = np.bincount(self.heads, minlength=self.node_count).tolist()
+        order = [u for u, k in enumerate(indegree) if not k]
+        for u in order:  # the loop reads the nodes it appends
+            for v in self._out_heads[u]:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    order.append(v)
+        found = None
+        if len(order) == self.node_count:
+            out_arcs = [tuple(zip(arcs, heads)) for arcs, heads in zip(self.out_edges, self._out_heads)]
+            # argsort inverts the permutation: each node's place in the order.
+            found = order, np.argsort(order).tolist(), out_arcs
+        object.__setattr__(self, "_order", found)
+        return found
 
     def _reaches_target(self) -> bool:
         seen = [False] * self.node_count
@@ -483,19 +517,50 @@ def _walk_back(graph, pred, src, dst) -> tuple[int, ...]:
     return tuple(edges)
 
 
-def _search_to_target(graph, costs: array, start, banned_nodes, h, cutoff):
-    """_settle_all from start to the target, pushing no node whose key reaches cutoff.
+def _acyclic_pass(graph, costs: array, src, banned_nodes, target, h, cutoff=math.inf):
+    """_settle_all's labels on an acyclic graph, by one pass over its nodes from src up to target.
 
-    A cutoff above the cheapest completion leaves every pushed node to pop
-    as without it, so labels and predecessors come out the same bit for
-    bit.  The target's potential is zero, so it is settled exactly when its
-    label lies below the cutoff; when it is not, the cutoff was too low,
-    and the search runs again without one.
+    Every in-arc of a node is relaxed before the pass reaches it, so all
+    equal-label in-arcs compete for its predecessor.  A node whose key
+    reaches cutoff relaxes nothing.  The banned nodes of a prefix ending at
+    src precede src in the order, so the pass never reaches them.
+    """
+    n = graph.node_count
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[src] = 0.0
+    order, position, out_arcs = graph.acyclic_order()
+    for u in order[position[src] : position[target]]:
+        d = dist[u]
+        if d + h[u] >= cutoff:
+            continue
+        for e, v in out_arcs[u]:
+            nd = d + costs[e]
+            dv = dist[v]
+            if nd < dv:
+                dist[v] = nd
+                pred[v] = e
+            elif nd == dv and e < pred[v]:
+                pred[v] = e
+    return dist, pred
+
+
+def _search_to_target(graph, costs: array, start, banned_nodes, h, cutoff):
+    """Labels from start to the target, expanding no node whose key reaches cutoff.
+
+    On a cyclic graph this is _settle_all's A*, stopped once the target is
+    settled, and on an acyclic one _acyclic_pass.  A cutoff above the
+    cheapest completion expands every node of a cheapest completion, and
+    every pushed node pops as without it, so the target's label and
+    predecessors come out the same bit for bit.  The target's potential is
+    zero, so its label lies below the cutoff exactly when the cutoff was
+    not too low; when it does not, the search runs again without one.
     """
     t = graph.target
-    dist, pred = _settle_all(graph, costs, start, banned_nodes, t, h, cutoff)
+    search = _settle_all if graph.acyclic_order() is None else _acyclic_pass
+    dist, pred = search(graph, costs, start, banned_nodes, t, h, cutoff)
     if dist[t] >= cutoff and cutoff < math.inf:
-        dist, pred = _settle_all(graph, costs, start, banned_nodes, t, h)
+        dist, pred = search(graph, costs, start, banned_nodes, t, h)
     return dist, pred
 
 

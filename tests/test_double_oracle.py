@@ -605,6 +605,39 @@ def test_wide_payoff_root_game_converges():
     assert lb_cg(g).value <= result.lower_bound <= max_regret(g.instance, oracle, x)
 
 
+def test_ten_round_bounds_are_the_same_without_the_acyclic_order(monkeypatch):
+    """The 10-round midpoint game on K graphs and relabelled copies: the same bits with the order and under A*."""
+    graphs = []
+    for n, seed in itertools.product((30, 42), range(4)):  # K-30 and K-42 seed 2 stop at the budget
+        g = gen_instance(GeneratorSpec("K", n, 1000.0, 1.0, w=4, seed=seed))
+        graphs += [g, relabel(g, np.random.default_rng([n, seed]))]
+    passes = []
+    acyclic_pass = shortest_path._acyclic_pass
+
+    def counting(*args):
+        passes.append(None)
+        return acyclic_pass(*args)
+
+    monkeypatch.setattr(shortest_path, "_acyclic_pass", counting)
+
+    def ten_rounds(g):
+        oracle = sp_oracle(g)
+        path, _ = oracle.solve_path(midpoint_scenario(g.instance).costs)
+        x = path.indicator()
+        config = DoubleOracleConfig(max_iterations=10)
+        result = run_double_oracle(g.instance, oracle, [x], [ScenarioDescriptor(x, PENALIZING)], config)
+        return result.lower_bound.hex(), result.iterations, result.scenarios
+
+    with_order = [ten_rounds(g) for g in graphs]
+    assert sum(iterations == 10 for _, iterations, _ in with_order) >= 4
+    assert len(passes) > len(with_order)
+    # The graphs see the cyclic marker in place of the order, and search with A*.
+    monkeypatch.setattr(IntervalDigraph, "acyclic_order", lambda self: None)
+    passes.clear()
+    assert [ten_rounds(g) for g in graphs] == with_order
+    assert passes == []
+
+
 def test_run_validates_inputs():
     inst, oracle = two_arc_setup()
     init_x, init_c = root_start(inst, oracle)

@@ -69,6 +69,8 @@ def test_layered_family_topology():
     for u in (1, 2):
         for v in (3, 4):
             assert (u, v) in pairs
+    # layers only lead forward, so the graph is acyclic
+    assert graph.acyclic_order() is not None
 
 
 def test_dense_family_is_the_complete_digraph():

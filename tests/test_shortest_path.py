@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import heapq
 import math
 import types
@@ -90,6 +91,10 @@ def test_path_helpers():
     g = six_node_graph()
     p = Path((0, 3, 6))
     assert p.value(g.lo) == 5.0
+    # Priced by core.cost_of, exactly rounded: a sum in edge order would drop both ones.
+    costs = np.zeros(g.m)
+    costs[[0, 3, 6]] = [1e16, 1.0, 1.0]
+    assert p.value(costs) == 1e16 + 2.0
     assert p.indicator().members == {0, 3, 6}
 
 
@@ -962,14 +967,18 @@ def test_a_bound_changes_no_search_answer(monkeypatch):
     A bound at, within rounding of, or above the optimum prunes one search;
     a bound below it costs a second search and still gives the same answer.
     """
-    settle = shortest_path._settle_all
     searches = []
 
-    def counting(*args):
-        searches.append(None)
-        return settle(*args)
+    def counting(search):
+        def counted(*args):
+            searches.append(None)
+            return search(*args)
 
-    monkeypatch.setattr(shortest_path, "_settle_all", counting)
+        return counted
+
+    # The K and some tie-heavy graphs are acyclic: their searches are passes, not heap searches.
+    for name in ("_settle_all", "_acyclic_pass"):
+        monkeypatch.setattr(shortest_path, name, counting(getattr(shortest_path, name)))
     rng = np.random.default_rng(1806)
     constrained = 0
     for g, costs in bounded_cases(rng):
@@ -1024,3 +1033,151 @@ def test_bounded_game_searches_pop_the_same_nodes_and_push_fewer(monkeypatch):
     assert bounded == plain
     assert bounded_counts["pop"] == plain_counts["pop"] > 0
     assert bounded_counts["push"] * 2 < plain_counts["push"]
+
+
+# ------------------------------------------------------------ acyclic graphs
+
+
+def random_dag(rng):
+    """Small acyclic multigraph with integer intervals: arcs climb a random ranking of the nodes.
+
+    The source and target sit anywhere in the ranking, so some nodes may
+    come before the source or after the target.
+    """
+    while True:
+        n = int(rng.integers(3, 9))
+        rank = rng.permutation(n)  # rank[i] is the node at place i
+        m = int(rng.integers(n, 3 * n + 1))
+        low = rng.integers(0, n - 1, size=m)
+        high = low + 1 + (rng.random(m) * (n - 1 - low)).astype(int)
+        lo = rng.integers(0, 3, size=m).astype(float)
+        hi = lo + rng.integers(0, 3, size=m)
+        s, t = sorted(rng.choice(n, size=2, replace=False))
+        try:
+            return IntervalDigraph(n, rank[low], rank[high], lo, hi, int(rank[s]), int(rank[t]))
+        except ValueError:
+            continue  # target unreachable; draw again
+
+
+def acyclic_cases(rng):
+    """(graph, costs) pairs on small K graphs under real costs and random DAGs under integer costs."""
+    for i in range(40):
+        g = gen_instance(GeneratorSpec(family="K", n=2 + 3 * (2 + i % 4), r=1000.0, d=(0.0, 0.5, 1.0)[i % 3], w=3, seed=i))
+        yield g, g.lo + rng.random(g.m) * g.instance.width
+        yield g, g.hi
+        yield g, g.instance.mid
+        yield g, g.lo * rng.random(g.m)  # below lo: no potential
+    for i in range(300):
+        g = random_dag(rng)
+        yield g, rng.integers(i % 2, 3, size=g.m).astype(float)  # every other draw has no zero cost
+
+
+def labels_from(graph, costs, start, banned_nodes, banned_arcs):
+    """Least cost from start to every node it reaches, by relaxing every arc until none improves."""
+    dist = {start: 0.0}
+    changed = True
+    while changed:
+        changed = False
+        for e, (u, v) in enumerate(zip(graph.tails.tolist(), graph.heads.tolist())):
+            if u in dist and e not in banned_arcs and v not in banned_nodes and dist[u] + costs[e] < dist.get(v, math.inf):
+                dist[v] = dist[u] + costs[e]
+                changed = True
+    return dist
+
+
+def test_the_acyclic_pass_matches_the_heap_search(monkeypatch):
+    """On DAGs the pass gives the heap search's values as float hex, under every bound.
+
+    Paths are the heap search's when every cost is positive.  Across
+    zero-cost ties the path honors the constraint and takes, into each node
+    of its completion, the smallest arc id among the equal-label in-arcs.
+    A bound at or above the optimum takes one pass, a lower one two.
+    """
+    passes = []
+    acyclic_pass = shortest_path._acyclic_pass
+
+    def counting(*args):
+        passes.append(None)
+        return acyclic_pass(*args)
+
+    monkeypatch.setattr(shortest_path, "_acyclic_pass", counting)
+    rng = np.random.default_rng(1979)
+    constrained = ties = 0
+    for g, costs in acyclic_cases(rng):
+        positive = bool((costs > 0).all())
+        for constraint in (PathConstraint(g), random_constraint(rng, g), random_constraint(rng, g)):
+            chain, out = constraint.in_chain, constraint.out_set
+            *banned, start = constraint.nodes
+            if chain or out:
+                search = functools.partial(constrained_sp, g, costs, constraint)
+            else:
+                search = functools.partial(dijkstra, g, costs)
+            found = search(math.inf)
+            expected = reference_constrained(g, costs, constraint)
+            if expected is None:
+                assert found is None
+                continue
+            path, value = found
+            assert value.hex() == expected[1].hex()
+            if positive:
+                assert path.edges == expected[0]
+            assert path.edges[: len(chain)] == chain and not out & set(path.edges)
+            assert tuple(order_path_edges(g, frozenset(path.edges)).edges) == path.edges
+            dist = labels_from(g, costs, start, banned, out)
+            for e in path.edges[len(chain):]:
+                v = int(g.heads[e])
+                tied = [
+                    f for f in range(g.m)
+                    if int(g.heads[f]) == v and f not in out and int(g.tails[f]) in dist
+                    and dist[int(g.tails[f])] + costs[f] == dist[v]
+                ]
+                assert e == min(tied)
+                ties += len(tied) > 1
+            constrained += bool(chain or out)
+            valid, below = bounds_around(path, costs, value)
+            for bound, count in [(b, 1) for b in valid] + [(b, 2) for b in below]:
+                passes.clear()
+                got, got_value = search(bound)
+                assert (got.edges, got_value.hex()) == (path.edges, value.hex())
+                # A bound below the optimum costs a second pass; chains that end at the target take none.
+                assert len(passes) in (0, count)
+    assert constrained >= 400 and ties >= 100
+
+
+def test_the_order_is_lazy_kept_and_cyclic_graphs_keep_the_heap(monkeypatch):
+    """No order at construction, one kept per graph from its first search, no heap on a DAG, and A* on every cyclic graph."""
+    pops = []
+
+    def counting_pop(heap):
+        pops.append(None)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(shortest_path, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop))
+    for i in range(4):
+        g = gen_instance(GeneratorSpec(family="K", n=2 + 4 * (2 + i), r=1000.0, d=1.0, w=4, seed=i))
+        g.potential(g.lo)  # computed once per graph by a search of its own
+        assert g._order is shortest_path._UNSORTED
+        pops.clear()
+        dijkstra(g, np.array(g.hi))
+        kept = g._order
+        for costs in (np.array(g.hi), g.lo + 0.5 * g.instance.width):
+            dijkstra(g, costs)
+            constrained_sp(g, costs, random_constraint(np.random.default_rng(i), g))
+        assert pops == [] and g.acyclic_order() is kept
+        order, position, out_arcs = kept
+        assert sorted(order) == list(range(g.node_count))
+        assert all(position[u] == i for i, u in enumerate(order))
+        assert all(position[u] < position[v] for u, v in zip(g.tails.tolist(), g.heads.tolist()))
+        assert out_arcs == [tuple(zip(g.out_edges[u], g._out_heads[u])) for u in range(g.node_count)]
+
+    self_loop = IntervalDigraph.from_edges(3, [(0, 1, 1.0, 2.0), (1, 1, 0.0, 1.0), (1, 2, 1.0, 1.0)], 0, 2)
+    two_cycle = IntervalDigraph.from_edges(3, [(0, 1, 1.0, 2.0), (1, 0, 0.0, 1.0), (1, 2, 1.0, 1.0)], 0, 2)
+    r_graphs = [gen_instance(GeneratorSpec(family="R", n=40, r=1000.0, d=1.0, delta=0.2, seed=i)) for i in range(10)]
+    for g in [self_loop, two_cycle, loop_graph()] + r_graphs:
+        g.potential(g.lo)
+        assert g._order is shortest_path._UNSORTED
+        for costs in (np.array(g.hi), np.array(g.lo)):
+            pops.clear()
+            path, value = dijkstra(g, costs)
+            assert (path.edges, value) == reference_search(g, costs, g.source)
+            assert g._order is None and len(pops) > 0
