@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +109,12 @@ class NoFeasibleSolution(Exception):
 
 @dataclass(frozen=True)
 class SolutionIndicator:
-    """A feasible solution, stored as the set of element indices it uses."""
+    """A feasible solution, stored as the set of element indices it uses.
+
+    members is the smaller of the set as built and its copy: CPython sizes
+    a copy's hash table to its members, while adding them one by one can
+    leave it twice as large (a 21-arc path: 1,240 against 2,264 bytes).
+    """
 
     members: frozenset[int]
 
@@ -116,6 +122,9 @@ class SolutionIndicator:
         members = frozenset(map(operator.index, self.members))
         if members and min(members) < 0:
             raise ValueError("element indices must be nonnegative")
+        copy = frozenset(set(members))
+        if sys.getsizeof(copy, 0) < sys.getsizeof(members, 0):
+            members = copy
         object.__setattr__(self, "members", members)
 
 

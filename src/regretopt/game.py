@@ -10,6 +10,8 @@ matrix positive, then
 over the shifted, transposed matrix.  The optimal u rescales to the row
 strategy, the duals on the slack columns rescale to the column strategy,
 and 1/(sum u) recovers the shifted value.  No external solver is involved.
+Small games pivot on Python lists; larger ones update the whole 2-d
+tableau with one outer product per pivot, to the same bits.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ def _as_matrix(matrix) -> tuple[np.ndarray, float, float]:
 
 
 # Games with at most this many strategies (rows plus columns) pivot on
-# Python lists, larger ones on numpy rows.  Timed on random games of every
-# shape, lists win below 24 strategies (by 30% on the smallest games), the
-# two break even at 26, and numpy rows win from 28 on (by 25% at 36).
-_LIST_PIVOT_MAX_STRATEGIES = 26
+# Python lists, larger ones on one 2-d array.  Timed per solve on random
+# regret games of every shape (one zero per column), lists win up to 9
+# strategies (19 against 28 us at 2), the two break even at 10 (52 us), and
+# the array wins from 11 on (85 against 150 us at 21, 186 against 692 at 38).
+_LIST_PIVOT_MAX_STRATEGIES = 10
 
 
 def _entering_column(costs: list[float], it: int, bland_after: int) -> int:
@@ -80,32 +83,41 @@ def _leaving_row(column: list[float], rhs: list[float], basis: list[int]) -> int
     return row
 
 
-def _simplex(tableau: list, basis: list[int], num_cols: int) -> None:
+def _simplex(tableau: list | np.ndarray, basis: list[int], num_cols: int) -> None:
     """Maximize in place; raises SolverFailure instead of looping or dividing blindly.
 
-    tableau is a list of rows, objective row last; the rows are all lists
-    of floats or all 1-d arrays.  Each pivot divides the pivot row by the
-    pivot, then subtracts factor * pivot row from every other row whose
-    factor is nonzero; rows with a zero factor are not touched.  List and
-    array rows see the same float operations in the same order, so they
-    pivot to bit-identical tableaus.
+    tableau is a list of rows of floats or one 2-d array, objective row
+    last; pricing and the ratio test read lists either way.  Each pivot
+    divides the pivot row by the pivot, then subtracts factor * pivot row
+    from every other row.  Lists do it row by row and skip a zero factor.
+    The array does it as one outer-product update, then writes the pivot
+    row back; there a zero factor subtracts a zero, which changes no entry
+    but a negative zero, and only underflow makes one.  So both forms see
+    the same float operations and pivot to bit-identical tableaus.
     """
     obj = len(tableau) - 1
-    lists = isinstance(tableau[obj], list)
+    lists = isinstance(tableau, list)
     bland_after = 100 + 20 * num_cols
     max_iters = 1000 + 200 * num_cols
     for it in range(max_iters):
-        col = _entering_column(list(tableau[obj][:num_cols]), it, bland_after)
+        costs = tableau[obj][:num_cols] if lists else tableau[obj, :num_cols].tolist()
+        col = _entering_column(costs, it, bland_after)
         if col < 0:
             return
-        constraints = tableau[:obj]
-        row = _leaving_row([t[col] for t in constraints], [t[-1] for t in constraints], basis)
-        pivot = tableau[row][col]
-        prow = tableau[row] = [x / pivot for x in tableau[row]] if lists else tableau[row] / pivot
-        for r, t in enumerate(tableau):
-            f = t[col]
-            if f != 0.0 and r != row:
-                tableau[r] = [x - f * y for x, y in zip(t, prow)] if lists else t - f * prow
+        if lists:
+            constraints = tableau[:obj]
+            row = _leaving_row([t[col] for t in constraints], [t[-1] for t in constraints], basis)
+            pivot = tableau[row][col]
+            prow = tableau[row] = [x / pivot for x in tableau[row]]
+            for r, t in enumerate(tableau):
+                f = t[col]
+                if f != 0.0 and r != row:
+                    tableau[r] = [x - f * y for x, y in zip(t, prow)]
+        else:
+            row = _leaving_row(tableau[:obj, col].tolist(), tableau[:obj, -1].tolist(), basis)
+            prow = tableau[row] / tableau[row, col]
+            tableau -= np.outer(tableau[:, col], prow)
+            tableau[row] = prow
         basis[row] = col
     raise SolverFailure("simplex iteration budget exhausted")
 
@@ -129,13 +141,12 @@ def _solve_shifted(a: np.ndarray, shift: float, divisor: float) -> Equilibrium:
             rows.append([(v - shift) / divisor for v in column] + slack)
         rows.append([-1.0] * k + [0.0] * (l + 1))
     else:
-        tableau = np.zeros((l + 1, num_cols + 1))
-        np.subtract(a.T, shift, out=tableau[:l, :k])
-        tableau[:l, :k] /= divisor
-        tableau[:l, k:num_cols] = np.eye(l)
-        tableau[:l, -1] = 1.0
-        tableau[l, :k] = -1.0
-        rows = list(tableau)
+        rows = np.zeros((l + 1, num_cols + 1))
+        np.subtract(a.T, shift, out=rows[:l, :k])
+        rows[:l, :k] /= divisor
+        rows[:l, k:num_cols] = np.eye(l)
+        rows[:l, -1] = 1.0
+        rows[l, :k] = -1.0
     _simplex(rows, basis, num_cols)
     rhs = [float(t[-1]) for t in rows]
     duals = rows[l][k:num_cols]

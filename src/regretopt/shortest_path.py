@@ -108,6 +108,8 @@ class IntervalDigraph:
     instance: IntervalInstance = field(init=False)
     # The head of every arc in out_edges, position by position.
     _out_heads: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # The tail of every arc, by arc id, for walking a path back.
+    _tails: tuple[int, ...] = field(init=False, repr=False)
     # The potentials of the graph's own cost floors, filled on first use of potential.
     _potentials: dict = field(default_factory=dict, init=False, repr=False)
     # What acyclic_order returns, filled on its first call.
@@ -135,7 +137,8 @@ class IntervalDigraph:
         ids = list(range(n))  # one int object per node, shared by all head tuples
         out_adj: list[list[int]] = [[] for _ in range(n)]
         out_heads: list[list[int]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
+        tail_ids = tuple(ids[u] for u in tails.tolist())
+        for e, (u, v) in enumerate(zip(tail_ids, heads.tolist())):
             out_adj[u].append(e)
             out_heads[u].append(ids[v])
         object.__setattr__(self, "node_count", n)
@@ -148,6 +151,7 @@ class IntervalDigraph:
         object.__setattr__(self, "out_edges", tuple(tuple(a) for a in out_adj))
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "_out_heads", tuple(tuple(a) for a in out_heads))
+        object.__setattr__(self, "_tails", tail_ids)
         if not self._reaches_target():
             raise ValueError("target is not reachable from the source")
 
@@ -507,12 +511,13 @@ def through_arc_costs(graph: IntervalDigraph, reference: SolutionIndicator, cuto
 
 
 def _walk_back(graph, pred, src, dst) -> tuple[int, ...]:
+    tails = graph._tails
     edges = []
     node = dst
     while node != src:
         e = pred[node]
         edges.append(e)
-        node = graph.tails.item(e)
+        node = tails[e]
     edges.reverse()
     return tuple(edges)
 

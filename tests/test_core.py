@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,20 @@ def test_solution_indices_must_be_integers():
             SolutionIndicator(members)
     x = SolutionIndicator([np.int64(3), np.int32(1), 2])
     assert x.members == {1, 2, 3} and all(type(i) is int for i in x.members)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="set table sizes are CPython's")
+def test_member_sets_take_the_smaller_table():
+    rng = np.random.default_rng(0)
+    for count in range(1, 65):
+        ids = tuple(rng.choice(312, size=count, replace=False).tolist())
+        direct = frozenset(ids)
+        copy = frozenset(set(direct))
+        members = SolutionIndicator(ids).members
+        assert members == direct
+        assert sys.getsizeof(members) == min(sys.getsizeof(direct), sys.getsizeof(copy)), count
+        if 5 <= count <= 7 or 19 <= count <= 31:
+            assert sys.getsizeof(members) < sys.getsizeof(direct), count
 
 
 def test_instance_rejects_inverted_interval():

@@ -152,18 +152,27 @@ def test_matches_support_enumeration(a):
 
 
 def test_list_and_array_tableaus_pivot_alike(monkeypatch):
-    """Small games pivot on lists, larger ones on numpy rows; both give the same bits."""
+    """Small games pivot on lists, larger ones on the whole array; both give the same bits."""
     rng = np.random.default_rng(7)
-    for trial in range(300):
-        k, l = (int(v) for v in rng.integers(1, 10, size=2))
-        if trial % 3 == 0:
-            a = rng.integers(-5, 6, size=(k, l)).astype(float)
-        elif trial % 3 == 1:
-            a = rng.integers(0, 2, size=(k, l)) * 3.0  # degenerate ties
+    games = []
+    for trial in range(400):
+        k, l = (int(v) for v in rng.integers(1, 10 if trial < 200 else 31, size=2))
+        if trial % 4 == 0:
+            games.append(rng.integers(-5, 6, size=(k, l)).astype(float))
+        elif trial % 4 == 1:
+            games.append(rng.integers(0, 2, size=(k, l)) * 3.0)  # degenerate ties
+        elif trial % 4 == 2:
+            games.append(np.round(rng.random((k, l)) * 100.0, 1))
         else:
-            a = rng.random((k, l)) * 100.0
+            games.append(rng.random((k, l)) * 100.0)
+    # 20 paths against 280 scenarios, the shape of a K-82 node game: regrets,
+    # with each scenario's optimum among the rows.
+    regrets = rng.random((20, 280)) * 3000.0
+    regrets[rng.integers(0, 20, size=280), np.arange(280)] = 0.0
+    games.append(regrets)
+    for a in games:
         found = []
-        for limit in (0, 10**9):
+        for limit in (10**9, 0):
             monkeypatch.setattr(game, "_LIST_PIVOT_MAX_STRATEGIES", limit)
             eq = solve_zero_sum(a)
             found.append((eq.value, eq.row_probs.tobytes(), eq.col_probs.tobytes()))
