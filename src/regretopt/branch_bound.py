@@ -180,7 +180,7 @@ def node_lower_bound(
 
     oracle = oracle or sp_oracle(graph)
     instance = graph.instance
-    restriction = constraint if (constraint.in_chain or constraint.out_set) else None
+    restriction = constraint if (constraint.in_chain or constraint.out_index.size) else None
     init_x = list(inherited)
     if not init_x:
         seed, _ = oracle.solve(instance.mid, restriction)

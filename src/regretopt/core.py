@@ -11,6 +11,7 @@ of its members' costs, which no member order or element numbering moves.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -107,6 +108,11 @@ class NoFeasibleSolution(Exception):
     """The oracle's feasible set is empty under the given restriction."""
 
 
+# CPython gives a set of fewer members than this its fixed 8-slot table
+# however it is built, so only larger sets can shrink by a copy.
+_SHRINKABLE_MEMBERS = 5
+
+
 @dataclass(frozen=True)
 class SolutionIndicator:
     """A feasible solution, stored as the set of element indices it uses.
@@ -114,6 +120,8 @@ class SolutionIndicator:
     members is the smaller of the set as built and its copy: CPython sizes
     a copy's hash table to its members, while adding them one by one can
     leave it twice as large (a 21-arc path: 1,240 against 2,264 bytes).
+    index holds the same ids as a read-only intp array, built on first
+    use, for the dense builds that set every member in one numpy step.
     """
 
     members: frozenset[int]
@@ -122,10 +130,18 @@ class SolutionIndicator:
         members = frozenset(map(operator.index, self.members))
         if members and min(members) < 0:
             raise ValueError("element indices must be nonnegative")
-        copy = frozenset(set(members))
-        if sys.getsizeof(copy, 0) < sys.getsizeof(members, 0):
-            members = copy
+        if len(members) >= _SHRINKABLE_MEMBERS:
+            copy = frozenset(set(members))
+            if sys.getsizeof(copy, 0) < sys.getsizeof(members, 0):
+                members = copy
         object.__setattr__(self, "members", members)
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """The members as a read-only intp array, in set order."""
+        index = np.fromiter(self.members, np.intp, len(self.members))
+        index.setflags(write=False)
+        return index
 
 
 def cost_of(members, costs) -> float:
@@ -145,16 +161,17 @@ def val(x: SolutionIndicator, c: Scenario) -> float:
 
 
 def _extreme(base: np.ndarray, swap: np.ndarray, x: SolutionIndicator) -> Scenario:
-    """base with x's members swapped for their swap values.
+    """base with x's members swapped for their swap values, in one indexed store.
 
     Both arrays are an instance's checked bounds, so the copy is checked
     once, for members the instance does not price.
     """
     costs = np.array(base)
-    for i in x.members:
-        if i >= costs.size:
-            raise ValueError("solution does not fit the instance")
-        costs[i] = swap[i]
+    index = x.index
+    try:
+        costs[index] = swap[index]
+    except IndexError:
+        raise ValueError("solution does not fit the instance") from None
     costs.setflags(write=False)
     return Scenario._of_checked(costs)
 

@@ -97,7 +97,8 @@ class ScenarioPool:
     published maps each published descriptor to its optimum, and costs to
     its dense costs (an array('d')), both in publishing order.  optimum
     solves a scenario without publishing it, so pricing a regret adds no
-    column to later games; ensure publishes, reusing that solve.
+    column to later games; ensure publishes, reusing that solve, and
+    expands each descriptor once for both its search and its dense costs.
     """
 
     def __init__(self, instance: IntervalInstance, oracle: StandardOracle):
@@ -110,15 +111,17 @@ class ScenarioPool:
     def __len__(self) -> int:
         return len(self.published)
 
-    def optimum(self, desc: ScenarioDescriptor) -> float:
+    def optimum(self, desc: ScenarioDescriptor, scenario: Scenario | None = None) -> float:
         """The descriptor's unrestricted optimal value: val of the oracle's solution, solved on first sight.
 
         The search is bounded by the defining solution's own cost under the
         scenario: hi on its members for a penalizing one, lo for a favoring one.
+        scenario, when given, is desc already expanded.
         """
         value = self._optima.get(desc)
         if value is None:
-            scenario = desc.expand(self.instance)
+            if scenario is None:
+                scenario = desc.expand(self.instance)
             z, _ = self.oracle.solve(scenario.costs, None, val(desc.defining, scenario))
             value = self._optima[desc] = val(z, scenario)
         return value
@@ -127,8 +130,9 @@ class ScenarioPool:
         """The descriptor's optimum, publishing it and its dense costs on first sight."""
         value = self.published.get(desc)
         if value is None:
-            value = self.published[desc] = self.optimum(desc)
-            self.costs[desc] = array("d", desc.expand(self.instance).costs.tobytes())
+            scenario = desc.expand(self.instance)
+            value = self.published[desc] = self.optimum(desc, scenario)
+            self.costs[desc] = array("d", scenario.costs.tobytes())
         return value
 
 
@@ -244,19 +248,21 @@ def mixture_costs(instance: IntervalInstance, weighted) -> np.ndarray:
 
     weighted holds (weight, descriptor) pairs; factor[i] is the total
     weight of the drawn scenarios that put element i at hi, summed pair by
-    pair in the given order.  Raises ValueError for a descriptor whose
+    pair in the given order.  Each pair adds its weight to its members in
+    one indexed step (a favoring one adds it everywhere, then takes it off
+    its members), so every element sees the additions of a loop over the
+    members, in the same order.  Raises ValueError for a descriptor whose
     solution does not fit the instance.
     """
     factor = np.zeros(instance.n)
     try:
         for q, desc in weighted:
+            index = desc.defining.index
             if desc.kind == FAVORING:
                 factor += q
-                for i in desc.defining.members:
-                    factor[i] -= q
+                factor[index] -= q
             else:
-                for i in desc.defining.members:
-                    factor[i] += q
+                factor[index] += q
     except IndexError:
         raise ValueError("solution does not fit the instance") from None
     return instance.lo + instance.width * factor.clip(0.0, 1.0)
@@ -275,10 +281,11 @@ def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solution
     must match.  The worst mixture-regret scenario favors the solution
     that is cheapest under the mixture of the drawn solutions' penalizing
     scenarios, whose cost of element i is lo + width * (the probability
-    that a drawn solution uses i).  The solutions are feasible, so the
-    least of their costs under that mixture bounds the search.
+    that a drawn solution uses i).  Rows of probability zero add nothing to
+    that mixture and are left out of it; every solution is feasible, so the
+    least of all their costs under it bounds the search.
     """
-    drawn = [(q, ScenarioDescriptor(x, PENALIZING)) for q, x in zip(row_probs, solutions, strict=True)]
+    drawn = [(q, ScenarioDescriptor(x, PENALIZING)) for q, x in zip(row_probs, solutions, strict=True) if q != 0.0]
     costs = mixture_costs(instance, drawn)
     z, _ = oracle.solve(costs, None, _least_cost(costs, solutions))
     return ScenarioDescriptor(z, FAVORING)

@@ -18,6 +18,10 @@ from ..shortest_path import IntervalDigraph
 
 _CONNECT_RETRIES = 100
 
+# An R graph's arc mask is drawn this many doubles at a time (whole rows,
+# at least one), so a draw holds one block, not n * n doubles.
+_MASK_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -68,14 +72,26 @@ def _draw_costs(rng: np.random.Generator, m: int, r: float, d: float) -> tuple[n
 
 
 def _gen_r(spec: GeneratorSpec, seed: int) -> IntervalDigraph:
+    """One draw of an R graph: each off-diagonal (tail, head) pair is an arc with probability delta.
+
+    The mask is drawn in blocks of rows.  A generator hands out the same
+    doubles in the same order however a draw is split, so the arcs are the
+    ones np.nonzero gives on the whole n-by-n mask, in its order, and the
+    costs drawn after them are unchanged.
+    """
     rng = np.random.default_rng(seed)
-    mask = rng.random((spec.n, spec.n)) < spec.delta
-    np.fill_diagonal(mask, False)
-    # Row-major positions of the set flags split into (row, column): the
-    # arcs np.nonzero gives, in its order, from one pass over the mask.
-    tails, heads = np.divmod(np.flatnonzero(mask), spec.n)
+    n = spec.n
+    rows = max(_MASK_BLOCK // n, 1)
+    positions = []
+    for first in range(0, n, rows):
+        block = rng.random((min(rows, n - first), n)) < spec.delta
+        # Row first + j of the mask has its diagonal entry in column first + j.
+        np.fill_diagonal(block[:, first:], False)
+        positions.append(np.flatnonzero(block) + first * n)
+    # Row-major positions of the set flags split into (row, column).
+    tails, heads = np.divmod(np.concatenate(positions), n)
     lo, hi = _draw_costs(rng, tails.size, spec.r, spec.d)
-    return IntervalDigraph(spec.n, tails, heads, lo, hi, 0, spec.n - 1)
+    return IntervalDigraph(n, tails, heads, lo, hi, 0, n - 1)
 
 
 def _gen_k(spec: GeneratorSpec) -> IntervalDigraph:

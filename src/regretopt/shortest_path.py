@@ -46,6 +46,7 @@ The two-unit flow, the walk through each arc and the potentials keep theirs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -247,12 +248,16 @@ class PathConstraint:
     over them in Python: out_index holds the forbidden ids once each, as a
     read-only numpy array marked with one indexed store.  The take child
     shares its parent's index; the skip child's is the parent's with k appended.
-    forbidding builds a constraint straight from a mask over the arcs.
+    forbidding builds a constraint straight from a mask over the arcs, and
+    leaves out_set to be built from out_index on first read: a root whose
+    search ends before it branches never reads it.
     """
 
     graph: IntervalDigraph = field(repr=False)
     in_chain: tuple[int, ...] = ()
-    out_set: frozenset[int] = frozenset()
+    # A factory, not a default: a default would stay on the class, in the
+    # place of the descriptor below that builds a missing out_set.
+    out_set: frozenset[int] = field(default_factory=frozenset)
     nodes: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     out_index: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
@@ -296,7 +301,7 @@ class PathConstraint:
             raise ValueError("one flag per arc required")
         index = np.flatnonzero(mask)
         index.setflags(write=False)
-        return cls._unchecked(graph, (), (graph.source,), frozenset(index.tolist()), index)
+        return cls._unchecked(graph, (), (graph.source,), None, index)
 
     @property
     def end(self) -> int:
@@ -326,9 +331,20 @@ class PathConstraint:
     @classmethod
     def _unchecked(cls, graph, chain, nodes, out, index) -> "PathConstraint":
         # The parts are checked against this graph already: skip __post_init__.
+        # With out None, out_set is built from index on first read.
         made = object.__new__(cls)
-        made.__dict__.update(graph=graph, in_chain=chain, out_set=out, nodes=nodes, out_index=index)
+        made.__dict__.update(graph=graph, in_chain=chain, nodes=nodes, out_index=index)
+        if out is not None:
+            made.__dict__["out_set"] = out
         return made
+
+
+# An out_set that forbidding leaves out of the instance dict is built from
+# out_index on first read by this non-data descriptor, which a set out_set
+# shadows.  A __getattr__ would do the same, but it slows every attribute
+# read of a constraint, and branch and bound reads them at every node.
+PathConstraint.out_set = functools.cached_property(lambda constraint: frozenset(constraint.out_index.tolist()))
+PathConstraint.out_set.__set_name__(PathConstraint, "out_set")
 
 
 def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, np.ndarray | None]:

@@ -152,7 +152,12 @@ def test_bounded_fixing_matches_the_full_sweep():
 
 def test_forbidding_takes_one_flag_per_arc():
     g = six_node_graph()
-    np.testing.assert_array_equal(PathConstraint.forbidding(g, np.arange(g.m) % 3 == 0).out_index, [0, 3, 6])
+    root = PathConstraint.forbidding(g, np.arange(g.m) % 3 == 0)
+    np.testing.assert_array_equal(root.out_index, [0, 3, 6])
+    # out_set is built on first read, so a root that never branches never builds it.
+    assert "out_set" not in vars(root)
+    assert root == PathConstraint(g, out_set=frozenset({0, 3, 6})) and root.out_set == {0, 3, 6}
+    assert PathConstraint.forbidding(g, np.zeros(g.m, dtype=bool)).out_set == frozenset()
     for mask in (np.zeros(g.m - 1, dtype=bool), np.zeros((1, g.m), dtype=bool)):
         with pytest.raises(ValueError, match="one flag per arc"):
             PathConstraint.forbidding(g, mask)

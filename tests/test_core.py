@@ -169,6 +169,35 @@ def test_extreme_scenarios_are_read_only_copies():
             build(inst, sol(5))
 
 
+def test_extreme_scenarios_match_the_per_member_loop_byte_for_byte():
+    """One indexed store gives the bytes, and the error, of swapping the members in one by one."""
+
+    def reference(base, swap, members):
+        costs = np.array(base)
+        for i in members:
+            if i >= costs.size:
+                raise ValueError("solution does not fit the instance")
+            costs[i] = swap[i]
+        return costs
+
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        lo = rng.uniform(0.0, 1000.0, n)
+        inst = IntervalInstance(lo=lo, hi=lo + rng.uniform(0.0, 500.0, n) * (rng.random(n) < 0.8))
+        x = sol(*rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        assert x.index.dtype == np.intp and not x.index.flags.writeable and x.index is x.index
+        assert sorted(x.index.tolist()) == sorted(x.members)
+        outside = sol(*x.members, n + int(rng.integers(0, 3)))
+        for build, base, swap in ((penalizing_scenario, inst.lo, inst.hi), (favoring_scenario, inst.hi, inst.lo)):
+            assert build(inst, x).costs.tobytes() == reference(base, swap, x.members).tobytes()
+            with pytest.raises(ValueError, match="does not fit") as raised:
+                build(inst, outside)
+            with pytest.raises(ValueError) as expected:
+                reference(base, swap, outside.members)
+            assert str(raised.value) == str(expected.value)
+
+
 def test_mean_scenario_single_and_weighted():
     """The mean scenario of a mixture, as the restricted game builds it for the solution player."""
     graph = two_arc_graph()

@@ -32,11 +32,11 @@ from regretopt import (
     sp_oracle,
     val,
 )
-from regretopt import bounds, double_oracle, shortest_path
+from regretopt import bounds, core, double_oracle, shortest_path
 from regretopt.core import cost_of
 from regretopt.double_oracle import FAVORING, PENALIZING, RestrictedGame
 from regretopt.harness import GeneratorSpec, gen_instance
-from regretopt.harness.brute_force import brute_force_lb_star
+from regretopt.harness.brute_force import brute_force_lb_star, enumerate_paths
 
 from _fixtures import five_element_instance, six_node_graph, two_arc_graph
 from _oracles import EnumeratedOracle, reference_marginals, reference_mixture_costs
@@ -299,6 +299,25 @@ def test_br_c_rejects_oversized_support():
         br_c(inst, oracle, np.array([0.5, 0.5]), [sol(0)])
 
 
+def test_br_c_leaves_zero_probability_rows_out_of_the_mixture():
+    """A row of probability zero moves no bit of the mixture, so the answer is the one without it."""
+    rng = np.random.default_rng(31)
+    for seed in range(12):
+        spec = (GeneratorSpec(family="K", n=14, r=1000.0, d=1.0, w=3, seed=seed) if seed % 2
+                else GeneratorSpec(family="R", n=14, r=1000.0, d=1.0, delta=0.35, seed=seed))
+        graph = gen_instance(spec)
+        inst, oracle = graph.instance, sp_oracle(graph)
+        solutions = list({x.members: x for x in (oracle.solve(rng.uniform(inst.lo, inst.hi))[0] for _ in range(12))}.values())
+        probs = rng.dirichlet(np.ones(len(solutions)))
+        probs[rng.random(len(solutions)) < 0.5] = 0.0
+        if not probs.any():
+            probs[0] = 1.0
+        kept = probs != 0.0
+        full = br_c(inst, oracle, probs, solutions)
+        drawn = br_c(inst, oracle, probs[kept], [x for x, keep in zip(solutions, kept) if keep])
+        assert full == drawn
+
+
 def test_max_regret_examples():
     inst, oracle = two_arc_setup()
     assert max_regret(inst, oracle, sol(0)) == 3.0
@@ -488,6 +507,33 @@ def test_pooled_scenarios_seed_a_game_without_pool_lookups(monkeypatch):
     second = run_double_oracle(inst, oracle, [sol(1, 4, 6)], [ScenarioDescriptor(sol(1, 4, 6), "favoring")], pool=pool)
     assert list(second.scenarios[:3]) == pooled
     assert not set(asked) & set(pooled)
+
+
+def test_a_pooled_game_expands_each_scenario_once(monkeypatch):
+    """Publishing a scenario expands its descriptor once, for its search and its dense costs alike."""
+    expanded = []
+    extreme = core._extreme
+
+    def counting(base, swap, x):
+        expanded.append(x)
+        return extreme(base, swap, x)
+
+    monkeypatch.setattr(core, "_extreme", counting)
+    for spec in (GeneratorSpec(family="R", n=14, r=1000.0, d=1.0, delta=0.35, seed=3), GeneratorSpec(family="K", n=17, r=1000.0, d=1.0, w=3, seed=3)):
+        graph = gen_instance(spec)
+        inst, oracle = graph.instance, sp_oracle(graph)
+        pool = ScenarioPool(inst, oracle)
+        start, _ = oracle.solve(inst.mid)
+        expanded.clear()
+        run_double_oracle(inst, oracle, [start], config=DoubleOracleConfig(max_iterations=10), pool=pool)
+        assert len(pool) > 1 and len(expanded) == len(pool)
+        # An optimum solved unpublished expands once; publishing it later expands once more, for its costs.
+        desc = next(d for d in (ScenarioDescriptor(p.indicator(), PENALIZING) for p in enumerate_paths(graph)) if d not in pool.published)
+        expanded.clear()
+        pool.optimum(desc)
+        pool.ensure(desc)
+        pool.ensure(desc)
+        assert len(expanded) == 2
 
 
 def test_a_game_owns_a_copy_of_the_pools_published_columns():

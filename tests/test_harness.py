@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,8 +101,8 @@ def test_generator_is_deterministic_per_spec():
 
 
 def test_r_graphs_match_the_nonzero_reference():
-    """R arcs come from flatnonzero and divmod: np.nonzero's arcs in its order, array for array."""
-    from regretopt.harness.generators import _CONNECT_RETRIES, _draw_costs
+    """R arcs come from a mask drawn in blocks of rows: np.nonzero's arcs on the whole mask, in its order, array for array."""
+    from regretopt.harness.generators import _CONNECT_RETRIES, _MASK_BLOCK, _draw_costs, _gen_r
 
     def reference(spec):
         for attempt in range(_CONNECT_RETRIES):
@@ -116,14 +117,32 @@ def test_r_graphs_match_the_nonzero_reference():
                 continue
             return tails, heads, lo, hi
 
-    for i in range(40):
-        spec = GeneratorSpec(family="R", n=3 + 7 * (i % 6), r=1000.0, d=(0.0, 0.5, 1.0)[i % 3], delta=(0.05, 0.2, 0.6, 1.0)[i % 4], seed=i)
+    # Six blocks of 109 rows, the last one short, and two draws that leave the target unreachable before the seed bump connects it.
+    retried = GeneratorSpec(family="R", n=600, r=1000.0, d=0.5, delta=0.005, seed=11)
+    rows = _MASK_BLOCK // retried.n
+    assert retried.n > rows and retried.n % rows
+    with pytest.raises(ValueError):
+        _gen_r(retried, retried.seed)
+    specs = [GeneratorSpec(family="R", n=3 + 7 * (i % 6), r=1000.0, d=(0.0, 0.5, 1.0)[i % 3], delta=(0.05, 0.2, 0.6, 1.0)[i % 4], seed=i) for i in range(40)]
+    for spec in specs + [retried]:
         graph = gen_instance(spec)
         tails, heads, lo, hi = reference(spec)
         assert np.array_equal(graph.tails, tails) and np.array_equal(graph.heads, heads)
         assert graph.lo.tobytes() == lo.tobytes() and graph.hi.tobytes() == hi.tobytes()
     big = GeneratorSpec(family="R", n=1000, r=1000.0, d=1.0, delta=0.006, seed=0)
     assert all(np.array_equal(a, b) for a, b in zip((gen_instance(big).tails, gen_instance(big).heads), reference(big)))
+
+
+def test_r_graph_generation_holds_one_block_of_the_mask():
+    """An R-1000 graph is built without the 8 MB of an n-by-n draw: its traced peak stays under 3 MB."""
+    spec = GeneratorSpec(family="R", n=1000, r=1000.0, d=1.0, delta=0.006, seed=0)
+    tracemalloc.start()
+    try:
+        gen_instance(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_generator_gives_up_on_hopeless_density():
