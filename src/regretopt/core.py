@@ -38,8 +38,8 @@ class IntervalInstance:
 
     lo: np.ndarray
     hi: np.ndarray
-    _width: np.ndarray = field(default=None, init=False, repr=False)
-    _mid: np.ndarray = field(default=None, init=False, repr=False)
+    width: np.ndarray = field(init=False, repr=False)
+    mid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = _frozen_array(self.lo)
@@ -62,22 +62,12 @@ class IntervalInstance:
         mid.setflags(write=False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_mid", mid)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "mid", mid)
 
     @property
     def n(self) -> int:
         return self.lo.size
-
-    @property
-    def width(self) -> np.ndarray:
-        """hi - lo, computed once; read-only."""
-        return self._width
-
-    @property
-    def mid(self) -> np.ndarray:
-        """(lo + hi) / 2, computed once; read-only."""
-        return self._mid
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ instance stays serial.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import time
 from typing import Iterable, Sequence, TextIO
@@ -241,12 +242,7 @@ def experiment_rows(table: dict[str, dict[str, float]], records: list[dict] | No
 
 
 def write_csv(rows: Iterable[tuple[str, str, str]], out: TextIO | str) -> None:
-    own = isinstance(out, str)
-    handle = open(out, "w", newline="") if own else out
-    try:
+    with open(out, "w", newline="") if isinstance(out, str) else contextlib.nullcontext(out) as handle:
         writer = csv.writer(handle)
         writer.writerow(("bound", "stat", "value"))
         writer.writerows(rows)
-    finally:
-        if own:
-            handle.close()

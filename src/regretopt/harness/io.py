@@ -10,6 +10,7 @@ repr so a write/read cycle reproduces the exact same instance.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -109,29 +110,19 @@ def perturb_intervals(
 
 def write_native(graph: IntervalDigraph, out: TextIO | str) -> None:
     """Write the instance in the native line format, round-trip exact."""
-    own = isinstance(out, str)
-    handle = open(out, "w") if own else out
-    try:
+    with open(out, "w") if isinstance(out, str) else contextlib.nullcontext(out) as handle:
         handle.write("ri %d %d %d %d\n" % (graph.node_count, graph.m, graph.source + 1, graph.target + 1))
         for e in range(graph.m):
             handle.write(
                 "e %d %d %s %s\n"
                 % (int(graph.tails[e]) + 1, int(graph.heads[e]) + 1, repr(float(graph.lo[e])), repr(float(graph.hi[e])))
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def read_native(source: TextIO | str) -> IntervalDigraph:
     """Read an instance written by write_native."""
-    own = isinstance(source, str)
-    handle = open(source) if own else source
-    try:
+    with open(source) if isinstance(source, str) else contextlib.nullcontext(source) as handle:
         text = handle.read()
-    finally:
-        if own:
-            handle.close()
     header = None
     edges: list[tuple[int, int, float, float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -27,9 +27,11 @@ a consistent potential that leaves ties as plain Dijkstra resolves them
 midpoint or hi costs uses that vector's own distances, exact before any
 arc is forbidden; every other cost vector the solvers build lies in
 [lo, hi] and uses the lo distances.  The graph computes each of the three
-on first use and keeps it.  Costs below lo anywhere fall back to a zero
-potential, which is plain Dijkstra.  A caller that holds a path may pass
-its cost as a bound: nodes whose key cannot beat it are labelled but never
+on first use, by the reverse search (_reverse_search) that root arc
+fixing also runs, and keeps it.  Costs below lo anywhere fall back to a
+zero potential, which is plain Dijkstra; the cost check hands each search
+its potential (_check_costs).  A caller that holds a path may pass its
+cost as a bound: nodes whose key cannot beat it are labelled but never
 pushed, which leaves the answer as it was.  The two-unit flow prices the
 graph's own intervals, so it always has the lo potential; it stops its
 first pass at the target and prices its second with the first pass's
@@ -41,7 +43,7 @@ bound touches the few nodes near a cheap route instead of the whole graph.
 
 On an acyclic graph dijkstra and constrained_sp use no heap: one pass over
 the nodes in the topological order the graph keeps (_search_to_target).
-The two-unit flow, the walk through each arc and the potentials keep theirs.
+The two-unit flow and the reverse search keep theirs.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -183,16 +185,19 @@ class IntervalDigraph:
         cannot close.  When such an arc ties its head's label, its tail is
         settled before its head, as in plain Dijkstra, so the tie resolves
         the same way and paths and values come out bit for bit.  Computed
-        on first use by one Dijkstra over the reversed arcs, then kept as
-        doubles: 8 bytes a node for each floor used.
+        on first use by _reverse_search over every node, under a zero
+        potential and no cutoff, then kept as doubles: 8 bytes a node for
+        each floor used.
         """
         # The graph holds each floor, so no other live array shares its id.
         h = self._potentials.get(id(floor))
         if h is None:
             if not (floor is self.lo or floor is self.hi or floor is self.instance.mid):
                 raise ValueError("potentials are kept for the graph's own lo, hi and midpoint costs only")
+            n = self.node_count
+            d_t, _ = _reverse_search(self, floor.tolist(), range(n), [0.0] * n)
             shrink = 1.0 - 2.0**-20
-            h = array("d", [x * shrink for x in _distances_to_target(self, floor)])
+            h = array("d", [x * shrink for x in d_t])
             self._potentials[id(floor)] = h
         return h
 
@@ -347,39 +352,34 @@ PathConstraint.out_set = functools.cached_property(lambda constraint: frozenset(
 PathConstraint.out_set.__set_name__(PathConstraint, "out_set")
 
 
-def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, np.ndarray | None]:
-    """The costs as a float array, and the floor whose potential a search under them uses.
+def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, Sequence[float]]:
+    """The costs as a float array, and the A* potential a search under them uses.
 
-    The graph's own lo, hi and midpoint costs pass unchecked, each its own
-    floor: all three were checked when the graph was built and are
-    read-only.  Any other costs have lo as their floor when none lies below
-    it, and no floor (None) otherwise; a copy of the graph's own costs is
-    such another vector.  Costs at or above lo are nonnegative already, so
-    they need only the finiteness check.
+    The graph's own lo, hi and midpoint costs pass unchecked, each with its
+    own kept potential: all three were checked when the graph was built
+    and are read-only.  Any other costs take the lo potential when none
+    lies below lo, and a zero potential otherwise; a copy of the graph's
+    own costs is such another vector.  Costs at or above lo are
+    nonnegative already, so they need only the finiteness check.  Nearly
+    every search finds its potential kept, so that lookup skips the
+    accessor's call; the accessor computes the rest.
     """
     instance = graph.instance
     if costs is instance.lo or costs is instance.hi or costs is instance.mid:
-        return costs, costs
-    c = np.asarray(costs, dtype=float)
-    if c.shape != (graph.m,):
-        raise ValueError("one cost per arc required")
-    # NaN fails every comparison, so these catch every bad value.
-    above_lo = bool((c >= graph.lo).all())
-    if (above_lo or c.min() >= 0.0) and c.max() < math.inf:
-        return c, instance.lo if above_lo else None
-    raise ValueError("arc costs must be finite and nonnegative")
-
-
-def _potential(graph: IntervalDigraph, floor: np.ndarray | None):
-    """The graph's potential of floor, or the zero potential when there is no floor.
-
-    Nearly every search reads a potential already kept, so that lookup
-    skips the accessor's call; the accessor computes the rest.
-    """
-    if floor is None:
-        return [0.0] * graph.node_count
+        c = floor = costs
+    else:
+        c = np.asarray(costs, dtype=float)
+        if c.shape != (graph.m,):
+            raise ValueError("one cost per arc required")
+        # NaN fails every comparison, so these catch every bad value.
+        above_lo = bool((c >= graph.lo).all())
+        if not ((above_lo or c.min() >= 0.0) and c.max() < math.inf):
+            raise ValueError("arc costs must be finite and nonnegative")
+        if not above_lo:
+            return c, [0.0] * graph.node_count
+        floor = instance.lo
     h = graph._potentials.get(id(floor))
-    return graph.potential(floor) if h is None else h
+    return c, graph.potential(floor) if h is None else h
 
 
 def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.inf):
@@ -432,30 +432,50 @@ def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.i
     return dist, pred
 
 
-def _distances_to_target(graph, costs: np.ndarray) -> list[float]:
-    """Each node's least cost to the target, by one Dijkstra over the reversed arcs.
+def _reverse_search(graph, costs, region, h, cutoff=math.inf) -> tuple[list[float], array]:
+    """Labels to the target, and the cheapest walk through each arc, over the arcs between region nodes.
 
-    The reversed adjacency is built for the call and dropped with it.
+    A* from the target over the reversed arcs, under the potential h of
+    each node's cost from the source side, keyed (label + h, label, node):
+    a zero h is plain Dijkstra.  Only keys below cutoff are expanded.  A
+    node popped at a stale label is skipped and one relabelled after its
+    pop is expanded again, so its last expansion is at its final label and
+    prices the walk h[u] + c[e] + d_t[v] through each arc e = (u, v) into
+    it, kept below cutoff.  Returns d_t and the walks, each inf where
+    nothing was reached or kept.
     """
     n = graph.node_count
-    into: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for u, v, c in zip(graph.tails.tolist(), graph.heads.tolist(), costs.tolist()):
-        into[v].append((u, c))
-    dist = [math.inf] * n
+    inside = [False] * n
+    for u in region:
+        inside[u] = True
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out_edges, out_heads = graph.out_edges, graph._out_heads
+    for u in region:
+        for e, v in zip(out_edges[u], out_heads[u]):
+            if inside[v]:
+                into[v].append((e, u))
+    through = array("d", [math.inf]) * graph.m
+    d_t = [math.inf] * n
     t = graph.target
-    dist[t] = 0.0
-    heap = [(0.0, t)]
+    d_t[t] = 0.0
+    heap = [(h[t], 0.0, t)]
     push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, v = pop(heap)
-        if d > dist[v]:
+        _, d, v = pop(heap)
+        if d > d_t[v]:
             continue
-        for u, c in into[v]:
-            nd = d + c
-            if nd < dist[u]:
-                dist[u] = nd
-                push(heap, (nd, u))
-    return dist
+        for e, u in into[v]:
+            hu, ce = h[u], costs[e]
+            walk = hu + ce + d
+            if walk < cutoff:
+                through[e] = walk
+            nd = d + ce
+            if nd < d_t[u]:
+                d_t[u] = nd
+                key = nd + hu
+                if key < cutoff:
+                    push(heap, (key, nd, u))
+    return d_t, through
 
 
 def through_arc_costs(graph: IntervalDigraph, reference: SolutionIndicator, cutoff: float = math.inf) -> np.ndarray:
@@ -473,56 +493,24 @@ def through_arc_costs(graph: IntervalDigraph, reference: SolutionIndicator, cuto
     only nodes whose key d_s + potential lies below the cutoff: the settled
     region, read off the forward labels.  So an arc whose walk costs less
     than the cutoff has both ends in the region, at final labels.  The
-    reverse search runs over the arcs between region nodes with the
-    forward labels as its potential, and expands only nodes whose
-    d_s + d_t lies below the cutoff; every node on the cheapest route from
-    such a node to the target meets the same test.  A node popped at a
-    stale label is skipped and one relabelled after its pop is expanded
-    again, so its last expansion is at its final label, and that expansion
-    prices the walks through the arcs into it.  A node never expanded has
-    d_s + d_t at or above the cutoff, and so has every walk into it.  So
-    the arcs below the cutoff read the same sums as with full searches,
-    and the rest read inf.  The keys are summed in another order than the
-    walks, so an arc within rounding of the cutoff may read inf either way.
+    reverse one, _reverse_search over the region under the forward labels,
+    expands only nodes whose d_s + d_t lies below the cutoff; every node on
+    the cheapest route from such a node to the target meets the same test,
+    and a node never expanded has every walk into it at or above the
+    cutoff.  So the arcs below the cutoff read the same sums as with full
+    searches, and the rest read inf.  The keys are summed in another order
+    than the walks, so an arc within rounding of the cutoff may read inf
+    either way.
     """
-    n, lo = graph.node_count, graph.lo
+    lo = graph.lo
     c = array("d", graph.hi.tobytes())
     for e in reference.members:
         c[e] = lo.item(e)
-    h = graph.potential(graph.lo)
+    h = graph.potential(lo)
     d_s, _ = _settle_all(graph, c, graph.source, (), None, h, cutoff)
     # Labels of nodes left unsettled may not be final: they stay out.
     region = [u for u, d in enumerate(d_s) if d + h[u] < cutoff]
-    inside = [False] * n
-    for u in region:
-        inside[u] = True
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    out_edges, out_heads = graph.out_edges, graph._out_heads
-    for u in region:
-        for e, v in zip(out_edges[u], out_heads[u]):
-            if inside[v]:
-                into[v].append((e, u))
-    through = array("d", [math.inf]) * graph.m
-    d_t = [math.inf] * n
-    t = graph.target
-    d_t[t] = 0.0
-    heap = [(d_s[t], 0.0, t)]
-    push, pop = heapq.heappush, heapq.heappop
-    while heap:
-        _, d, v = pop(heap)
-        if d > d_t[v]:
-            continue
-        for e, u in into[v]:
-            du, ce = d_s[u], c[e]
-            walk = du + ce + d
-            if walk < cutoff:
-                through[e] = walk
-            nd = d + ce
-            if nd < d_t[u]:
-                d_t[u] = nd
-                key = nd + du
-                if key < cutoff:
-                    push(heap, (key, nd, u))
+    _, through = _reverse_search(graph, c, region, d_s, cutoff)
     return np.frombuffer(through)
 
 
@@ -597,9 +585,8 @@ def dijkstra(graph: IntervalDigraph, costs, bound: float = math.inf):
     the search pushes no node that cannot beat it (see _search_to_target).
     Any bound gives the same answer; a lower one only costs a second search.
     """
-    c, floor = _check_costs(graph, costs)
+    c, h = _check_costs(graph, costs)
     s, t = graph.source, graph.target
-    h = _potential(graph, floor)
     dist, pred = _search_to_target(graph, array("d", c.tobytes()), s, (), h, _cutoff(bound))
     return Path(_walk_back(graph, pred, s, t)), dist[t]
 
@@ -614,7 +601,7 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint, bo
     """
     if constraint.graph is not graph:
         raise ValueError("constraint belongs to another graph")
-    c, floor = _check_costs(graph, costs)
+    c, h = _check_costs(graph, costs)
     c = array("d", c.tobytes())
     *banned_nodes, start = constraint.nodes
     chain_value = float(sum(c[e] for e in constraint.in_chain))
@@ -622,7 +609,6 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint, bo
         return Path(constraint.in_chain), chain_value
     # The forbidden ids were checked against this graph, so the store stays in bounds.
     np.frombuffer(c)[constraint.out_index] = math.inf
-    h = _potential(graph, floor)
     dist, pred = _search_to_target(graph, c, start, banned_nodes, h, _cutoff(bound) - chain_value)
     if dist[graph.target] == math.inf:
         return None

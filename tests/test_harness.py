@@ -24,6 +24,7 @@ from regretopt.harness.brute_force import (
     enumerate_paths,
 )
 from regretopt.harness import experiments
+from regretopt.harness import io as harness_io
 from regretopt.harness.cli import main, verify_instance
 from regretopt.harness.experiments import (
     evaluate_bounds,
@@ -227,6 +228,48 @@ def test_read_native_error_cases():
         read_native(io.StringIO("ri 2 2 1 2\ne 1 2 1.0 2.0\n"))
     with pytest.raises(ValueError, match="line 1: unrecognized line type"):
         read_native(io.StringIO("hello\n"))
+
+
+class _Unreadable(io.StringIO):
+    def read(self, *args):
+        raise OSError("read failed")
+
+
+def test_file_helpers_close_the_paths_they_open_and_leave_handles_open(tmp_path, monkeypatch):
+    """write_native, read_native and write_csv close a file opened from a path, even when reading it raises.
+
+    A handle the caller passes stays open, also when reading it raises.
+    """
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(harness_io, "open", recording_open, raising=False)
+    monkeypatch.setattr(experiments, "open", recording_open, raising=False)
+    graph, rows = six_node_graph(), [("kz", "mean", "1.0")]
+    path = str(tmp_path / "instance.ri")
+    write_native(graph, path)
+    assert read_native(path).m == graph.m
+    write_csv(rows, str(tmp_path / "rows.csv"))
+    assert len(opened) == 3 and all(handle.closed for handle in opened)
+
+    monkeypatch.setattr(harness_io, "open", lambda *args, **kwargs: opened.append(_Unreadable()) or opened[-1])
+    with pytest.raises(OSError, match="read failed"):
+        read_native(path)
+    assert len(opened) == 4 and opened[-1].closed
+
+    for call in (lambda handle: write_native(graph, handle), lambda handle: write_csv(rows, handle)):
+        handle = io.StringIO()
+        call(handle)
+        assert not handle.closed and handle.getvalue()
+    handle = io.StringIO("ri 2 1 1 2\ne 1 2 1.0 2.0\n")
+    assert read_native(handle).m == 1 and not handle.closed
+    handle = _Unreadable()
+    with pytest.raises(OSError, match="read failed"):
+        read_native(handle)
+    assert not handle.closed
 
 
 # ------------------------------------------------------------- brute force

@@ -35,7 +35,7 @@ from regretopt.harness.brute_force import enumerate_paths
 from regretopt.shortest_path import order_path_edges, through_arc_costs
 
 from _fixtures import loop_graph, six_node_graph, two_arc_graph
-from _oracles import full_sweep_through_costs
+from _oracles import _plain_dijkstra, full_sweep_through_costs
 
 
 def random_graph(i: int) -> IntervalDigraph:
@@ -231,9 +231,9 @@ def test_the_graphs_own_costs_skip_no_check_on_other_vectors():
     # The two-unit flow prices the graph's own intervals and takes no costs.
     g = two_arc_graph()
     assert not g.lo.flags.writeable and not g.hi.flags.writeable
-    assert shortest_path._check_costs(g, g.lo) == (g.lo, g.lo)
-    assert shortest_path._check_costs(g, g.hi)[0] is g.hi
-    assert shortest_path._check_costs(g, g.instance.mid) == (g.instance.mid, g.instance.mid)
+    for own in (g.lo, g.hi, g.instance.mid):
+        c, h = shortest_path._check_costs(g, own)
+        assert c is own and h is g.potential(own)
     bad_vectors = ([1.0], [1.0, 2.0, 3.0], [2.0, np.nan], [np.inf, 2.0], [-np.inf, 2.0], [-1.0, 2.0], [2.0, -1e-300])
     for bad in bad_vectors:
         with pytest.raises(ValueError):
@@ -390,8 +390,8 @@ def loop_marked_sp(graph, costs, constraint):
         return chain, chain_value
     for e in constraint.out_set:
         c[e] = math.inf
-    floor = graph.lo if (np.asarray(costs) >= graph.lo).all() else None
-    dist, pred = shortest_path._settle_all(graph, c, start, banned_nodes, graph.target, shortest_path._potential(graph, floor))
+    _, h = shortest_path._check_costs(graph, costs)
+    dist, pred = shortest_path._settle_all(graph, c, start, banned_nodes, graph.target, h)
     if dist[graph.target] == math.inf:
         return None
     return chain + shortest_path._walk_back(graph, pred, start, graph.target), chain_value + dist[graph.target]
@@ -801,6 +801,34 @@ def test_one_cost_below_lo_drops_the_potential():
     assert (path.edges, value) == ((2, 3), 1.5)
 
 
+def test_potentials_equal_a_reference_reverse_dijkstra():
+    """Each floor's potential is a plain Dijkstra's distance to the target over the reversed arcs, times 1 - 2**-20, bit for bit."""
+    shrink = 1.0 - 2.0**-20
+    rng = np.random.default_rng(2511)
+    # Zero-cost, parallel and self-loop arcs; node 4 has no way to the
+    # target 3 and node 5 no arc out.
+    hand_built = IntervalDigraph.from_edges(
+        6,
+        [(0, 1, 0.0, 0.0), (0, 1, 0.0, 2.0), (1, 1, 0.0, 1.0), (1, 2, 0.5, 0.5), (1, 2, 0.25, 3.0),
+         (2, 3, 0.0, 1.0), (2, 2, 0.0, 0.0), (0, 3, 2.0, 2.5), (3, 4, 1.0, 1.0), (4, 4, 0.0, 0.0), (4, 5, 0.1, 0.3)],
+        0,
+        3,
+    )
+    graphs = [hand_built, six_node_graph(), loop_graph()] + [tie_heavy_graph(rng) for _ in range(60)]
+    graphs += [random_graph(i) for i in range(30)]
+    graphs += [gen_instance(GeneratorSpec(family="K", n=2 + 3 * (2 + i % 4), r=1000.0, d=(0.0, 0.5, 1.0)[i % 3], w=3, seed=i)) for i in range(12)]
+    graphs.append(gen_instance(GeneratorSpec(family="R", n=1000, r=1000.0, d=1.0, delta=0.006, seed=0)))
+    unreachable = 0
+    for g in graphs:
+        for floor in (g.lo, g.instance.mid, g.hi):
+            reversed_arcs = zip(g.heads.tolist(), g.tails.tolist(), floor.tolist())
+            expected = _plain_dijkstra(g.node_count, g.target, reversed_arcs)
+            assert [x.hex() for x in g.potential(floor)] == [(x * shrink).hex() for x in expected]
+            unreachable += expected.count(math.inf)
+    assert [x.hex() for x in hand_built.potential(hand_built.lo)][4:] == ["inf", "inf"]
+    assert unreachable >= 60
+
+
 def test_potential_prunes_the_midpoint_search(monkeypatch):
     # On the large sparse R family the potential confines the midpoint
     # search to a narrow band around the route: count the nodes it labels.
@@ -864,10 +892,9 @@ def test_floor_potentials_change_no_answer():
         tails, heads = g.tails.tolist(), g.heads.tolist()
         for own in (g.instance.mid, g.hi):
             copy = np.array(own)
-            floor = shortest_path._check_costs(g, own)[1]
-            h = shortest_path._potential(g, floor)
-            assert floor is own and h is g.potential(own) and h is not g.potential(g.lo)
-            assert shortest_path._check_costs(g, copy)[1] is g.lo
+            h = shortest_path._check_costs(g, own)[1]
+            assert h is g.potential(own) and h is not g.potential(g.lo)
+            assert shortest_path._check_costs(g, copy)[1] is g.potential(g.lo)
             assert all(h[u] <= c + h[v] for u, v, c in zip(tails, heads, own.tolist()))
             path, value = dijkstra(g, own)
             copy_path, copy_value = dijkstra(g, copy)
@@ -888,12 +915,12 @@ def test_floor_potentials_change_no_answer():
 
 def test_floor_potentials_are_lazy_kept_and_cut_the_midpoint_search(monkeypatch):
     """No potential at construction, each floor's once per graph, and a midpoint search under half the labels."""
-    reverse = shortest_path._distances_to_target
+    reverse = shortest_path._reverse_search
     floors = []
 
-    def counting_reverse(graph, costs):
-        floors.append(costs)
-        return reverse(graph, costs)
+    def counting_reverse(graph, costs, *args):
+        floors.append(list(costs))
+        return reverse(graph, costs, *args)
 
     settle = shortest_path._settle_all
     labelled = []
@@ -903,7 +930,7 @@ def test_floor_potentials_are_lazy_kept_and_cut_the_midpoint_search(monkeypatch)
         labelled.append(sum(d < math.inf for d in dist))
         return dist, pred
 
-    monkeypatch.setattr(shortest_path, "_distances_to_target", counting_reverse)
+    monkeypatch.setattr(shortest_path, "_reverse_search", counting_reverse)
     monkeypatch.setattr(shortest_path, "_settle_all", counting_settle)
     rng = np.random.default_rng(2026)
     for seed in range(3):
@@ -915,7 +942,7 @@ def test_floor_potentials_are_lazy_kept_and_cut_the_midpoint_search(monkeypatch)
         copy_path, copy_value = dijkstra(g, np.array(mid))
         assert (own_path.edges, own_value.hex()) == (copy_path.edges, copy_value.hex())
         assert labelled[0] * 2 <= labelled[1]
-        assert [f is mid for f in floors] == [True, False] and floors[1] is g.lo
+        assert floors == [mid.tolist(), g.lo.tolist()]
         # Every further search, bound and flow reuses the kept potentials.
         for _ in range(3):
             constraint = random_constraint(rng, g)
@@ -925,7 +952,7 @@ def test_floor_potentials_are_lazy_kept_and_cut_the_midpoint_search(monkeypatch)
             lb_cg(g, constraint)
             lb_mgd(g, constraint)
             two_unit_min_flow(g, constraint)
-        assert len(floors) == 3 and floors[2] is g.hi
+        assert len(floors) == 3 and floors[2] == g.hi.tolist()
         with pytest.raises(ValueError, match="own lo, hi and midpoint"):
             g.potential(np.array(g.hi))
         floors.clear()
