@@ -11,8 +11,11 @@ so even truncated runs are useful.
 Each best response is one oracle call at the costs of the other player's
 mixture, and mixture_costs builds both: a solution mixture is read as the
 mixture of its solutions' penalizing scenarios.  Every such call is bounded
-by the cost of a solution already in hand, which lets the oracle prune.  The ScenarioPool caches
-every scenario optimum, so it is also the memo behind max_regret.  A
+by the cost of a solution already in hand, which lets the oracle prune.
+The scenario player's answer favors a solution that is optimal under it
+(see br_c), so its optimum is that solution's own cost, and an iteration
+makes no third search.  The ScenarioPool caches every scenario optimum,
+so it is also the memo behind max_regret.  A
 RestrictedGame owns its columns, one map from descriptor to optimum that
 starts as a copy of the scenarios the pool has published.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -97,8 +101,9 @@ class ScenarioPool:
     published maps each published descriptor to its optimum, and costs to
     its dense costs (an array('d')), both in publishing order.  optimum
     solves a scenario without publishing it, so pricing a regret adds no
-    column to later games; ensure publishes, reusing that solve, and
-    expands each descriptor once for both its search and its dense costs.
+    column to later games; ensure publishes, reusing that solve (or, for a
+    br_c answer, skipping it), and expands each descriptor once for both
+    its optimum and its dense costs.
     """
 
     def __init__(self, instance: IntervalInstance, oracle: StandardOracle):
@@ -126,12 +131,27 @@ class ScenarioPool:
             value = self._optima[desc] = val(z, scenario)
         return value
 
-    def ensure(self, desc: ScenarioDescriptor) -> float:
-        """The descriptor's optimum, publishing it and its dense costs on first sight."""
+    def ensure(self, desc: ScenarioDescriptor, *, defining_optimal: bool = False) -> float:
+        """The descriptor's optimum, publishing it and its dense costs on first sight.
+
+        defining_optimal says the defining solution is an optimum of its own
+        scenario, as every br_c answer's is (see br_c); then the optimum is
+        its own cost, lo(z) for a favoring descriptor of z, and no search
+        runs.  In floating point that cost, exactly rounded, is never below
+        the true optimum, since it prices a feasible solution; so regrets
+        priced with it never exceed the true ones, and every bound priced
+        with them stays a valid lower bound.  Only run_double_oracle sets
+        it, for br_c's answers: a favoring descriptor built any other way is
+        searched, since its own solution is not its optimum in general.
+        """
         value = self.published.get(desc)
         if value is None:
             scenario = desc.expand(self.instance)
-            value = self.published[desc] = self.optimum(desc, scenario)
+            if defining_optimal:
+                value = self._optima.setdefault(desc, val(desc.defining, scenario))
+            else:
+                value = self.optimum(desc, scenario)
+            self.published[desc] = value
             self.costs[desc] = array("d", scenario.costs.tobytes())
         return value
 
@@ -143,20 +163,24 @@ class RestrictedGame:
     regrets val(x, c) - opt(c), each priced from the column's dense costs.
     The game owns its columns, a map from descriptor to optimum and the
     costs alongside; a new game has no rows and a copy of the pool's
-    published columns, which later publishing leaves alone.  add_scenario(desc,
-    column) takes the column already priced: the regrets of the current
-    rows against desc, as column_values returns them, or an empty list
-    while there are no rows.
+    published columns, which later publishing leaves alone.  Each entry
+    is priced once.  add_scenario(desc, column) takes the column already
+    priced: the regrets of the current rows against desc, as column_values
+    returns them, or an empty list while there are no rows.
+    add_solution(x, row) takes x's regrets against the first len(row)
+    columns, as run_double_oracle priced them for its expected regret, and
+    prices only the columns added since; by default it prices them all.
     """
 
     def __init__(self, instance: IntervalInstance, pool: ScenarioPool):
         self.instance = instance
         self.pool = pool
         self.solutions: list[SolutionIndicator] = []
-        self._solution_keys: set[frozenset] = set()
         self._columns: dict[ScenarioDescriptor, float] = dict(pool.published)
         self._costs: list[array] = list(pool.costs.values())
         self._rows: list[list[float]] = []
+        # Each solution's member set maps to its row in _rows.
+        self._row_of: dict[frozenset, list[float]] = {}
 
     @property
     def scenarios(self) -> list[ScenarioDescriptor]:
@@ -167,17 +191,20 @@ class RestrictedGame:
         return np.asarray(self._rows, dtype=float)
 
     def has_solution(self, x: SolutionIndicator) -> bool:
-        return x.members in self._solution_keys
+        return x.members in self._row_of
 
     def has_scenario(self, desc: ScenarioDescriptor) -> bool:
         return desc in self._columns
 
-    def add_solution(self, x: SolutionIndicator) -> None:
+    def add_solution(self, x: SolutionIndicator, row: Sequence[float] = ()) -> None:
         if self.has_solution(x):
             raise ValueError("solution already in the game")
+        if len(row) > len(self._costs):
+            raise ValueError("more regrets than columns")
+        row = list(row) + self._regrets(x, len(row))
         self.solutions.append(x)
-        self._solution_keys.add(x.members)
-        self._rows.append([cost_of(x.members, costs) - opt for costs, opt in zip(self._costs, self._columns.values())])
+        self._rows.append(row)
+        self._row_of[x.members] = row
 
     def add_scenario(self, desc: ScenarioDescriptor, column: list[float]) -> None:
         if self.has_scenario(desc):
@@ -201,16 +228,30 @@ class RestrictedGame:
         costs = self.pool.costs[desc]
         return [cost_of(x.members, costs) - opt for x in self.solutions]
 
+    def _regrets(self, x: SolutionIndicator, start: int = 0) -> list[float]:
+        """Regret of x against each current column from index start on."""
+        priced = islice(zip(self._costs, self._columns.values()), start, None)
+        return [cost_of(x.members, costs) - opt for costs, opt in priced]
+
+    def _row_values(self, x: SolutionIndicator) -> list[float]:
+        """Regret of x against every current column: for a solution in the game its own row, read-only."""
+        row = self._row_of.get(x.members)
+        return self._regrets(x) if row is None else row
+
     def mixture_costs(self, col_probs) -> np.ndarray:
         """Dense costs of the scenario mixture given by col_probs."""
         return mixture_costs(self.instance, [(q, desc) for q, desc in zip(col_probs, self._columns) if q != 0.0])
 
-    def expected_regret(self, x: SolutionIndicator, col_probs) -> float:
-        """Expected regret of x against the column mixture, summed column by column."""
+    def expected_regret(self, row: Sequence[float], col_probs) -> float:
+        """Expected regret of a solution against the column mixture, given its row of regrets.
+
+        The regrets are weighed and summed column by column, skipping
+        columns of probability zero.
+        """
         total = 0.0
-        for q, costs, opt in zip(col_probs, self._costs, self._columns.values()):
+        for q, regret in zip(col_probs, row):
             if q != 0.0:
-                total += q * (cost_of(x.members, costs) - opt)
+                total += q * regret
         return total
 
 
@@ -284,6 +325,15 @@ def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solution
     that a drawn solution uses i).  Rows of probability zero add nothing to
     that mixture and are left out of it; every solution is feasible, so the
     least of all their costs under it bounds the search.
+
+    The favored solution z is also an optimum of its own scenario fav(z).
+    With m the drawn solutions' marginals, the scenario player maximizes
+    sum_e c_e * (m_e - [e in y]) over scenarios c and solutions y: for each
+    y the best c is fav(y), and the best y is then z, so (fav(z), z)
+    attains the maximum.  No (fav(z), y) scores more, so fav(z)(y) >=
+    fav(z)(z) for every feasible y.  run_double_oracle therefore publishes
+    the answer with its own cost as the optimum, unsearched
+    (ScenarioPool.ensure(..., defining_optimal=True)).
     """
     drawn = [(q, ScenarioDescriptor(x, PENALIZING)) for q, x in zip(row_probs, solutions, strict=True) if q != 0.0]
     costs = mixture_costs(instance, drawn)
@@ -321,11 +371,19 @@ def run_double_oracle(
     one by default).  With no pooled scenario and no init_c, the first
     column is init_x[0]'s penalizing scenario, where its regret peaks.
     The restriction only narrows the solution player; scenario best
-    responses and scenario optima always search the full problem.  Each
-    solution best response is bounded by the least cost of the game's rows
-    under the column mixture.  Rows that break the restriction can make
-    that bound too low, which costs the oracle a second search but never
-    changes an answer.
+    responses and scenario optima always search the full problem.
+
+    An iteration makes two oracle calls, one best response per player.
+    Each br_c answer favors a solution that is optimal under it (see
+    br_c), so its optimum is that solution's own cost and needs no search.
+    Each solution best response is bounded by the least cost of the game's
+    rows under the column mixture q, read off the game matrix A as
+    min(A @ q) + q @ opt: a row's entries are its costs less the column
+    optima, and the mixture's costs are sum_j q_j * c_j.  Rows that break
+    the restriction can make that bound too low, which costs the oracle a
+    second search but never changes an answer.  The best response's row of
+    regrets is priced once: its expected regret weighs it, and the game
+    takes it as its new row, priced only against the column added since.
     """
     config = config or DoubleOracleConfig()
     if config.max_iterations < 1:
@@ -344,12 +402,14 @@ def run_double_oracle(
         if not game.has_solution(x):
             game.add_solution(x)
 
-    def best_response(equilibrium: Equilibrium) -> tuple[SolutionIndicator, float]:
-        """The solution player's answer to the column mixture, and the anytime bound it certifies."""
-        col_probs = equilibrium.col_probs.tolist()
-        costs = game.mixture_costs(col_probs)
-        x, _ = oracle.solve(costs, restriction, _least_cost(costs, game.solutions))
-        return x, game.expected_regret(x, col_probs)
+    def best_response(matrix: np.ndarray, equilibrium: Equilibrium) -> tuple[SolutionIndicator, list[float], float]:
+        """The solution player's answer to the column mixture, its row of regrets, and the anytime bound it certifies."""
+        q = equilibrium.col_probs
+        col_probs = q.tolist()
+        bound = float((matrix @ q).min() + q @ np.fromiter(game._columns.values(), float, q.size))
+        x, _ = oracle.solve(game.mixture_costs(col_probs), restriction, bound)
+        row = game._row_values(x)
+        return x, row, game.expected_regret(row, col_probs)
 
     trace: list[float] = []
     best_lb = -np.inf
@@ -357,8 +417,9 @@ def run_double_oracle(
     iterations = 0
     while iterations < config.max_iterations:
         iterations += 1
-        equilibrium = solve_zero_sum(game.matrix)
-        x_new, anytime = best_response(equilibrium)
+        matrix = game.matrix
+        equilibrium = solve_zero_sum(matrix)
+        x_new, row, anytime = best_response(matrix, equilibrium)
         trace.append(anytime)
         best_lb = max(best_lb, anytime)
         if config.stop_value is not None and best_lb >= config.stop_value:
@@ -370,18 +431,20 @@ def run_double_oracle(
         if x_present and c_present:
             converged = True
             break
+        if not c_present:
+            pool.ensure(c_new, defining_optimal=True)
         column = game.column_values(c_new)
         c_value = float(np.dot(equilibrium.row_probs, column))
         if anytime >= equilibrium.value - _CONVERGENCE_TOL and c_value <= equilibrium.value + _CONVERGENCE_TOL:
             converged = True
             break
         grew = False
-        # The new column first: add_solution then prices the (x_new, c_new) entry.
+        # The new column first: add_solution then prices the (x_new, c_new) entry alone.
         if not c_present:
             game.add_scenario(c_new, column)
             grew = True
         if not x_present and len(game.solutions) < _MAX_SOLUTIONS:
-            game.add_solution(x_new)
+            game.add_solution(x_new, row)
             grew = True
         if not grew:
             break
@@ -389,8 +452,9 @@ def run_double_oracle(
     if equilibrium.row_probs.size != len(game.solutions) or equilibrium.col_probs.size != len(game.scenarios):
         # The budget ran out right after the game grew: the grown game's
         # equilibrium certifies a bound of its own.
-        equilibrium = solve_zero_sum(game.matrix)
-        x_new, anytime = best_response(equilibrium)
+        matrix = game.matrix
+        equilibrium = solve_zero_sum(matrix)
+        x_new, _, anytime = best_response(matrix, equilibrium)
         best_lb = max(best_lb, anytime)
     return DoubleOracleResult(
         lower_bound=float(best_lb),

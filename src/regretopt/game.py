@@ -11,7 +11,7 @@ over the shifted, transposed matrix.  The optimal u rescales to the row
 strategy, the duals on the slack columns rescale to the column strategy,
 and 1/(sum u) recovers the shifted value.  No external solver is involved.
 Small games pivot on Python lists; larger ones update the whole 2-d
-tableau with one outer product per pivot, to the same bits.
+tableau with one broadcast outer product per pivot, to the same bits.
 """
 
 from __future__ import annotations
@@ -90,17 +90,21 @@ def _simplex(tableau: list | np.ndarray, basis: list[int], num_cols: int) -> Non
     last; pricing and the ratio test read lists either way.  Each pivot
     divides the pivot row by the pivot, then subtracts factor * pivot row
     from every other row.  Lists do it row by row and skip a zero factor.
-    The array does it as one outer-product update, then writes the pivot
-    row back; there a zero factor subtracts a zero, which changes no entry
-    but a negative zero, and only underflow makes one.  So both forms see
-    the same float operations and pivot to bit-identical tableaus.
+    The array does it as one outer-product update, the pivot column
+    broadcast against the pivot row, then writes the pivot row back; there
+    a zero factor subtracts a zero, which changes no entry but a negative
+    zero, and only underflow makes one.  So both forms see the same float
+    operations and pivot to bit-identical tableaus.
     """
     obj = len(tableau) - 1
     lists = isinstance(tableau, list)
+    if not lists:
+        # Views: the pivots below update the tableau in place.
+        objective, rhs = tableau[obj, :num_cols], tableau[:obj, -1]
     bland_after = 100 + 20 * num_cols
     max_iters = 1000 + 200 * num_cols
     for it in range(max_iters):
-        costs = tableau[obj][:num_cols] if lists else tableau[obj, :num_cols].tolist()
+        costs = tableau[obj][:num_cols] if lists else objective.tolist()
         col = _entering_column(costs, it, bland_after)
         if col < 0:
             return
@@ -114,9 +118,9 @@ def _simplex(tableau: list | np.ndarray, basis: list[int], num_cols: int) -> Non
                 if f != 0.0 and r != row:
                     tableau[r] = [x - f * y for x, y in zip(t, prow)]
         else:
-            row = _leaving_row(tableau[:obj, col].tolist(), tableau[:obj, -1].tolist(), basis)
+            row = _leaving_row(tableau[:obj, col].tolist(), rhs.tolist(), basis)
             prow = tableau[row] / tableau[row, col]
-            tableau -= np.outer(tableau[:, col], prow)
+            tableau -= tableau[:, col][:, None] * prow
             tableau[row] = prow
         basis[row] = col
     raise SolverFailure("simplex iteration budget exhausted")
@@ -148,8 +152,10 @@ def _solve_shifted(a: np.ndarray, shift: float, divisor: float) -> Equilibrium:
         rows[:l, -1] = 1.0
         rows[l, :k] = -1.0
     _simplex(rows, basis, num_cols)
-    rhs = [float(t[-1]) for t in rows]
-    duals = rows[l][k:num_cols]
+    if isinstance(rows, list):
+        rhs, duals = [t[-1] for t in rows], rows[l][k:num_cols]
+    else:
+        rhs, duals = rows[:, -1].tolist(), rows[l, k:num_cols].tolist()
 
     scale = rhs[l]
     if scale <= 0.0:

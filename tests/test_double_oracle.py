@@ -180,7 +180,7 @@ def test_restricted_game_matches_dense_recomputation():
             p * (val(x, descs[j].expand(inst)) - oracle.solve(descs[j].expand(inst).costs)[1])
             for j, p in enumerate(q)
         )
-        assert game.expected_regret(x, q) == pytest.approx(direct, abs=1e-9)
+        assert game.expected_regret(game._row_values(x), q) == pytest.approx(direct, abs=1e-9)
 
 
 def test_restricted_game_rejects_duplicates():
@@ -200,29 +200,21 @@ def test_restricted_game_rejects_duplicates():
 
 
 def test_run_prices_each_game_entry_once(monkeypatch):
-    """On the two-arc run every entry of the final game is priced once; expected regrets are not entries.
+    """On the two-arc run every entry of the final game is priced once, and nothing else is priced against a column.
 
-    An entry is a pricing against a published column's own costs; the
-    search bounds price the game's rows against mixture costs instead.
+    An entry is a pricing against a published column's own costs.  A best
+    response's row is priced once, for its expected regret, and joins the
+    game as it is; br_c's search bound prices the rows against mixture
+    costs instead, which are no column's.
     """
     priced = []
-    in_expected_regret = []
-    cost_of, expected_regret = double_oracle.cost_of, RestrictedGame.expected_regret
+    cost_of = double_oracle.cost_of
 
     def counting(members, costs):
-        if not in_expected_regret:
-            priced.append((members, costs))
+        priced.append((members, costs))
         return cost_of(members, costs)
 
-    def flagged(self, x, col_probs):
-        in_expected_regret.append(True)
-        try:
-            return expected_regret(self, x, col_probs)
-        finally:
-            in_expected_regret.pop()
-
     monkeypatch.setattr(double_oracle, "cost_of", counting)
-    monkeypatch.setattr(RestrictedGame, "expected_regret", flagged)
     inst, oracle = two_arc_setup()
     pool = ScenarioPool(inst, oracle)
     result = run_double_oracle(inst, oracle, *root_start(inst, oracle), pool=pool)
@@ -249,7 +241,7 @@ def two_arc_game(*descs):
 def solution_response(game, oracle, col_probs):
     """The solution player's best response to a column mixture, as run_double_oracle computes it."""
     x, _ = oracle.solve(game.mixture_costs(col_probs))
-    return x, game.expected_regret(x, col_probs)
+    return x, game.expected_regret(game._row_values(x), col_probs)
 
 
 def test_br_x_against_pure_scenario_has_zero_regret():
@@ -316,6 +308,133 @@ def test_br_c_leaves_zero_probability_rows_out_of_the_mixture():
         full = br_c(inst, oracle, probs, solutions)
         drawn = br_c(inst, oracle, probs[kept], [x for x, keep in zip(solutions, kept) if keep])
         assert full == drawn
+
+
+def _feasible_families():
+    """(label, instance, oracle, every feasible solution): small R and K graphs, and random set families."""
+    for seed in range(3):
+        for spec in (GeneratorSpec(family="R", n=10, r=1000.0, d=1.0, delta=0.4, seed=8100 + seed),
+                     GeneratorSpec(family="K", n=14, r=1000.0, d=1.0, w=3, seed=8100 + seed)):
+            graph = gen_instance(spec)
+            yield spec.name, graph.instance, sp_oracle(graph), [p.indicator() for p in enumerate_paths(graph)]
+    rng = np.random.default_rng(81)
+    for k in range(3):
+        n = 9
+        lo = rng.uniform(0.0, 1000.0, n) * 10.0 ** rng.uniform(-2, 2, n)
+        inst = IntervalInstance(lo=lo, hi=lo + rng.uniform(0.0, 1000.0, n))
+        family = list({x.members: x for x in (sol(*np.flatnonzero(rng.random(n) < 0.4).tolist()) for _ in range(24)) if x.members}.values())
+        yield "sets#%d" % k, inst, EnumeratedOracle(n, family), family
+
+
+def test_a_scenario_best_response_is_optimal_for_its_own_solution():
+    """br_c's answer fav(z) has z among its optima, so its optimum is z's own cost, to the bit.
+
+    That holds for br_c's answers alone: some favoring descriptor built by
+    hand has an optimum below its own solution's cost, and the pool
+    searches such a descriptor.
+    """
+    rng = np.random.default_rng(82)
+    for label, inst, oracle, feasible in _feasible_families():
+        assert len(feasible) >= 4, label
+        for _ in range(30):
+            solutions = [feasible[i] for i in rng.choice(len(feasible), size=int(rng.integers(1, 6)), replace=False)]
+            probs = rng.dirichlet(np.ones(len(solutions)))
+            probs[rng.random(len(solutions)) < 0.3] = 0.0
+            if not probs.any():
+                probs[0] = 1.0
+            desc = br_c(inst, oracle, probs, solutions)
+            scenario = desc.expand(inst)
+            own = val(desc.defining, scenario).hex()
+            assert val(oracle.solve(scenario.costs)[0], scenario).hex() == own, label
+            assert min(val(y, scenario) for y in feasible).hex() == own, label
+            pool = ScenarioPool(inst, oracle)
+            assert pool.ensure(desc, defining_optimal=True).hex() == own
+        below = []
+        for x in feasible:
+            scenario = favoring_scenario(inst, x)
+            searched = ScenarioPool(inst, oracle).ensure(ScenarioDescriptor(x, FAVORING))
+            assert searched == min(val(y, scenario) for y in feasible)
+            below.append(searched < val(x, scenario))
+        assert any(below), label
+
+
+def _game_families():
+    """(label, instance, oracle) triples whose double-oracle runs grow for several iterations."""
+    for seed in range(3):
+        for spec in (GeneratorSpec(family="R", n=40, r=1000.0, d=1.0, delta=0.2, seed=8300 + seed),
+                     GeneratorSpec(family="K", n=34, r=1000.0, d=1.0, w=4, seed=8300 + seed)):
+            graph = gen_instance(spec)
+            yield spec.name, graph.instance, sp_oracle(graph)
+    rng = np.random.default_rng(84)
+    for k in range(3):
+        n = 14
+        lo = rng.uniform(0.0, 1000.0, n) * 10.0 ** rng.uniform(-2, 2, n)
+        inst = IntervalInstance(lo=lo, hi=lo + rng.uniform(0.0, 1000.0, n))
+        family = {frozenset(rng.choice(n, size=5, replace=False).tolist()) for _ in range(120)}
+        yield "sets#%d" % k, inst, EnumeratedOracle(n, sorted(family, key=sorted))
+
+
+def test_a_grown_iteration_makes_two_oracle_calls_to_the_answers_of_three(monkeypatch):
+    """A grown iteration makes two oracle calls, one best response per player; searching br_c's optimum too made three.
+
+    With that search put back, every run reads the same trace, bound,
+    strategies and final mixture, to the bit, and makes one call more per
+    br_c answer published.
+    """
+
+    class Counting:
+        def __init__(self, oracle):
+            self.oracle, self.n, self.calls = oracle, oracle.n, 0
+
+        def solve(self, *args):
+            self.calls += 1
+            return self.oracle.solve(*args)
+
+    plain_lp = double_oracle.solve_zero_sum
+
+    def run(inst, oracle, x, iterations):
+        """The run, its pool's size, and the oracle calls before the first LP and after each."""
+        counting, marks = Counting(oracle), []
+
+        def marking(matrix):
+            marks.append(counting.calls)
+            return plain_lp(matrix)
+
+        monkeypatch.setattr(double_oracle, "solve_zero_sum", marking)
+        pool = ScenarioPool(inst, counting)
+        result = run_double_oracle(inst, counting, [x], config=DoubleOracleConfig(max_iterations=iterations), pool=pool)
+        monkeypatch.setattr(double_oracle, "solve_zero_sum", plain_lp)
+        return result, len(pool), marks[0], np.diff(marks + [counting.calls]).tolist()
+
+    def outcome(result):
+        return (
+            [v.hex() for v in result.trace], result.lower_bound.hex(), result.solutions, result.scenarios,
+            result.equilibrium.col_probs.tobytes(), result.converged, result.iterations,
+        )
+
+    ensure = ScenarioPool.ensure
+
+    def searching(self, desc, *, defining_optimal=False):
+        return ensure(self, desc)
+
+    grown = 0
+    for label, inst, oracle in _game_families():
+        x, _ = oracle.solve(inst.mid)
+        for iterations in (5, 10_000):
+            result, published, first, steps = run(inst, oracle, x, iterations)
+            # One search for the first column's optimum, before the first LP.
+            assert first == 1, label
+            # Two calls after every LP but the one that closes a run cut short after growing.
+            assert steps[:result.iterations] == [2] * result.iterations, label
+            assert steps[result.iterations:] in ([], [1]), label
+            grown += result.iterations - result.converged
+            monkeypatch.setattr(ScenarioPool, "ensure", searching)
+            searched, searched_published, _, searched_steps = run(inst, oracle, x, iterations)
+            monkeypatch.setattr(ScenarioPool, "ensure", ensure)
+            assert outcome(searched) == outcome(result), label
+            assert searched_published == published
+            assert sum(searched_steps) - sum(steps) == published - 1, label
+    assert grown >= 60
 
 
 def test_max_regret_examples():
@@ -496,9 +615,9 @@ def test_pooled_scenarios_seed_a_game_without_pool_lookups(monkeypatch):
     asked = []
     ensure = ScenarioPool.ensure
 
-    def recording(self, desc):
+    def recording(self, desc, **kwargs):
         asked.append(desc)
-        return ensure(self, desc)
+        return ensure(self, desc, **kwargs)
 
     monkeypatch.setattr(ScenarioPool, "ensure", recording)
     game = RestrictedGame(inst, pool)
@@ -912,7 +1031,7 @@ def test_pricing_does_not_depend_on_arc_order(spec):
         probs = np.random.default_rng(2).dirichlet(np.ones(len(descs)), size=4)
         found.append((
             game.matrix.tobytes(),
-            [game.expected_regret(on_g(x), q).hex() for x in solutions for q in probs],
+            [game.expected_regret(game._row_values(on_g(x)), q).hex() for x in solutions for q in probs],
             [max_regret(inst, g_oracle, on_g(x)).hex() for x in solutions],
         ))
     assert found[0] == found[1]
