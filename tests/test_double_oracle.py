@@ -310,6 +310,12 @@ def test_br_c_leaves_zero_probability_rows_out_of_the_mixture():
         assert full == drawn
 
 
+def _random_interval_instance(rng, n):
+    """n elements whose lo spans several decades, with widths up to 1000."""
+    lo = rng.uniform(0.0, 1000.0, n) * 10.0 ** rng.uniform(-2, 2, n)
+    return IntervalInstance(lo=lo, hi=lo + rng.uniform(0.0, 1000.0, n))
+
+
 def _feasible_families():
     """(label, instance, oracle, every feasible solution): small R and K graphs, and random set families."""
     for seed in range(3):
@@ -320,8 +326,7 @@ def _feasible_families():
     rng = np.random.default_rng(81)
     for k in range(3):
         n = 9
-        lo = rng.uniform(0.0, 1000.0, n) * 10.0 ** rng.uniform(-2, 2, n)
-        inst = IntervalInstance(lo=lo, hi=lo + rng.uniform(0.0, 1000.0, n))
+        inst = _random_interval_instance(rng, n)
         family = list({x.members: x for x in (sol(*np.flatnonzero(rng.random(n) < 0.4).tolist()) for _ in range(24)) if x.members}.values())
         yield "sets#%d" % k, inst, EnumeratedOracle(n, family), family
 
@@ -368,8 +373,7 @@ def _game_families():
     rng = np.random.default_rng(84)
     for k in range(3):
         n = 14
-        lo = rng.uniform(0.0, 1000.0, n) * 10.0 ** rng.uniform(-2, 2, n)
-        inst = IntervalInstance(lo=lo, hi=lo + rng.uniform(0.0, 1000.0, n))
+        inst = _random_interval_instance(rng, n)
         family = {frozenset(rng.choice(n, size=5, replace=False).tolist()) for _ in range(120)}
         yield "sets#%d" % k, inst, EnumeratedOracle(n, sorted(family, key=sorted))
 
