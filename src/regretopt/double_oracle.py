@@ -219,10 +219,11 @@ class RestrictedGame:
     def column_values(self, desc: ScenarioDescriptor) -> list[float]:
         """Regret of every current solution against one descriptor.
 
-        A descriptor outside the game is published to the pool for its
-        optimum but not added to the game.
+        A descriptor the pool has not published is published for its
+        optimum but not added to the game.  Every column of the game is
+        published, with the optimum the game holds.
         """
-        opt = self._columns.get(desc)
+        opt = self.pool.published.get(desc)
         if opt is None:
             opt = self.pool.ensure(desc)
         costs = self.pool.costs[desc]
