@@ -18,31 +18,34 @@ from ..shortest_path import IntervalDigraph, Path
 def enumerate_paths(graph: IntervalDigraph, path_limit: int = 1_000_000) -> list[Path]:
     """All simple source-target paths, DFS exploring edges in id order.
 
+    The search keeps its own stack, one iterator over the untried out-arcs
+    of each node on the current path, so no path is too long for it.
     Raises ValueError once more than path_limit paths exist.
     """
     paths: list[Path] = []
-    stack: list[int] = []
+    edges: list[int] = []
     heads = graph.heads.tolist()
     on_path = [False] * graph.node_count
     on_path[graph.source] = True
-
-    def walk(node: int) -> None:
-        if node == graph.target:
+    untried = [iter(graph.out_edges[graph.source])]
+    while untried:
+        e = next(untried[-1], None)
+        if e is None:
+            untried.pop()
+            if edges:
+                on_path[heads[edges.pop()]] = False
+            continue
+        head = heads[e]
+        if on_path[head]:
+            continue
+        if head == graph.target:
             if len(paths) >= path_limit:
                 raise ValueError("more than %d paths" % path_limit)
-            paths.append(Path(tuple(stack)))
-            return
-        for e in graph.out_edges[node]:
-            head = heads[e]
-            if on_path[head]:
-                continue
-            on_path[head] = True
-            stack.append(e)
-            walk(head)
-            stack.pop()
-            on_path[head] = False
-
-    walk(graph.source)
+            paths.append(Path((*edges, e)))
+            continue
+        on_path[head] = True
+        edges.append(e)
+        untried.append(iter(graph.out_edges[head]))
     return paths
 
 

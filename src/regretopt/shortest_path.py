@@ -9,16 +9,19 @@ graph and checked against it then, once: split checks only the arc it
 adds, and a search only tests that it was handed the constraint's graph.
 
 The searches index plain Python sequences: each call copies its costs into
-a flat array of doubles, and the graph keeps its adjacency as per-node
-tuples, because indexing numpy scalars one arc at a time costs more than
-the search itself.  Work over all arcs stays in numpy: a constraint keeps
-its forbidden arcs as an index array, marked at inf with one store, and
-the walk through each arc is scored in one expression.  The graph's own
-lo, hi and midpoint costs (instance.mid) were checked when it was built
-and are read-only, so a search handed any of them checks nothing again,
-and neither does the walk through each arc, which builds a path's
-favoring scenario from them; every other cost vector is checked on every
-call.
+a flat array of doubles, and the graph keeps one adjacency, the tuple of
+arc ids out of each node (out_edges), with every arc's head and tail in
+flat tuples by arc id, because indexing numpy scalars one arc at a time
+costs more than the search itself.  Every search walks it the same way,
+reading the head of each e in out_edges[u]; the reverse search gathers
+each head's arc ids and reads their tails.  Work over all arcs stays in
+numpy: a constraint keeps its forbidden arcs as an index array, marked at
+inf with one store, and the walk through each arc is scored in one
+expression.  The graph's own lo, hi and midpoint costs (instance.mid) were
+checked when it was built and are read-only, so a search handed any of
+them checks nothing again, and neither does the walk through each arc,
+which builds a path's favoring scenario from them; every other cost vector
+is checked on every call.
 
 Searches toward the target are goal-directed (A*).  Each node's distance
 to the target under any floor at or below the costs, shrunk by a hair, is
@@ -109,9 +112,9 @@ class IntervalDigraph:
     target: int
     out_edges: tuple[tuple[int, ...], ...] = field(init=False)
     instance: IntervalInstance = field(init=False)
-    # The head of every arc in out_edges, position by position.
-    _out_heads: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    # The tail of every arc, by arc id, for walking a path back.
+    # The head and the tail of every arc, by arc id: a search reads the head
+    # of each arc in out_edges, the reverse search and path walks the tail.
+    _heads: tuple[int, ...] = field(init=False, repr=False)
     _tails: tuple[int, ...] = field(init=False, repr=False)
     # The potentials of the graph's own cost floors, filled on first use of potential.
     _potentials: dict = field(default_factory=dict, init=False, repr=False)
@@ -137,13 +140,11 @@ class IntervalDigraph:
             raise ValueError("terminal out of range")
         if s == t:
             raise ValueError("source and target must differ")
-        ids = list(range(n))  # one int object per node, shared by all head tuples
+        ids = list(range(n))  # one int object per node, shared by _heads and _tails
         out_adj: list[list[int]] = [[] for _ in range(n)]
-        out_heads: list[list[int]] = [[] for _ in range(n)]
         tail_ids = tuple(ids[u] for u in tails.tolist())
-        for e, (u, v) in enumerate(zip(tail_ids, heads.tolist())):
+        for e, u in enumerate(tail_ids):
             out_adj[u].append(e)
-            out_heads[u].append(ids[v])
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "tails", tails)
         object.__setattr__(self, "heads", heads)
@@ -153,7 +154,7 @@ class IntervalDigraph:
         object.__setattr__(self, "target", t)
         object.__setattr__(self, "out_edges", tuple(tuple(a) for a in out_adj))
         object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "_out_heads", tuple(tuple(a) for a in out_heads))
+        object.__setattr__(self, "_heads", tuple(ids[v] for v in heads.tolist()))
         object.__setattr__(self, "_tails", tail_ids)
         if not self._reaches_target():
             raise ValueError("target is not reachable from the source")
@@ -201,29 +202,28 @@ class IntervalDigraph:
             self._potentials[id(floor)] = h
         return h
 
-    def acyclic_order(self) -> tuple[list[int], list[int], list[tuple]] | None:
-        """The nodes in topological order, each node's place in it and its out-arcs as (arc, head) pairs.
+    def acyclic_order(self) -> tuple[list[int], list[int]] | None:
+        """The nodes in topological order, and each node's place in it.
 
         None if the graph has a cycle.  Computed on first use by Kahn's
         algorithm, then kept in a field, not in the instance dict, which
-        would slow every attribute read of the graph: two ints a node and a
-        pair an arc.  The pass over the order iterates the pairs faster
-        than it would zip out_edges with the heads.
+        would slow every attribute read of the graph: two ints a node.
         """
         if self._order is not _UNSORTED:
             return self._order
         indegree = np.bincount(self.heads, minlength=self.node_count).tolist()
         order = [u for u, k in enumerate(indegree) if not k]
+        out_edges, heads = self.out_edges, self._heads
         for u in order:  # the loop reads the nodes it appends
-            for v in self._out_heads[u]:
+            for e in out_edges[u]:
+                v = heads[e]
                 indegree[v] -= 1
                 if not indegree[v]:
                     order.append(v)
         found = None
         if len(order) == self.node_count:
-            out_arcs = [tuple(zip(arcs, heads)) for arcs, heads in zip(self.out_edges, self._out_heads)]
             # argsort inverts the permutation: each node's place in the order.
-            found = order, np.argsort(order).tolist(), out_arcs
+            found = order, np.argsort(order).tolist()
         object.__setattr__(self, "_order", found)
         return found
 
@@ -231,11 +231,13 @@ class IntervalDigraph:
         seen = [False] * self.node_count
         seen[self.source] = True
         stack = [self.source]
+        out_edges, heads = self.out_edges, self._heads
         while stack:
             u = stack.pop()
             if u == self.target:
                 return True
-            for v in self._out_heads[u]:
+            for e in out_edges[u]:
+                v = heads[e]
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
@@ -405,7 +407,7 @@ def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.i
         settled[u] = True
     if settled[src]:
         return dist, pred
-    out_edges, out_heads = graph.out_edges, graph._out_heads
+    out_edges, heads = graph.out_edges, graph._heads
     push, pop = heapq.heappush, heapq.heappop
     dist[src] = 0.0
     heap = [(h[src], 0.0, src)]
@@ -416,7 +418,8 @@ def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.i
         settled[u] = True
         if u == target:
             break
-        for e, v in zip(out_edges[u], out_heads[u]):
+        for e in out_edges[u]:
+            v = heads[e]
             if settled[v]:
                 continue
             nd = d + costs[e]
@@ -448,12 +451,13 @@ def _reverse_search(graph, costs, region, h, cutoff=math.inf) -> tuple[list[floa
     inside = [False] * n
     for u in region:
         inside[u] = True
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    out_edges, out_heads = graph.out_edges, graph._out_heads
+    into: list[list[int]] = [[] for _ in range(n)]
+    out_edges, heads, tails = graph.out_edges, graph._heads, graph._tails
     for u in region:
-        for e, v in zip(out_edges[u], out_heads[u]):
+        for e in out_edges[u]:
+            v = heads[e]
             if inside[v]:
-                into[v].append((e, u))
+                into[v].append(e)
     through = array("d", [math.inf]) * graph.m
     d_t = [math.inf] * n
     t = graph.target
@@ -464,7 +468,8 @@ def _reverse_search(graph, costs, region, h, cutoff=math.inf) -> tuple[list[floa
         _, d, v = pop(heap)
         if d > d_t[v]:
             continue
-        for e, u in into[v]:
+        for e in into[v]:
+            u = tails[e]
             hu, ce = h[u], costs[e]
             walk = hu + ce + d
             if walk < cutoff:
@@ -538,12 +543,14 @@ def _acyclic_pass(graph, costs: array, src, banned_nodes, target, h, cutoff=math
     dist = [math.inf] * n
     pred = [-1] * n
     dist[src] = 0.0
-    order, position, out_arcs = graph.acyclic_order()
+    order, position = graph.acyclic_order()
+    out_edges, heads = graph.out_edges, graph._heads
     for u in order[position[src] : position[target]]:
         d = dist[u]
         if d + h[u] >= cutoff:
             continue
-        for e, v in out_arcs[u]:
+        for e in out_edges[u]:
+            v = heads[e]
             nd = d + costs[e]
             dv = dist[v]
             if nd < dv:
@@ -653,8 +660,8 @@ def two_unit_min_flow(graph: IntervalDigraph, constraint: PathConstraint | None 
     # Nodes that cannot reach the target price at -inf and are never pushed.
     for e in used:
         costs[e] = (lo if e in out else hi).item(e)
-    cancel = {graph.heads.item(e): graph.tails.item(e) for e in used}
-    out_edges, out_heads = graph.out_edges, graph._out_heads
+    out_edges, heads, tails = graph.out_edges, graph._heads, graph._tails
+    cancel = {heads[e]: tails[e] for e in used}
     push, pop = heapq.heappush, heapq.heappop
     rdist = [math.inf] * graph.node_count
     done = [False] * graph.node_count
@@ -668,7 +675,8 @@ def two_unit_min_flow(graph: IntervalDigraph, constraint: PathConstraint | None 
         if u == t:
             break
         base = min(dist[u], dt - h[u])
-        for e, v in zip(out_edges[u], out_heads[u]):
+        for e in out_edges[u]:
+            v = heads[e]
             if done[v]:
                 continue
             pv = dt - h[v]

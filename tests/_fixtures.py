@@ -1,8 +1,9 @@
-"""Hand-checked instances shared across test modules.
+"""Hand-checked instances shared across test modules, and a relabelling helper.
 
 The six-node graph is the worked routing example used throughout the
 docs; every golden number asserted against it was derived by hand and
 cross-checked with the enumeration oracles before the solvers existed.
+relabel hands a solver the same graph under other node and arc ids.
 """
 
 from __future__ import annotations
@@ -37,6 +38,21 @@ def loop_graph() -> IntervalDigraph:
     """Source 0, target 3, an arc 2 -> 0 back to the source and an arc 3 -> 1 out of the target."""
     rows = [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 0, 0.0, 0.0), (2, 3, 9.0, 9.0), (0, 3, 1.0, 1.0), (3, 1, 1.0, 1.0)]
     return IntervalDigraph.from_edges(4, rows, 0, 3)
+
+
+def relabel(graph: IntervalDigraph, rng: np.random.Generator) -> IntervalDigraph:
+    """The same graph with permuted node ids and arc order."""
+    node_perm = rng.permutation(graph.node_count)
+    arc_order = rng.permutation(graph.m)
+    return IntervalDigraph(
+        graph.node_count,
+        node_perm[np.asarray(graph.tails)[arc_order]],
+        node_perm[np.asarray(graph.heads)[arc_order]],
+        np.asarray(graph.lo)[arc_order],
+        np.asarray(graph.hi)[arc_order],
+        int(node_perm[graph.source]),
+        int(node_perm[graph.target]),
+    )
 
 
 def five_element_instance() -> IntervalInstance:

@@ -9,7 +9,7 @@ from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_max_regret, brute_force_opt, enumerate_paths
 from regretopt.shortest_path import order_path_edges, sp_oracle
 
-from _fixtures import loop_graph, six_node_graph, two_arc_graph
+from _fixtures import loop_graph, relabel, six_node_graph, two_arc_graph
 from _oracles import full_sweep_fixed_arcs
 
 
@@ -232,6 +232,32 @@ def test_golden_search_outcomes(family, seed):
         stats = bb_solve(graph, strategy, BBConfig(warm_start=warm_start))
         assert stats.complete
         assert (stats.opt.hex(), stats.optimal_path.edges, stats.nodes_expanded) == (opt_hex, path, expected_nodes)
+
+
+def test_exact_solves_do_not_depend_on_the_labelling():
+    """Every strategy's optimum, on small R and K graphs and three relabelled copies of each.
+
+    Root fixing agrees too, but on the copies with integer costs: there the
+    midpoint incumbent it fixes against is one of several tied paths, and
+    the tie rule (the smallest arc id) picks it by label.
+    """
+    specs = [GeneratorSpec(family="R", n=16 + 4 * (i % 3), r=1000.0, d=1.0, delta=0.25, seed=i) for i in range(12)]
+    specs += [GeneratorSpec(family="K", n=18 + 4 * (i % 3), r=1000.0, d=1.0, w=4, seed=i) for i in range(12)]
+    branched = 0
+    for spec in specs:
+        for tied in (False, True):
+            graph = gen_instance(spec)
+            graph = _integer_costs(graph) if tied else graph
+            copies = [relabel(graph, np.random.default_rng([spec.seed, spec.n, k])) for k in range(3)]
+            for strategy in STRATEGIES:
+                stats = bb_solve(graph, strategy)
+                assert stats.complete
+                branched += stats.nodes_expanded > 1
+                for copy in copies:
+                    relabelled = bb_solve(copy, strategy)
+                    assert relabelled.opt.hex() == stats.opt.hex()
+                    assert tied or relabelled.fixed_arcs == stats.fixed_arcs
+    assert branched >= 50
 
 
 def _golden_graph(family, seed):

@@ -38,7 +38,7 @@ from regretopt.double_oracle import FAVORING, PENALIZING, RestrictedGame
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import brute_force_lb_star, enumerate_paths
 
-from _fixtures import five_element_instance, six_node_graph, two_arc_graph
+from _fixtures import five_element_instance, relabel, six_node_graph, two_arc_graph
 from _oracles import EnumeratedOracle, reference_marginals, reference_mixture_costs
 
 
@@ -742,21 +742,6 @@ def test_truncated_runs_keep_the_bound_their_mixture_certifies():
             assert sum(mean[e] for e in result.best_response.members) == pytest.approx(sp_mean, abs=1e-9)
             checked += 1
     assert checked >= 30
-
-
-def relabel(graph, rng):
-    """The same graph with permuted node ids and arc order."""
-    node_perm = rng.permutation(graph.node_count)
-    arc_order = rng.permutation(graph.m)
-    return IntervalDigraph(
-        graph.node_count,
-        node_perm[np.asarray(graph.tails)[arc_order]],
-        node_perm[np.asarray(graph.heads)[arc_order]],
-        np.asarray(graph.lo)[arc_order],
-        np.asarray(graph.hi)[arc_order],
-        int(node_perm[graph.source]),
-        int(node_perm[graph.target]),
-    )
 
 
 def test_wide_payoff_root_game_converges():

@@ -36,7 +36,7 @@ from regretopt.harness.experiments import (
 from regretopt.double_oracle import max_regret
 from regretopt.shortest_path import sp_oracle
 
-from _fixtures import six_node_graph, two_arc_graph
+from _fixtures import loop_graph, six_node_graph, two_arc_graph
 
 
 # --------------------------------------------------------------- generators
@@ -282,6 +282,46 @@ def test_path_enumeration_order_and_limit():
     ]
     with pytest.raises(ValueError, match="more than 3 paths"):
         enumerate_paths(graph, path_limit=3)
+
+
+def _recursive_paths(graph):
+    """Every simple s-t path by a recursive DFS over arc ids in increasing order: the reference for enumerate_paths."""
+    paths, edges = [], []
+    on_path = [False] * graph.node_count
+
+    def walk(node):
+        if node == graph.target:
+            paths.append(tuple(edges))
+            return
+        on_path[node] = True
+        for e in graph.out_edges[node]:
+            head = int(graph.heads[e])
+            if not on_path[head]:
+                edges.append(e)
+                walk(head)
+                edges.pop()
+        on_path[node] = False
+
+    walk(graph.source)
+    return paths
+
+
+def test_path_enumeration_matches_a_recursive_reference():
+    graphs = [six_node_graph(), two_arc_graph(), loop_graph()]
+    graphs += [gen_instance(GeneratorSpec(family="R", n=5 + i % 3, r=100.0, d=1.0, delta=0.6, seed=i)) for i in range(6)]
+    graphs += [gen_instance(GeneratorSpec(family="K", n=2 + 3 * (1 + i % 3), r=100.0, d=1.0, w=3, seed=i)) for i in range(6)]
+    for graph in graphs:
+        expected = _recursive_paths(graph)
+        assert [p.edges for p in enumerate_paths(graph)] == expected
+        with pytest.raises(ValueError, match="more than %d paths" % (len(expected) - 1)):
+            enumerate_paths(graph, path_limit=len(expected) - 1)
+
+
+def test_path_enumeration_walks_a_path_longer_than_the_recursion_limit():
+    graph = gen_instance(GeneratorSpec(family="K", n=1202, r=1000.0, d=0.5, w=1, seed=0))
+    paths = enumerate_paths(graph)
+    assert len(paths) == 1 and len(paths[0].edges) == 1201 > sys.getrecursionlimit()
+    assert brute_force_opt(graph)[1] == 0.0
 
 
 def test_brute_force_opt_on_the_fixture():

@@ -10,7 +10,9 @@ own module, and no module imports a private name from another regretopt
 module, since no other module is meant to use it.  Last, every public
 top-level function and class of the package must be read somewhere in the
 package, the demos or the benchmark's non-test code, so that none is kept
-alive only by its own tests.
+alive only by its own tests.  And a private attribute read off any object
+but self or cls is read only in a module that defines it, so that how a
+class stores its state (say, the graph's adjacency) stays behind its module.
 """
 
 import ast
@@ -225,3 +227,80 @@ def test_no_public_name_is_kept_alive_only_by_tests():
     readers = [p.read_text() for p in modules + sorted((ROOT / "demos").glob("*.py")) + bench]
     defining = {str(p.relative_to(PACKAGE)): p.read_text() for p in modules if p not in REFERENCE_MODULES}
     assert bench and unread_public_names(defining, readers) == []
+
+
+def _private_attribute_definitions(tree: ast.Module) -> set[str]:
+    """Private attributes a module defines.
+
+    A definition is a top-level private name, a private field or def in a
+    class body, an assignment to self._name, or object.__setattr__(..., "_name", ...).
+    """
+    defined = set(_private_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                defined.add(node.attr)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                defined.add(name.value)
+    return {name for name in defined if _is_private(name)}
+
+
+def foreign_private_reads(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """Private attributes read off an object other than self or cls outside every module that defines them.
+
+    sources maps a module's label to its source; returns (label, attribute, line).
+    """
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    definers: dict[str, set[str]] = {}
+    for label, tree in trees.items():
+        for name in _private_attribute_definitions(tree):
+            definers.setdefault(name, set()).add(label)
+    return sorted(
+        (label, node.attr, node.lineno)
+        for label, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and _is_private(node.attr)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        and label not in definers.get(node.attr, ())
+    )
+
+
+def test_the_scan_sees_private_attributes_read_outside_their_module():
+    graph = (
+        "class Graph:\n"
+        "    _order: tuple = ()\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, '_heads', ())\n"
+        "        self._cache = {}\n"
+        "    def _walk(self):\n"
+        "        return self._heads, self._hidden\n"
+        "def search(graph):\n"
+        "    return graph._heads, graph._order, graph._cache, graph._walk()\n"
+    )
+    user = (
+        "import sys\n"
+        "def run(graph):\n"
+        "    graph._cache = None\n"
+        "    return graph.heads, graph._heads, graph._walk(), sys._getframe()\n"
+        "class User:\n"
+        "    def f(self):\n"
+        "        return self._order, type(self)._order\n"
+    )
+    found = foreign_private_reads({"graph.py": graph, "user.py": user})
+    assert found == [("user.py", "_getframe", 4), ("user.py", "_heads", 4), ("user.py", "_order", 7), ("user.py", "_walk", 4)]
+
+
+def test_package_private_attributes_are_read_only_where_they_are_defined():
+    sources = {str(p.relative_to(PACKAGE)): p.read_text() for p in sorted(PACKAGE.rglob("*.py"))}
+    assert sources and foreign_private_reads(sources) == []
