@@ -49,13 +49,17 @@ def lb_cg(graph: IntervalDigraph, constraint: PathConstraint | None = None) -> B
     shortest path, minus half the cheapest two-unit routing in which a
     second use of an arc costs its remaining interval endpoint.
     """
-    constraint = constraint or PathConstraint(graph)
     mid = graph.instance.mid
-    found = constrained_sp(graph, mid, constraint)
-    if found is None:
-        raise NoFeasibleSolution("constraint admits no path")
-    path, mid_value = found
-    pinned = float(sum(graph.hi[e] - mid[e] for e in constraint.in_chain))
+    if constraint is None:
+        # With no constraint, nothing is pinned and no search can fail.
+        path, mid_value = dijkstra(graph, mid)
+        pinned = 0.0
+    else:
+        found = constrained_sp(graph, mid, constraint)
+        if found is None:
+            raise NoFeasibleSolution("constraint admits no path")
+        path, mid_value = found
+        pinned = float(sum(graph.hi[e] - mid[e] for e in constraint.in_chain))
     pair_value = two_unit_min_flow(graph, constraint)
     if pair_value is None:
         raise NoFeasibleSolution("constraint admits no path")

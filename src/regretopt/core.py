@@ -33,7 +33,9 @@ class IntervalInstance:
     Construction checks lo and hi and derives the width hi - lo and the
     midpoint (lo + hi) / 2, each once and read-only.  The midpoint lies in
     [lo, hi]: doubling either bound is exact, and rounding the sum keeps
-    its order.
+    its order.  lo + width is finite too: width <= hi, and rounding keeps
+    order, so it rounds to at most lo + hi, which is finite since the
+    midpoint is.  So is every scenario interpolated_scenario builds.
     """
 
     lo: np.ndarray
@@ -72,22 +74,44 @@ class IntervalInstance:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One realized cost per element; equal and hashed by identity."""
+    """One realized cost per element; equal and hashed by identity.
+
+    A scenario may name the instance it prices.  Its costs are then one
+    finite cost per element, none below the element's lo: the floor every
+    search of that instance relies on, checked when a caller builds such a
+    scenario, and true by construction of the ones this library builds
+    (the extreme and midpoint scenarios lie in [lo, hi], and
+    interpolated_scenario never drops below lo, though its rounding can
+    land an ulp above hi).  So a search handed a scenario of its own
+    instance checks nothing again.  numpy reads a scenario as its costs,
+    so any oracle that takes a cost array takes a scenario too.
+    """
 
     costs: np.ndarray
+    instance: IntervalInstance | None = field(default=None, repr=False)
 
     def __post_init__(self):
         c = _frozen_array(self.costs)
         if c.ndim != 1 or not np.isfinite(c).all():
             raise ValueError("scenario costs must be a finite 1-d array")
+        instance = self.instance
+        if instance is not None:
+            if c.shape != instance.lo.shape:
+                raise ValueError("one cost per element of the instance required")
+            if not (c >= instance.lo).all():
+                raise ValueError("no cost may lie below its element's lo")
         object.__setattr__(self, "costs", c)
 
     @classmethod
-    def _of_checked(cls, costs: np.ndarray) -> "Scenario":
-        """Wrap costs already known to be a read-only, finite 1-d array: no copy, no check."""
+    def _of_checked(cls, costs: np.ndarray, instance: IntervalInstance | None = None) -> "Scenario":
+        """Wrap costs already known to be a read-only, finite 1-d array, floored by instance when given: no copy, no check."""
         scenario = object.__new__(cls)
         object.__setattr__(scenario, "costs", costs)
+        object.__setattr__(scenario, "instance", instance)
         return scenario
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.costs, dtype=dtype, copy=copy)
 
     @property
     def n(self) -> int:
@@ -98,9 +122,15 @@ class NoFeasibleSolution(Exception):
     """The oracle's feasible set is empty under the given restriction."""
 
 
-# CPython gives a set of fewer members than this its fixed 8-slot table
-# however it is built, so only larger sets can shrink by a copy.
-_SHRINKABLE_MEMBERS = 5
+@functools.cache
+def _copy_is_smaller(count: int) -> bool:
+    """Whether copying a frozenset of count members, built one member at a time, shrinks its hash table.
+
+    CPython sizes both tables by the member count alone, so one probe per
+    count decides it for every set of that many members.
+    """
+    direct = frozenset(range(count))
+    return sys.getsizeof(direct.union(), 0) < sys.getsizeof(direct, 0)
 
 
 @dataclass(frozen=True)
@@ -109,7 +139,9 @@ class SolutionIndicator:
 
     members is the smaller of the set as built and its copy: CPython sizes
     a copy's hash table to its members, while adding them one by one can
-    leave it twice as large (a 21-arc path: 1,240 against 2,264 bytes).
+    leave it twice as large (a 21-arc path: 1,240 against 2,264 bytes),
+    or, for 16 to 18 members, half as large.  The member count decides
+    which, so the set is copied only for the counts a copy shrinks.
     index holds the same ids as a read-only intp array, built on first
     use, for the dense builds that set every member in one numpy step.
     """
@@ -120,10 +152,8 @@ class SolutionIndicator:
         members = frozenset(map(operator.index, self.members))
         if members and min(members) < 0:
             raise ValueError("element indices must be nonnegative")
-        if len(members) >= _SHRINKABLE_MEMBERS:
-            copy = frozenset(set(members))
-            if sys.getsizeof(copy, 0) < sys.getsizeof(members, 0):
-                members = copy
+        if _copy_is_smaller(len(members)):
+            members = members.union()
         object.__setattr__(self, "members", members)
 
     @functools.cached_property
@@ -150,11 +180,11 @@ def val(x: SolutionIndicator, c: Scenario) -> float:
     return cost_of(x.members, c.costs)
 
 
-def _extreme(base: np.ndarray, swap: np.ndarray, x: SolutionIndicator) -> Scenario:
-    """base with x's members swapped for their swap values, in one indexed store.
+def _extreme(base: np.ndarray, swap: np.ndarray, x: SolutionIndicator) -> np.ndarray:
+    """A read-only copy of base with x's members swapped for their swap values, in one indexed store.
 
-    Both arrays are an instance's checked bounds, so the copy is checked
-    once, for members the instance does not price.
+    Both arrays are an instance's checked bounds, so the copy lies in
+    [lo, hi] and is checked once, for members the instance does not price.
     """
     costs = np.array(base)
     index = x.index
@@ -163,7 +193,7 @@ def _extreme(base: np.ndarray, swap: np.ndarray, x: SolutionIndicator) -> Scenar
     except IndexError:
         raise ValueError("solution does not fit the instance") from None
     costs.setflags(write=False)
-    return Scenario._of_checked(costs)
+    return costs
 
 
 def penalizing_scenario(instance: IntervalInstance, x: SolutionIndicator) -> Scenario:
@@ -171,14 +201,25 @@ def penalizing_scenario(instance: IntervalInstance, x: SolutionIndicator) -> Sce
 
     This scenario attains x's maximum regret.
     """
-    return _extreme(instance.lo, instance.hi, x)
+    return Scenario._of_checked(_extreme(instance.lo, instance.hi, x), instance)
 
 
 def favoring_scenario(instance: IntervalInstance, y: SolutionIndicator) -> Scenario:
     """Extreme scenario that is best for y: lo on its members, hi elsewhere."""
-    return _extreme(instance.hi, instance.lo, y)
+    return Scenario._of_checked(_extreme(instance.hi, instance.lo, y), instance)
 
 
 def midpoint_scenario(instance: IntervalInstance) -> Scenario:
     """Interval midpoints (lo + hi) / 2: the instance's own read-only array."""
-    return Scenario._of_checked(instance.mid)
+    return Scenario._of_checked(instance.mid, instance)
+
+
+def interpolated_scenario(instance: IntervalInstance, factor: np.ndarray) -> Scenario:
+    """lo + width * factor, with each factor clamped into [0, 1] first: a scenario of the instance.
+
+    A NaN factor clamps to 1, so the costs are finite and none lies below
+    lo whatever factor holds; on factors in [0, 1] the clamp is exact.
+    """
+    costs = instance.lo + instance.width * np.fmax(np.fmin(factor, 1.0), 0.0)
+    costs.setflags(write=False)
+    return Scenario._of_checked(costs, instance)

@@ -9,9 +9,12 @@ the expected regret of the best response to the current scenario mixture,
 so even truncated runs are useful.
 
 Each best response is one oracle call at the costs of the other player's
-mixture, and mixture_costs builds both: a solution mixture is read as the
-mixture of its solutions' penalizing scenarios.  Every such call is bounded
-by the cost of a solution already in hand, which lets the oracle prune.
+mixture, and mixture_scenario builds both: a solution mixture is read as
+the mixture of its solutions' penalizing scenarios.  Every scenario handed
+to the oracle, mixture or extreme, names the instance it was built from,
+so a shortest-path oracle searches it without checking its costs again.
+Every such call is bounded by the cost of a solution already in hand,
+which lets the oracle prune.
 The scenario player's answer favors a solution that is optimal under it
 (see br_c), so its optimum is that solution's own cost, and an iteration
 makes no third search.  The ScenarioPool caches every scenario optimum,
@@ -40,6 +43,7 @@ from .core import (
     SolutionIndicator,
     cost_of,
     favoring_scenario,
+    interpolated_scenario,
     penalizing_scenario,
     val,
 )
@@ -61,6 +65,10 @@ class StandardOracle(Protocol):
     n is the ground set size.  solve must return an optimal solution and
     its value, deterministically for identical inputs; restriction is an
     oracle-specific handle narrowing the feasible set (None means none).
+    costs is one cost per element: an array or sequence, or a Scenario,
+    which numpy reads as its costs.  The loop hands every call a Scenario
+    of the instance, which an oracle may take as already checked (see
+    core.Scenario); the oracle must not write into any costs it is handed.
     bound is the cost under the same costs of a solution the caller holds
     that the restriction admits, so no optimum lies above it; an oracle
     may use it to prune its search, but the answer must not depend on it.
@@ -127,7 +135,7 @@ class ScenarioPool:
         if value is None:
             if scenario is None:
                 scenario = desc.expand(self.instance)
-            z, _ = self.oracle.solve(scenario.costs, None, val(desc.defining, scenario))
+            z, _ = self.oracle.solve(scenario, None, val(desc.defining, scenario))
             value = self._optima[desc] = val(z, scenario)
         return value
 
@@ -239,9 +247,9 @@ class RestrictedGame:
         row = self._row_of.get(x.members)
         return self._regrets(x) if row is None else row
 
-    def mixture_costs(self, col_probs) -> np.ndarray:
-        """Dense costs of the scenario mixture given by col_probs."""
-        return mixture_costs(self.instance, [(q, desc) for q, desc in zip(col_probs, self._columns) if q != 0.0])
+    def mixture_scenario(self, col_probs) -> Scenario:
+        """The scenario mixture given by col_probs, a scenario of the instance."""
+        return mixture_scenario(self.instance, [(q, desc) for q, desc in zip(col_probs, self._columns) if q != 0.0])
 
     def expected_regret(self, row: Sequence[float], col_probs) -> float:
         """Expected regret of a solution against the column mixture, given its row of regrets.
@@ -285,20 +293,24 @@ class DoubleOracleResult:
     best_response: SolutionIndicator
 
 
-def mixture_costs(instance: IntervalInstance, weighted) -> np.ndarray:
-    """Dense costs of a scenario mixture: lo + width * clip(factor, 0, 1).
+def mixture_scenario(instance: IntervalInstance, weighted) -> Scenario:
+    """A scenario mixture as a scenario of the instance: lo + width * clip(factor, 0, 1).
 
     weighted holds (weight, descriptor) pairs; factor[i] is the total
     weight of the drawn scenarios that put element i at hi, summed pair by
     pair in the given order.  Each pair adds its weight to its members in
     one indexed step (a favoring one adds it everywhere, then takes it off
     its members), so every element sees the additions of a loop over the
-    members, in the same order.  Raises ValueError for a descriptor whose
+    members, in the same order.  core.interpolated_scenario builds the
+    costs, which lie at or above lo whatever the weights.  Raises
+    ValueError for a weight that is not finite, or for a descriptor whose
     solution does not fit the instance.
     """
     factor = np.zeros(instance.n)
     try:
         for q, desc in weighted:
+            if not math.isfinite(q):
+                raise ValueError("mixture weights must be finite")
             index = desc.defining.index
             if desc.kind == FAVORING:
                 factor += q
@@ -307,12 +319,12 @@ def mixture_costs(instance: IntervalInstance, weighted) -> np.ndarray:
                 factor[index] += q
     except IndexError:
         raise ValueError("solution does not fit the instance") from None
-    return instance.lo + instance.width * factor.clip(0.0, 1.0)
+    return interpolated_scenario(instance, factor)
 
 
-def _least_cost(costs: np.ndarray, solutions) -> float:
-    """The least cost of the given solutions under costs; inf when there are none."""
-    values = array("d", costs.tobytes())
+def _least_cost(scenario: Scenario, solutions) -> float:
+    """The least cost of the given solutions under the scenario, read in place; inf when there are none."""
+    values = memoryview(scenario.costs)
     return min((cost_of(x.members, values) for x in solutions), default=math.inf)
 
 
@@ -337,8 +349,8 @@ def br_c(instance: IntervalInstance, oracle: StandardOracle, row_probs, solution
     (ScenarioPool.ensure(..., defining_optimal=True)).
     """
     drawn = [(q, ScenarioDescriptor(x, PENALIZING)) for q, x in zip(row_probs, solutions, strict=True) if q != 0.0]
-    costs = mixture_costs(instance, drawn)
-    z, _ = oracle.solve(costs, None, _least_cost(costs, solutions))
+    scenario = mixture_scenario(instance, drawn)
+    z, _ = oracle.solve(scenario, None, _least_cost(scenario, solutions))
     return ScenarioDescriptor(z, FAVORING)
 
 
@@ -408,7 +420,7 @@ def run_double_oracle(
         q = equilibrium.col_probs
         col_probs = q.tolist()
         bound = float((matrix @ q).min() + q @ np.fromiter(game._columns.values(), float, q.size))
-        x, _ = oracle.solve(game.mixture_costs(col_probs), restriction, bound)
+        x, _ = oracle.solve(game.mixture_scenario(col_probs), restriction, bound)
         row = game._row_values(x)
         return x, row, game.expected_regret(row, col_probs)
 

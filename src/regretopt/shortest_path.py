@@ -8,20 +8,28 @@ of this into a standard-problem oracle.  A constraint is built for one
 graph and checked against it then, once: split checks only the arc it
 adds, and a search only tests that it was handed the constraint's graph.
 
-The searches index plain Python sequences: each call copies its costs into
-a flat array of doubles, and the graph keeps one adjacency, the tuple of
-arc ids out of each node (out_edges), with every arc's head and tail in
-flat tuples by arc id, because indexing numpy scalars one arc at a time
-costs more than the search itself.  Every search walks it the same way,
-reading the head of each e in out_edges[u]; the reverse search gathers
-each head's arc ids and reads their tails.  Work over all arcs stays in
-numpy: a constraint keeps its forbidden arcs as an index array, marked at
-inf with one store, and the walk through each arc is scored in one
-expression.  The graph's own lo, hi and midpoint costs (instance.mid) were
-checked when it was built and are read-only, so a search handed any of
-them checks nothing again, and neither does the walk through each arc,
-which builds a path's favoring scenario from them; every other cost vector
-is checked on every call.
+The searches index plain Python sequences, because indexing numpy
+scalars one arc at a time costs more than the search itself.  A search
+reads its costs in place, through a memoryview of the float array, which
+indexes to Python floats as fast as a copy into an array('d') would, and
+writes nothing into them; only a constraint that forbids arcs, the
+two-unit flow and the walk through each arc, which write costs of their
+own, copy the array once.  So a search's fixed cost does not grow with
+the arc count: its node flags are bytearrays, and it allocates only its
+labels and predecessors.  The graph keeps one adjacency, the tuple of arc
+ids out of each node (out_edges), with every arc's head and tail in flat
+tuples by arc id.  Every search walks it the same way, reading the head of
+each e in out_edges[u]; the reverse search gathers each head's arc ids
+and reads their tails.  Work over all arcs stays in numpy: a constraint
+keeps its forbidden arcs as an index array, marked at inf with one store,
+and the walk through each arc is scored in one expression.  The graph's
+own lo, hi and midpoint costs (instance.mid) were checked when it was
+built and are read-only, so a search handed any of them checks nothing
+again, and neither does the walk through each arc, which builds a path's
+favoring scenario from them.  Nor does a search handed a Scenario that
+names the graph's instance: every such scenario was checked, or built by
+the library from the instance's own bounds, to cost no arc below its lo
+(see core.Scenario).  Every other cost vector is checked on every call.
 
 Searches toward the target are goal-directed (A*).  Each node's distance
 to the target under any floor at or below the costs, shrunk by a hair, is
@@ -61,7 +69,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import IntervalInstance, NoFeasibleSolution, SolutionIndicator, cost_of
+from .core import IntervalInstance, NoFeasibleSolution, Scenario, SolutionIndicator, cost_of
 
 _UNSORTED = object()  # a graph's _order before its first search
 
@@ -91,6 +99,13 @@ class Path:
     def value(self, costs) -> float:
         """The path's cost, priced by core.cost_of."""
         return cost_of(self.edges, np.asarray(costs, dtype=float))
+
+
+def _path(edges: tuple[int, ...]) -> Path:
+    """A Path of arc ids read off the graph, Python ints already: no copy."""
+    path = object.__new__(Path)
+    object.__setattr__(path, "edges", edges)
+    return path
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +243,8 @@ class IntervalDigraph:
         return found
 
     def _reaches_target(self) -> bool:
-        seen = [False] * self.node_count
-        seen[self.source] = True
+        seen = bytearray(self.node_count)
+        seen[self.source] = 1
         stack = [self.source]
         out_edges, heads = self.out_edges, self._heads
         while stack:
@@ -239,7 +254,7 @@ class IntervalDigraph:
             for e in out_edges[u]:
                 v = heads[e]
                 if not seen[v]:
-                    seen[v] = True
+                    seen[v] = 1
                     stack.append(v)
         return False
 
@@ -359,16 +374,26 @@ def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, Sequence[fl
 
     The graph's own lo, hi and midpoint costs pass unchecked, each with its
     own kept potential: all three were checked when the graph was built
-    and are read-only.  Any other costs take the lo potential when none
-    lies below lo, and a zero potential otherwise; a copy of the graph's
-    own costs is such another vector.  Costs at or above lo are
-    nonnegative already, so they need only the finiteness check.  Nearly
-    every search finds its potential kept, so that lookup skips the
-    accessor's call; the accessor computes the rest.
+    and are read-only.  So does a Scenario that names the graph's
+    instance, with the lo potential: no cost of it lies below lo (see
+    core.Scenario), which holds by construction for every scenario and
+    mixture the library builds.  Any other costs, another instance's
+    scenario included, take the lo potential when none lies below lo, and
+    a zero potential otherwise; a copy of the graph's own costs is such
+    another vector.  Costs at or above lo are nonnegative already, so
+    they need only the finiteness check.  Nearly every search finds its
+    potential kept, so that lookup skips the accessor's call; the accessor
+    computes the rest.
     """
     instance = graph.instance
+    named = False
+    if isinstance(costs, Scenario):
+        named = costs.instance is instance
+        costs = costs.costs
     if costs is instance.lo or costs is instance.hi or costs is instance.mid:
         c = floor = costs
+    elif named:
+        c, floor = costs, instance.lo
     else:
         c = np.asarray(costs, dtype=float)
         if c.shape != (graph.m,):
@@ -384,7 +409,7 @@ def _check_costs(graph: IntervalDigraph, costs) -> tuple[np.ndarray, Sequence[fl
     return c, graph.potential(floor) if h is None else h
 
 
-def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.inf):
+def _settle_all(graph, costs: Sequence[float], src, banned_nodes, target, h, cutoff=math.inf):
     """A* labels from src toward target under the consistent potential h.
 
     The heap orders nodes by (label + h, label, node), so a zero potential
@@ -402,9 +427,9 @@ def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.i
     n = graph.node_count
     dist = [math.inf] * n
     pred = [-1] * n
-    settled = [False] * n
+    settled = bytearray(n)
     for u in banned_nodes:
-        settled[u] = True
+        settled[u] = 1
     if settled[src]:
         return dist, pred
     out_edges, heads = graph.out_edges, graph._heads
@@ -415,7 +440,7 @@ def _settle_all(graph, costs: array, src, banned_nodes, target, h, cutoff=math.i
         _, d, u = pop(heap)
         if settled[u]:
             continue
-        settled[u] = True
+        settled[u] = 1
         if u == target:
             break
         for e in out_edges[u]:
@@ -448,9 +473,9 @@ def _reverse_search(graph, costs, region, h, cutoff=math.inf) -> tuple[list[floa
     nothing was reached or kept.
     """
     n = graph.node_count
-    inside = [False] * n
+    inside = bytearray(n)
     for u in region:
-        inside[u] = True
+        inside[u] = 1
     into: list[list[int]] = [[] for _ in range(n)]
     out_edges, heads, tails = graph.out_edges, graph._heads, graph._tails
     for u in region:
@@ -508,7 +533,7 @@ def through_arc_costs(graph: IntervalDigraph, reference: SolutionIndicator, cuto
     either way.
     """
     lo = graph.lo
-    c = array("d", graph.hi.tobytes())
+    c = memoryview(np.array(graph.hi))
     for e in reference.members:
         c[e] = lo.item(e)
     h = graph.potential(lo)
@@ -531,7 +556,7 @@ def _walk_back(graph, pred, src, dst) -> tuple[int, ...]:
     return tuple(edges)
 
 
-def _acyclic_pass(graph, costs: array, src, banned_nodes, target, h, cutoff=math.inf):
+def _acyclic_pass(graph, costs: Sequence[float], src, banned_nodes, target, h, cutoff=math.inf):
     """_settle_all's labels on an acyclic graph, by one pass over its nodes from src up to target.
 
     Every in-arc of a node is relaxed before the pass reaches it, so all
@@ -561,7 +586,7 @@ def _acyclic_pass(graph, costs: array, src, banned_nodes, target, h, cutoff=math
     return dist, pred
 
 
-def _search_to_target(graph, costs: array, start, banned_nodes, h, cutoff):
+def _search_to_target(graph, costs: Sequence[float], start, banned_nodes, h, cutoff):
     """Labels from start to the target, expanding no node whose key reaches cutoff.
 
     On a cyclic graph this is _settle_all's A*, stopped once the target is
@@ -588,14 +613,17 @@ def _cutoff(bound: float) -> float:
 def dijkstra(graph: IntervalDigraph, costs, bound: float = math.inf):
     """Shortest source-target path under the given arc costs, as (path, value).
 
-    bound is the cost, under these costs, of an s-t path the caller holds:
-    the search pushes no node that cannot beat it (see _search_to_target).
-    Any bound gives the same answer; a lower one only costs a second search.
+    costs is one cost per arc, or a Scenario, which is not checked again
+    when it names the graph's instance (see _check_costs); the search
+    reads them in place and writes nothing.  bound is the cost, under
+    these costs, of an s-t path the caller holds: the search pushes no
+    node that cannot beat it (see _search_to_target).  Any bound gives the
+    same answer; a lower one only costs a second search.
     """
     c, h = _check_costs(graph, costs)
     s, t = graph.source, graph.target
-    dist, pred = _search_to_target(graph, array("d", c.tobytes()), s, (), h, _cutoff(bound))
-    return Path(_walk_back(graph, pred, s, t)), dist[t]
+    dist, pred = _search_to_target(graph, memoryview(c), s, (), h, _cutoff(bound))
+    return _path(_walk_back(graph, pred, s, t)), dist[t]
 
 
 def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint, bound: float = math.inf):
@@ -603,23 +631,28 @@ def constrained_sp(graph: IntervalDigraph, costs, constraint: PathConstraint, bo
 
     The completion search starts at the end of the prefix and may not
     revisit any earlier prefix node.  Returns None when no such path exists.
+    costs are read as in dijkstra, in place when the constraint forbids no
+    arc, and otherwise from a copy with the forbidden arcs at infinity.
     bound is the cost of a path the caller holds that honors the
     constraint, prefix included, and prunes the search as in dijkstra.
     """
     if constraint.graph is not graph:
         raise ValueError("constraint belongs to another graph")
     c, h = _check_costs(graph, costs)
-    c = array("d", c.tobytes())
+    forbidden = constraint.out_index
+    if forbidden.size:
+        c = np.array(c)
+        # The forbidden ids were checked against this graph, so the store stays in bounds.
+        c[forbidden] = math.inf
+    c = memoryview(c)
     *banned_nodes, start = constraint.nodes
     chain_value = float(sum(c[e] for e in constraint.in_chain))
     if start == graph.target:
-        return Path(constraint.in_chain), chain_value
-    # The forbidden ids were checked against this graph, so the store stays in bounds.
-    np.frombuffer(c)[constraint.out_index] = math.inf
+        return _path(constraint.in_chain), chain_value
     dist, pred = _search_to_target(graph, c, start, banned_nodes, h, _cutoff(bound) - chain_value)
     if dist[graph.target] == math.inf:
         return None
-    return Path(constraint.in_chain + _walk_back(graph, pred, start, graph.target)), chain_value + dist[graph.target]
+    return _path(constraint.in_chain + _walk_back(graph, pred, start, graph.target)), chain_value + dist[graph.target]
 
 
 def two_unit_min_flow(graph: IntervalDigraph, constraint: PathConstraint | None = None):
@@ -635,7 +668,7 @@ def two_unit_min_flow(graph: IntervalDigraph, constraint: PathConstraint | None 
     is unreachable.
     """
     lo, hi = graph.lo, graph.hi
-    costs = array("d", lo.tobytes())
+    costs = memoryview(np.array(lo))
     out = frozenset()
     if constraint is not None:
         if constraint.graph is not graph:
@@ -664,14 +697,14 @@ def two_unit_min_flow(graph: IntervalDigraph, constraint: PathConstraint | None 
     cancel = {heads[e]: tails[e] for e in used}
     push, pop = heapq.heappush, heapq.heappop
     rdist = [math.inf] * graph.node_count
-    done = [False] * graph.node_count
+    done = bytearray(graph.node_count)
     rdist[s] = 0.0
     heap = [(0.0, s)]
     while heap:
         d, u = pop(heap)
         if done[u]:
             continue
-        done[u] = True
+        done[u] = 1
         if u == t:
             break
         base = min(dist[u], dt - h[u])
@@ -722,9 +755,10 @@ class ShortestPathOracle:
 
     Satisfies the oracle contract used by the game engine: n is the arc
     count and solve returns an optimal path for any nonnegative costs,
-    deterministically under ties.  A bound, the cost of a path the caller
-    holds that meets the restriction, prunes the search and never changes
-    the answer (see dijkstra).
+    deterministically under ties.  Costs may be a Scenario, and one that
+    names the graph's instance is searched unchecked (see dijkstra).  A
+    bound, the cost of a path the caller holds that meets the
+    restriction, prunes the search and never changes the answer.
     """
 
     def __init__(self, graph: IntervalDigraph):
@@ -741,6 +775,7 @@ class ShortestPathOracle:
         return found
 
     def solve(self, costs, restriction: PathConstraint | None = None, bound: float = math.inf) -> tuple[SolutionIndicator, float]:
+        """solve_path's answer as a solution: its member set is built once, from the arc ids of the search's walk back."""
         path, value = self.solve_path(costs, restriction, bound)
         return path.indicator(), value
 

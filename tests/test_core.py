@@ -18,7 +18,8 @@ from regretopt import (
     sp_oracle,
     val,
 )
-from regretopt.double_oracle import PENALIZING, RestrictedGame, mixture_costs
+from regretopt.core import interpolated_scenario
+from regretopt.double_oracle import PENALIZING, RestrictedGame, mixture_scenario
 
 from _fixtures import five_element_instance, six_node_graph, two_arc_graph
 from _oracles import EnumeratedOracle
@@ -93,6 +94,34 @@ def test_val_dimension_mismatch():
 
 
 # ----------------------------------------------------------- scenario makers
+
+
+def test_a_scenario_that_names_its_instance_costs_nothing_below_lo():
+    inst = five_element_instance()
+    # Named by the caller, the floor is checked once, when it is built.
+    assert Scenario(inst.lo, inst).instance is inst
+    assert Scenario(inst.hi + 1.0, inst).costs.tolist() == (inst.hi + 1.0).tolist()
+    undercut, nan, inf = (np.where(np.arange(5) == 2, v, inst.hi) for v in (0.5, np.nan, np.inf))
+    for bad in (inst.lo - 1e-9, undercut, nan, inf, np.append(inst.lo, 1.0)):
+        with pytest.raises(ValueError):
+            Scenario(bad, inst)
+    # Built by the library, it holds by construction.
+    x = sol(0, 2)
+    for scenario in (penalizing_scenario(inst, x), favoring_scenario(inst, x), midpoint_scenario(inst)):
+        assert scenario.instance is inst and (scenario.costs >= inst.lo).all()
+    factor = np.array([-3.0, 0.25, np.nan, 7.0, 1.0])
+    mixed = interpolated_scenario(inst, factor)
+    assert mixed.instance is inst and not mixed.costs.flags.writeable
+    assert mixed.costs.tobytes() == (inst.lo + inst.width * np.array([0.0, 0.25, 1.0, 1.0, 1.0])).tobytes()
+    assert np.isfinite(mixed.costs).all() and (mixed.costs >= inst.lo).all()
+    # lo + width can round an ulp above hi: the floor holds, the ceiling need not.
+    ulp = 2.0**-52
+    tight = IntervalInstance(lo=np.array([1.5 * ulp]), hi=np.array([1.0 + 3 * ulp]))
+    assert interpolated_scenario(tight, np.ones(1)).costs[0] > tight.hi[0]
+    with pytest.raises(ValueError):
+        mixture_scenario(inst, [(np.nan, ScenarioDescriptor(x, PENALIZING))])
+    # numpy, and so any oracle that reads an array, reads a scenario as its costs.
+    assert np.asarray(mixed, dtype=float).tobytes() == mixed.costs.tobytes()
 
 
 def test_penalizing_empty_is_all_low():
@@ -204,8 +233,8 @@ def test_mean_scenario_single_and_weighted():
     game = RestrictedGame(graph.instance, ScenarioPool(graph.instance, sp_oracle(graph)))
     for defining in (sol(0), sol(1)):  # (5, 12) and (10, 7)
         game.add_scenario(ScenarioDescriptor(defining, "favoring"), [])
-    np.testing.assert_array_equal(game.mixture_costs([1.0, 0.0]), [5.0, 12.0])
-    np.testing.assert_allclose(game.mixture_costs([0.3, 0.7]), [8.5, 8.5])
+    np.testing.assert_array_equal(game.mixture_scenario([1.0, 0.0]), [5.0, 12.0])
+    np.testing.assert_allclose(game.mixture_scenario([0.3, 0.7]), [8.5, 8.5])
 
 
 def test_marginals():
@@ -213,7 +242,7 @@ def test_marginals():
 
     def marginals(probs, solutions, n):
         unit = IntervalInstance(lo=np.zeros(n), hi=np.ones(n))
-        return mixture_costs(unit, [(p, ScenarioDescriptor(x, PENALIZING)) for p, x in zip(probs, solutions)])
+        return mixture_scenario(unit, [(p, ScenarioDescriptor(x, PENALIZING)) for p, x in zip(probs, solutions)])
 
     np.testing.assert_array_equal(marginals(np.array([1.0]), [sol(0, 2)], 3), [1.0, 0.0, 1.0])
     np.testing.assert_array_equal(marginals(np.array([0.5, 0.5]), [sol(0), sol(1)], 2), [0.5, 0.5])

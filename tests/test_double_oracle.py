@@ -170,12 +170,12 @@ def test_restricted_game_matches_dense_recomputation():
     # a stored column reads back as priced
     assert game.column_values(descs[1]) == game.matrix[:, 1].tolist()
 
-    # mixture_costs and expected_regret agree with the dense mixture,
+    # mixture_scenario and expected_regret agree with the dense mixture,
     # also when a column carries zero weight
     x = sol(0, 3, 6)
     for q in (np.array([0.5, 0.25, 0.25]), np.array([0.5, 0.0, 0.5])):
         mixed = sum(p * descs[j].expand(inst).costs for j, p in enumerate(q))
-        np.testing.assert_allclose(game.mixture_costs(q), mixed, atol=1e-12)
+        np.testing.assert_allclose(game.mixture_scenario(q), mixed, atol=1e-12)
         direct = sum(
             p * (val(x, descs[j].expand(inst)) - oracle.solve(descs[j].expand(inst).costs)[1])
             for j, p in enumerate(q)
@@ -240,7 +240,7 @@ def two_arc_game(*descs):
 
 def solution_response(game, oracle, col_probs):
     """The solution player's best response to a column mixture, as run_double_oracle computes it."""
-    x, _ = oracle.solve(game.mixture_costs(col_probs))
+    x, _ = oracle.solve(game.mixture_scenario(col_probs))
     return x, game.expected_regret(game._row_values(x), col_probs)
 
 
@@ -522,7 +522,7 @@ def test_mixture_costs_match_the_reference_loops_bit_for_bit():
 
         br_c(inst, Recording(), row_probs, solutions)
         expected = inst.lo + inst.width * reference_marginals(row_probs, solutions, n).clip(0.0, 1.0)
-        assert handed[0].tobytes() == expected.tobytes()
+        assert handed[0].costs.tobytes() == expected.tobytes()
 
         descs = [ScenarioDescriptor(draw(), (PENALIZING, FAVORING)[int(rng.integers(2))]) for _ in range(int(rng.integers(1, 10)))]
         # As in a real game, every defining solution is feasible for the pool's oracle.
@@ -532,7 +532,7 @@ def test_mixture_costs_match_the_reference_loops_bit_for_bit():
                 game.add_scenario(desc, [])
         col_probs = weights(len(game.scenarios)).tolist()
         expected = reference_mixture_costs(inst, zip(col_probs, game.scenarios))
-        assert game.mixture_costs(col_probs).tobytes() == expected.tobytes()
+        assert game.mixture_scenario(col_probs).costs.tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------------- generation

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import heapq
 import math
+import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -15,11 +17,13 @@ from regretopt import (
     Path,
     PathConstraint,
     Scenario,
+    ScenarioDescriptor,
     SolutionIndicator,
     constrained_sp,
     dijkstra,
     favoring_scenario,
     lb_cg,
+    lb_kz,
     lb_mgd,
     midpoint_scenario,
     run_double_oracle,
@@ -29,7 +33,7 @@ from regretopt import (
 )
 from regretopt import shortest_path
 from regretopt.branch_bound import fixed_arcs
-from regretopt.double_oracle import max_regret
+from regretopt.double_oracle import FAVORING, PENALIZING, max_regret, mixture_scenario
 from regretopt.harness import GeneratorSpec, gen_instance
 from regretopt.harness.brute_force import enumerate_paths
 from regretopt.shortest_path import order_path_edges, through_arc_costs
@@ -273,6 +277,147 @@ def test_the_midpoint_array_searches_like_a_checked_copy():
             assert (report.artifacts["path"].edges, report.value.hex()) == (expected[0].edges, max(value, 0.0).hex())
             checked += 1
     assert checked >= 80
+
+
+def cost_forms(graph, rng):
+    """What a caller may hand a search: writable and read-only arrays, a list, and the graph's own lo, hi and midpoint costs."""
+    costs = rng.uniform(graph.lo, graph.hi)
+    frozen = np.array(costs)
+    frozen.setflags(write=False)
+    return [costs, frozen, costs.tolist(), graph.lo, graph.hi, graph.instance.mid]
+
+
+def test_no_search_writes_into_its_callers_costs():
+    """Searches read costs in place or copy them: every input is unchanged, read-only ones raise nothing, answers match the reference."""
+    rng = np.random.default_rng(2806)
+    for i in range(12):
+        if i % 2:
+            spec = GeneratorSpec(family="K", n=2 + 3 * (3 + i % 4), r=1000.0, d=1.0, w=3, seed=2800 + i)
+        else:
+            spec = GeneratorSpec(family="R", n=12 + i, r=1000.0, d=1.0, delta=0.3, seed=2800 + i)
+        g = gen_instance(spec)
+        oracle = sp_oracle(g)
+        first = g.out_edges[g.source][0]
+        forbidden = frozenset(e for e in range(g.m) if e != first and rng.random() < 0.3)
+        constraints = (PathConstraint(g), PathConstraint(g, out_set=forbidden), PathConstraint(g, in_chain=(first,)))
+        flows = [two_unit_min_flow(g, c) for c in (None,) + constraints]
+        for costs in cost_forms(g, rng):
+            before = np.array(costs).tobytes()
+            path, value = dijkstra(g, costs)
+            assert (path.edges, value) == reference_search(g, np.asarray(costs), g.source)
+            assert oracle.solve_path(costs) == (path, value)
+            assert oracle.solve(costs) == (path.indicator(), value)
+            for constraint in constraints:
+                found = constrained_sp(g, costs, constraint)
+                expected = reference_constrained(g, np.asarray(costs), constraint)
+                assert (found if found is None else (found[0].edges, found[1])) == expected
+                if found is not None:
+                    assert oracle.solve_path(costs, constraint) == found
+                    assert oracle.solve(costs, constraint) == (found[0].indicator(), found[1])
+            assert np.array(costs).tobytes() == before
+        assert [two_unit_min_flow(g, c) for c in (None,) + constraints] == flows
+
+
+def test_library_scenarios_search_unchecked_like_a_plain_copy():
+    """An extreme scenario or a mixture the library built names its instance and skips the cost check; a plain copy is checked and answers the same."""
+    rng = np.random.default_rng(2807)
+    for i in range(16):
+        if i % 2:
+            spec = GeneratorSpec(family="K", n=2 + 3 * (3 + i % 4), r=1000.0, d=1.0, w=3, seed=2810 + i)
+        else:
+            spec = GeneratorSpec(family="R", n=12 + i, r=1000.0, d=1.0, delta=0.3, seed=2810 + i)
+        g = gen_instance(spec)
+        inst = g.instance
+        paths = [p.indicator() for p in (dijkstra(g, rng.uniform(g.lo, g.hi))[0] for _ in range(4))]
+        descs = [ScenarioDescriptor(x, kind) for x in paths for kind in (PENALIZING, FAVORING)]
+        built = [d.expand(inst) for d in descs]
+        built.append(mixture_scenario(inst, list(zip(rng.dirichlet(np.ones(len(descs))), descs))))
+        built.append(midpoint_scenario(inst))
+        for scenario in built:
+            assert scenario.instance is inst
+            c, h = shortest_path._check_costs(g, scenario)
+            assert c is scenario.costs and h is g.potential(inst.mid if c is inst.mid else g.lo)
+            copy = np.array(scenario.costs)
+            path, value = dijkstra(g, scenario)
+            copy_path, copy_value = dijkstra(g, copy)
+            assert (path.edges, value.hex()) == (copy_path.edges, copy_value.hex())
+            constraint = random_constraint(rng, g)
+            found, copy_found = constrained_sp(g, scenario, constraint), constrained_sp(g, copy, constraint)
+            assert (found is None) == (copy_found is None)
+            if found is not None:
+                assert (found[0].edges, found[1].hex()) == (copy_found[0].edges, copy_found[1].hex())
+
+
+def test_only_a_scenario_of_the_graphs_own_instance_skips_the_check():
+    rows = [(0, 1, 1.0, 5.0), (1, 3, 1.0, 5.0), (0, 2, 1.0, 5.0), (2, 3, 4.0, 5.0)]
+    g = IntervalDigraph.from_edges(4, rows, 0, 3)
+    lower = IntervalDigraph.from_edges(4, rows[:3] + [(2, 3, 0.5, 5.0)], 0, 3)
+    below = [1.0, 1.0, 1.0, 0.5]
+    # A caller's vector, a scenario naming no instance, and one naming
+    # another instance are checked: a cost below g's lo drops the potential.
+    for costs in (below, np.array(below), Scenario(below), Scenario(below, lower.instance)):
+        assert shortest_path._check_costs(g, costs)[1] == [0.0] * 4
+        assert dijkstra(g, costs) == (Path((2, 3)), 1.5)
+    with pytest.raises(ValueError):
+        dijkstra(g, Scenario([1.0, 1.0]))
+    # A caller cannot name g's instance with a cost below its lo (see
+    # tests/test_core.py), so a search trusts the name and checks nothing.
+    with pytest.raises(ValueError):
+        Scenario(below, g.instance)
+    trusted = Scenario([1.0, 1.0, 1.0, 4.5], g.instance)
+    c, h = shortest_path._check_costs(g, trusted)
+    assert c is trusted.costs and h is g.potential(g.lo)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="set table sizes are CPython's")
+def test_oracle_answers_keep_the_smaller_member_table():
+    """An oracle answer's member set is built once from the walk back, with the table SolutionIndicator chooses: the smaller of the set as built and its copy."""
+    rng = np.random.default_rng(2808)
+    lengths = set()
+    # A K graph of l layers has paths of l + 1 arcs: across both sides of the
+    # counts 16 to 18, where the set as built is the smaller one.
+    specs = [GeneratorSpec(family="K", n=2 + 2 * layers, r=1000.0, d=1.0, w=2, seed=layers) for layers in (3, 6, 14, 15, 16, 17, 18, 25, 40)]
+    specs += [GeneratorSpec(family="R", n=300, r=1000.0, d=1.0, delta=0.02, seed=1), GeneratorSpec(family="K", n=82, r=1000.0, d=1.0, w=4, seed=0)]
+    for spec in specs:
+        g = gen_instance(spec)
+        oracle = sp_oracle(g)
+        for _ in range(5):
+            costs = rng.uniform(g.lo, g.hi)
+            x, _ = oracle.solve(costs)
+            edges = dijkstra(g, costs)[0].edges
+            direct, copy = frozenset(edges), frozenset(set(edges))
+            assert x.members == direct
+            size = sys.getsizeof(x.members)
+            assert size == sys.getsizeof(SolutionIndicator(edges).members) == min(sys.getsizeof(direct), sys.getsizeof(copy))
+            lengths.add(len(edges))
+    assert {4, 16, 17, 18, 19, 26} <= lengths
+    for count in list(range(61)) * 3:
+        ids = tuple(rng.integers(0, 10**6, size=count).tolist())
+        direct, copy = frozenset(ids), frozenset(set(ids))
+        size = sys.getsizeof(SolutionIndicator(ids).members)
+        assert size == min(sys.getsizeof(direct), sys.getsizeof(copy)), count
+
+
+def test_a_search_on_read_only_costs_allocates_less_than_one_cost_vector():
+    """Allocation sizes are deterministic: a warm search that read its costs in place peaks below one cost vector, lb_kz below two."""
+    g = gen_instance(GeneratorSpec(family="R", n=1000, r=1000.0, d=1.0, delta=0.006, seed=0))
+    assert g.m == 5979
+    frozen = np.array(g.hi)
+    frozen.setflags(write=False)
+    vector = 8 * g.m
+    for label, search, limit in (
+        ("dijkstra, a read-only copy", lambda: dijkstra(g, frozen), vector),
+        ("dijkstra, the graph's hi", lambda: dijkstra(g, g.hi), vector),
+        ("lb_kz", lambda: lb_kz(g), 2 * vector),
+    ):
+        search()  # potentials, order and first allocations
+        tracemalloc.start()
+        try:
+            search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (label, peak)
 
 
 def test_negative_zero_is_a_valid_cost():
